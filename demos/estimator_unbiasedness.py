@@ -11,7 +11,7 @@ Run:  python3 demos/estimator_unbiasedness.py   (a few seconds)
 import numpy as np
 
 from dosp.core import RngStream
-from dosp.estimator import UtilityObservation, estimate_global_utility, mc_check_unbiasedness
+from dosp.estimator import estimate_global_utility, mc_check_unbiasedness
 from dosp.network import NetworkConfig, sample_activity, sample_channel
 from dosp.objectives import PowerControlModel
 
@@ -21,9 +21,9 @@ def main():
     model = PowerControlModel(12)
     net = NetworkConfig(12, 0.5, 1.0)
 
-    delta = sample_activity(net, rng)
+    delta = sample_activity(net, rng, 1)[0]
     while delta.sum() < 4:
-        delta = sample_activity(net, rng)
+        delta = sample_activity(net, rng, 1)[0]
     channel = sample_channel(12, model.channel, rng)
     actions = rng.uniform(-1.5, 1.5, 12)
     utilities = model.utilities_given_channel(actions, delta, channel)
@@ -31,14 +31,10 @@ def main():
     f_true = utilities[active].sum()
     print(f"{active.size} active nodes, true global utility f = {f_true:.3f}")
 
-    # a single hand-rolled estimate, just to show the arithmetic
-    me = int(active[0])
-    received = [UtilityObservation(int(j), float(utilities[j]))
-                for j in active[1:][:2]]
-    est = estimate_global_utility(
-        UtilityObservation(me, float(utilities[me])), received, q_r=0.5)
-    print(f"node {me} with 2 of {active.size - 1} neighbor values at q_r=0.5 "
-          f"estimates f ~ {est:.3f}")
+    # one slot's estimates: every active node sees a different reception set
+    f_tilde = estimate_global_utility(utilities[None, :], delta[None, :], 0.5, rng)[0]
+    print("one slot at q_r=0.5, per active node: "
+          + " ".join(f"{f_tilde[i]:.1f}" for i in active))
 
     print("\nresampling receptions and noise 200000 times:")
     print(f"{'q_r':>5} {'bias':>10} {'3*stderr':>10}")

@@ -12,9 +12,9 @@ from .core import (
     StepSizeSchedule,
     role_streams,
 )
-from .network import ChannelSpec, NetworkConfig, SlotOutcome
+from .network import ChannelSpec, NetworkConfig
 from .objectives import PowerControlModel, QuadraticModel
-from .estimator import UtilityObservation, estimate_global_utility, mc_check_unbiasedness
+from .estimator import estimate_global_utility, mc_check_unbiasedness
 from .optimizer import (
     NodeStates,
     SlotUpdateRecord,

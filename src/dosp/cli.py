@@ -13,6 +13,7 @@ import os
 import sys
 
 import numpy as np
+import yaml
 
 from . import analysis
 from .core import ConfigError, NumericError, RngStream
@@ -63,9 +64,10 @@ def _set_by_path(d: dict, dotted: str, value):
         node = node[key]
     if keys[-1] not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
-    old = node[keys[-1]]
-    caster = type(old) if old is not None and not isinstance(old, bool) else float
-    node[keys[-1]] = caster(value)
+    try:
+        node[keys[-1]] = yaml.safe_load(value)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {dotted}={value!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -73,12 +75,14 @@ def _cmd_sweep(args) -> int:
     param, _, raw = args.vary.partition("=")
     if not raw:
         raise ConfigError("--vary expects <dotted.param>=<v1,v2,...>")
-    values = raw.split(",")
     base = cfg.to_dict()
-    for value in values:
+    # build every config before running any, so a bad value fails fast
+    subs = []
+    for value in raw.split(","):
         d = copy.deepcopy(base)
         _set_by_path(d, param, value)
-        sub = ExperimentConfig.from_dict(d)
+        subs.append((value, ExperimentConfig.from_dict(d)))
+    for value, sub in subs:
         out = os.path.join(args.out, f"{param.replace('.', '_')}={value}")
         dataset = run_experiment(sub)
         for p in emit_outputs(dataset, out, svg=args.svg, loglog=args.loglog):
@@ -105,7 +109,7 @@ def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelCons
     alpha_G = 0.0
     alpha_F = np.inf
     for _ in range(200):
-        delta = sample_activity(cfg.network, rng)
+        delta = sample_activity(cfg.network, rng, 1)[0]
         if delta.sum() == 0:
             continue
         channel = sample_channel(cfg.network.n_nodes, model.channel, rng)

@@ -7,43 +7,32 @@ the realized global utility under per-pair Bernoulli(q_r) reception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
+from .network import sample_obs_noise
 
-@dataclass(frozen=True)
-class UtilityObservation:
-    """One node's noisy utility observation for the current slot."""
-
-    node: int
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"utility observation for node {self.node} is not finite")
+# uniforms per reception draw in mc_check_unbiasedness (8 MB of float64)
+_CHUNK_DRAWS = 1 << 20
 
 
-def estimate_global_utility(
-    own: UtilityObservation,
-    received: Sequence[UtilityObservation],
-    q_r: float,
-) -> float:
-    """Reception-compensated estimate of the slot's global utility.
+def estimate_global_utility(u_tilde: np.ndarray, active: np.ndarray, q_r: float,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Reception-compensated global-utility estimates for a batch of slots.
 
-    Returns own.value + (1 / q_r) * sum of received values.  Historical
+    ``u_tilde`` holds the (B, N) noisy local observations (zero where
+    inactive).  Every active node i receives each other active node's value
+    independently with probability q_r and estimates f~_i = u~_i + (1 / q_r)
+    * (sum of received values).  Inactive nodes get 0.  Historical
     observations are never reused: under i.i.d. environments only the current
     slot's values say anything about the current global utility.
     """
-    if not 0.0 < q_r <= 1.0:
-        raise ValueError(f"q_r must lie in (0, 1], got {q_r}")
-    senders = [obs.node for obs in received]
-    if len(set(senders)) != len(senders):
-        raise ValueError("duplicate sender in received observations")
-    if own.node in senders:
-        raise ValueError("a node cannot receive its own observation")
-    return own.value + sum(obs.value for obs in received) / q_r
+    if q_r == 1.0:
+        total = u_tilde.sum(axis=1, keepdims=True)
+        return np.where(active, total, 0.0)
+    b, n = active.shape
+    kappa = rng.random((b, n, n)) < q_r
+    received = np.einsum("bij,bj->bi", kappa, u_tilde) - kappa.diagonal(axis1=1, axis2=2) * u_tilde
+    return np.where(active, u_tilde + received / q_r, 0.0)
 
 
 def mc_check_unbiasedness(
@@ -60,8 +49,9 @@ def mc_check_unbiasedness(
     """Monte-Carlo bias of the estimator against the true global utility.
 
     Holds (actions, activity, environment) fixed and resamples only the
-    reception sets and the observation noise.  Returns
-    (mean(estimate) - f, standard error of the mean).
+    reception sets and the observation noise, by running
+    :func:`estimate_global_utility` on the active block in chunks of trials.
+    Returns (mean(estimate) - f, standard error of the mean) for ``node``.
     """
     delta = np.asarray(delta)
     act = np.flatnonzero(delta)
@@ -76,20 +66,17 @@ def mc_check_unbiasedness(
         u = model.utilities_given_channel(a_hat, delta, env)
     else:
         u = np.asarray(model.local_utilities(a_hat, delta.astype(bool), env))[0]
-    f_true = float(u[act].sum())
+    u_act = u[act]
+    f_true = float(u_act.sum())
 
-    others = act[act != node]
-    u_own = u[node]
-    u_others = u[others]
-    estimates = np.full(n_trials, u_own)
-    if sigma_eta > 0:
-        estimates = estimates + sigma_eta * rng.standard_normal(n_trials)
-    if others.size:
-        mask = rng.random((n_trials, others.size)) < q_r
-        obs = u_others[None, :]
-        if sigma_eta > 0:
-            obs = obs + sigma_eta * rng.standard_normal((n_trials, others.size))
-        estimates = estimates + (mask * obs).sum(axis=1) / q_r
+    col = int(np.searchsorted(act, node))
+    chunk = max(1, _CHUNK_DRAWS // (act.size * act.size))
+    estimates = np.empty(n_trials)
+    for start in range(0, n_trials, chunk):
+        rows = min(chunk, n_trials - start)
+        u_tilde = u_act + sample_obs_noise(sigma_eta, (rows, act.size), rng)
+        everyone = np.ones(u_tilde.shape, dtype=bool)
+        estimates[start:start + rows] = estimate_global_utility(u_tilde, everyone, q_r, rng)[:, col]
     bias = float(estimates.mean() - f_true)
     stderr = float(estimates.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
     return bias, stderr

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -25,9 +26,10 @@ from .core import (
     StepSizeSchedule,
     role_streams,
 )
-from .network import ChannelSpec, NetworkConfig
+from .network import ChannelSpec, NetworkConfig, sample_activity
 from .objectives import ObjectiveModel, PowerControlModel, QuadraticModel
 from .optimizer import (
+    INDEX_MODES,
     SlotUpdateRecord,
     dosp_slot,
     ideal_gradient_slot,
@@ -64,7 +66,7 @@ class ExperimentConfig:
     replications: int
     seed: int
     metrics_stride: int = 100
-    f_mc_samples: int = 2000  # 0 disables utility estimation
+    f_mc_samples: int = 2000  # 0 disables utility estimation, else >= 2
     sigma_eta: float = 0.0
     algorithm: str = "dosp_s"  # "dosp_s" | "ideal_gradient"
     baseline_step: str | float = "beta"  # "beta" | "beta_gamma" | constant value
@@ -72,6 +74,9 @@ class ExperimentConfig:
     divergence: str = "auto"  # "auto" | "require" | "skip"
 
     def __post_init__(self):
+        for name in ("horizon", "replications", "seed", "metrics_stride", "f_mc_samples"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
         if self.algorithm not in ("dosp_s", "ideal_gradient"):
@@ -81,6 +86,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown baseline step {self.baseline_step!r}")
         elif not float(self.baseline_step) > 0:
             raise ConfigError("constant baseline step must be positive")
+        if self.f_mc_samples < 0 or self.f_mc_samples == 1:
+            raise ConfigError(
+                f"f_mc_samples must be 0 (off) or >= 2, got {self.f_mc_samples}")
+        if self.index_mode not in INDEX_MODES:
+            raise ConfigError(f"unknown index mode {self.index_mode!r}")
         if self.divergence not in ("auto", "require", "skip"):
             raise ConfigError(f"unknown divergence mode {self.divergence!r}")
         if self.model_kind not in ("power", "quadratic"):
@@ -94,6 +104,7 @@ class ExperimentConfig:
             hi = float(self.bounds.upper[0])
             object.__setattr__(
                 self, "bounds", ActionBounds.uniform(self.network.n_nodes, lo, hi))
+        build_model(self)  # rejects bad model parameters at load time, not mid-run
 
     # -- serialization ------------------------------------------------------
 
@@ -155,7 +166,7 @@ class ExperimentConfig:
             return cls(network=net, schedule=sched, perturbation=pert,
                        bounds=bounds, model_kind=kind, model_params=model,
                        **run)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def to_yaml(self, path) -> None:
@@ -165,7 +176,11 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+            try:
+                d = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"malformed YAML in {path}: {exc}".replace("\n", " ")) from exc
+        return cls.from_dict(d)
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentConfig):
@@ -230,15 +245,10 @@ def record_slots(horizon: int, stride: int) -> np.ndarray:
 
 def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
                  n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo averaged-utility estimate for each action row."""
-    from .network import sample_activity
-
-    b, n = actions.shape
-    if netcfg.activity == "poisson":
-        activity = np.stack([sample_activity(netcfg, rng)
-                             for _ in range(b * n_samples)]).astype(bool)
-    else:
-        activity = rng.random((b * n_samples, n)) < netcfg.q_activity
+    """Monte-Carlo averaged-utility estimate and its standard error for each
+    action row, over ``n_samples`` fresh (activity, environment) draws."""
+    b = actions.shape[0]
+    activity = sample_activity(netcfg, rng, b * n_samples)
     env = model.sample_env(activity, rng)
     a_hat = np.repeat(actions, n_samples, axis=0)
     f = model.local_utilities(a_hat, activity, env).sum(axis=1).reshape(b, n_samples)
@@ -299,6 +309,7 @@ def run_experiment(
     f_stderr = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
     snapshots = np.zeros((reps, n_rec, cfg.network.n_nodes)) if keep_actions else None
     traces: list[SlotUpdateRecord] = []
+    step_fn = baseline_step_fn(cfg)
 
     rec_idx = 0
     for k in range(1, cfg.horizon + 1):
@@ -323,8 +334,7 @@ def run_experiment(
                 traces.extend(records)
         else:
             states = ideal_gradient_slot(
-                states, k, model, cfg.network, baseline_step_fn(cfg),
-                cfg.bounds, rngs)
+                states, k, model, cfg.network, step_fn, cfg.bounds, rngs)
 
     return TrajectoryDataset(
         config=cfg, ks=ks, n_active=n_active, d=d, f_hat=f_hat,
@@ -392,12 +402,7 @@ def solve_optimum(
     a = np.asarray((cfg.bounds.lower + cfg.bounds.upper) / 2.0, dtype=float)
 
     def avg_gradient(point, samples):
-        if net.activity == "poisson":
-            from .network import sample_activity
-            activity = np.stack([sample_activity(net, rng)
-                                 for _ in range(samples)]).astype(bool)
-        else:
-            activity = rng.random((samples, net.n_nodes)) < net.q_activity
+        activity = sample_activity(net, rng, samples)
         env = model.sample_env(activity, rng)
         g = model.global_gradient(np.broadcast_to(point, activity.shape),
                                   activity, env)

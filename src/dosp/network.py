@@ -1,5 +1,6 @@
-"""Per-slot network randomness: node activity, utility-reception sets,
-channel environment, and observation noise.
+"""Per-slot network randomness: node activity, channel environment, and
+observation noise.  Utility reception is drawn by the estimator
+(:func:`dosp.estimator.estimate_global_utility`).
 
 All samplers are pure functions of an owned :class:`numpy.random.Generator`;
 slots within one replication are sequential, replications use disjoint
@@ -70,43 +71,21 @@ class ChannelSpec:
             raise ConfigError(f"unknown fading model {self.fading!r}")
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """One time-slot's realized randomness."""
+def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Draw ``rows`` independent slots' activity, a (rows, N) bool array.
 
-    activity: np.ndarray  # (N,) 0/1
-    n_active: int
-    channel: np.ndarray  # (N, N) nonnegative gains
-    obs_noise: np.ndarray  # (N,)
-    reception: dict[int, np.ndarray]  # active node -> senders received from
-
-
-def sample_activity(cfg: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw the 0/1 activity vector for one slot."""
-    if cfg.activity == "binomial":
-        return (rng.random(cfg.n_nodes) < cfg.q_activity).astype(np.int8)
-    # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
-    n = min(int(rng.poisson(cfg.expected_active)), cfg.n_nodes)
-    out = np.zeros(cfg.n_nodes, dtype=np.int8)
-    if n:
-        out[rng.choice(cfg.n_nodes, size=n, replace=False)] = 1
-    return out
-
-
-def sample_reception(active_set, node_i: int, q_r: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of active nodes whose observation reached ``node_i`` this slot.
-
-    Each active j != node_i is included independently with probability q_r.
-    Inactive nodes receive nothing, so ``node_i`` must be active.
+    Binomial rows come from one uniform block, which consumes the stream
+    exactly as ``rows`` single-row draws would.
     """
-    active_set = np.asarray(active_set, dtype=int)
-    if node_i not in active_set:
-        raise ValueError(f"node {node_i} is inactive and cannot receive")
-    others = active_set[active_set != node_i]
-    if others.size == 0:
-        return others
-    keep = rng.random(others.size) < q_r
-    return others[keep]
+    if cfg.activity == "binomial":
+        return rng.random((rows, cfg.n_nodes)) < cfg.q_activity
+    # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
+    out = np.zeros((rows, cfg.n_nodes), dtype=bool)
+    for row in out:
+        n = min(int(rng.poisson(cfg.expected_active)), cfg.n_nodes)
+        if n:
+            row[rng.choice(cfg.n_nodes, size=n, replace=False)] = True
+    return out
 
 
 def _gains(shape, var, fading, rng):
@@ -140,27 +119,3 @@ def sample_obs_noise(sigma_eta: float, size, rng: np.random.Generator, kind: str
         return sigma_eta * rng.standard_normal(size)
     half = sigma_eta * np.sqrt(3.0)
     return rng.uniform(-half, half, size=size)
-
-
-def sample_slot(
-    cfg: NetworkConfig,
-    chspec: ChannelSpec,
-    sigma_eta: float,
-    rngs: dict[str, np.random.Generator],
-) -> SlotOutcome:
-    """Compose one full slot draw (activity, channel, noise, reception sets)."""
-    activity = sample_activity(cfg, rngs["activity"])
-    active = np.flatnonzero(activity)
-    channel = sample_channel(cfg.n_nodes, chspec, rngs["channel"])
-    noise = sample_obs_noise(sigma_eta, cfg.n_nodes, rngs["noise"], cfg.noise)
-    reception = {
-        int(i): sample_reception(active, int(i), cfg.q_reception, rngs["reception"])
-        for i in active
-    }
-    return SlotOutcome(
-        activity=activity,
-        n_active=int(activity.sum()),
-        channel=channel,
-        obs_noise=noise,
-        reception=reception,
-    )

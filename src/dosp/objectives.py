@@ -2,8 +2,9 @@
 strongly-concave quadratic oracle with a known optimum.
 
 A model owns the per-slot stochastic environment (channel gains for the power
-model, random quadratic gains for the oracle) and evaluates local utilities,
-exact gradients, and Monte-Carlo estimates of the averaged global utility.
+model, random quadratic gains for the oracle) and evaluates local utilities
+and exact gradients.  The Monte-Carlo averaged utility is
+:func:`dosp.harness.eval_F_batch`.
 
 All evaluation entry points are batched: activity masks of shape (B, N) are
 processed in one vectorized pass (B = replications or Monte-Carlo samples).
@@ -81,34 +82,6 @@ class ObjectiveModel:
 
     def global_gradient(self, a_hat: np.ndarray, active: np.ndarray, env) -> np.ndarray:
         raise NotImplementedError
-
-    def mc_expected_F(
-        self,
-        a: np.ndarray,
-        cfg: NetworkConfig,
-        n_samples: int,
-        rng: np.random.Generator,
-        activity: np.ndarray | None = None,
-    ) -> tuple[float, float]:
-        """Unbiased Monte-Carlo estimate of the averaged global utility at ``a``.
-
-        Returns (estimate, standard error).  ``activity`` may supply the
-        (n_samples, N) activity draws directly, e.g. to force degenerate cases.
-        """
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        a = np.asarray(a, dtype=float)
-        if activity is None:
-            activity = np.stack([sample_activity(cfg, rng) for _ in range(n_samples)]) \
-                if cfg.activity == "poisson" else \
-                (rng.random((n_samples, self.n_nodes)) < cfg.q_activity)
-        active = activity.astype(bool)
-        env = self.sample_env(active, rng)
-        a_hat = np.broadcast_to(a, active.shape)
-        f = self.local_utilities(a_hat, active, env).sum(axis=1)
-        est = float(f.mean())
-        err = float(f.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-        return est, err
 
 
 class PowerControlModel(ObjectiveModel):
@@ -240,12 +213,6 @@ class PowerControlModel(ObjectiveModel):
         g[act] = self.omega1 - self.omega2 * p - self.omega1 * p * leak
         return g
 
-    def local_utility(self, i, a_hat, delta, channel) -> float:
-        """Single node's utility; zero by convention when the node is inactive."""
-        if not delta[i]:
-            return 0.0
-        return float(self.utilities_given_channel(a_hat, delta, channel)[i])
-
     def hessian_given_channel(self, a_hat, delta, channel) -> np.ndarray:
         """Exact Hessian of the summed local utilities on the active block."""
         a_hat = np.asarray(a_hat, dtype=float)
@@ -290,7 +257,7 @@ class PowerControlModel(ObjectiveModel):
 
         worst = 0.0
         for _ in range(n_draws // pairs_per_draw):
-            delta = sample_activity(cfg, rng)
+            delta = sample_activity(cfg, rng, 1)[0]
             if delta.sum() == 0:
                 continue
             channel = sample_channel(self.n_nodes, self.channel, rng)
@@ -349,12 +316,6 @@ class QuadraticModel(ObjectiveModel):
         a_hat = np.atleast_2d(a_hat)
         active = np.atleast_2d(active)
         return -2.0 * env * (a_hat - self.targets) * active
-
-    def local_utility(self, i, a_hat, delta, env) -> float:
-        if not delta[i]:
-            return 0.0
-        zeta = np.atleast_2d(env)[0]
-        return float(-zeta[i] * (a_hat[i] - self.targets[i]) ** 2)
 
     # closed-form constants used by the rate-bound machinery
     def alpha_F(self, q_a: float) -> float:

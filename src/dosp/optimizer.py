@@ -20,6 +20,7 @@ from .core import (
     PerturbationSpec,
     StepSizeSchedule,
 )
+from .estimator import estimate_global_utility
 from .network import NetworkConfig, sample_activity, sample_obs_noise
 
 INDEX_MODES = ("sampled", "counted")
@@ -106,15 +107,14 @@ def sample_step_index(k: int, q_a: float, active, mode: str,
     return np.where(active, ell_t + 1, 0)
 
 
-def project(a_tilde, bounds: ActionBounds, alpha_phi: float, gamma_tilde):
-    """Clamp to [lower + alpha_phi * gamma~, upper - alpha_phi * gamma~].
+def _shrunk_interval(bounds: ActionBounds, alpha_phi: float, gamma_tilde):
+    """[lower + alpha_phi * gamma~, upper - alpha_phi * gamma~] per entry.
 
     Where gamma~ > 0 the interval is nudged one ulp inward so the performed
     action a + gamma~ * phi stays feasible in float arithmetic, not just in
-    exact arithmetic.  With gamma~ = 0 this is a plain clamp to the bounds.
+    exact arithmetic.
     """
-    gamma_tilde = np.asarray(gamma_tilde, dtype=float)
-    shrink = alpha_phi * gamma_tilde
+    shrink = alpha_phi * np.asarray(gamma_tilde, dtype=float)
     lo = bounds.lower + shrink
     hi = bounds.upper - shrink
     if np.any(lo > hi):
@@ -123,6 +123,15 @@ def project(a_tilde, bounds: ActionBounds, alpha_phi: float, gamma_tilde):
     if np.any(pos):
         lo = np.where(pos, np.nextafter(lo, np.inf), lo)
         hi = np.where(pos, np.nextafter(hi, -np.inf), hi)
+    return lo, hi
+
+
+def project(a_tilde, bounds: ActionBounds, alpha_phi: float, gamma_tilde):
+    """Clamp to the shrunk interval of :func:`_shrunk_interval`.
+
+    With gamma~ = 0 this is a plain clamp to the bounds.
+    """
+    lo, hi = _shrunk_interval(bounds, alpha_phi, gamma_tilde)
     return np.clip(a_tilde, lo, hi)
 
 
@@ -138,14 +147,10 @@ def initialize_states(
     """Slot-1 state: random feasible actions, first-slot activity and indices."""
     validate_schedule_fits_bounds(schedule, pert, bounds)
     shape = (batch, bounds.n_nodes)
-    active = _draw_activity(netcfg, shape, rngs["activity"])
+    active = sample_activity(netcfg, rngs["activity"], batch)
     step_index = np.where(active, 1, 0)
     gamma_t = np.where(active, schedule.gamma(1), 0.0)
-    shrink = pert.alpha_phi * gamma_t
-    lo = bounds.lower + shrink
-    hi = bounds.upper - shrink
-    lo = np.where(shrink > 0, np.nextafter(lo, np.inf), lo)
-    hi = np.where(shrink > 0, np.nextafter(hi, -np.inf), hi)
+    lo, hi = _shrunk_interval(bounds, pert.alpha_phi, gamma_t)
     actions = lo + rngs["init"].random(shape) * (hi - lo)
     return NodeStates(
         actions=actions,
@@ -156,21 +161,23 @@ def initialize_states(
     )
 
 
-def _draw_activity(netcfg: NetworkConfig, shape, rng) -> np.ndarray:
-    if netcfg.activity == "binomial":
-        return rng.random(shape) < netcfg.q_activity
-    return np.stack([sample_activity(netcfg, rng) for _ in range(shape[0])]).astype(bool)
-
-
-def _estimate_f(u_tilde, active, q_r, rng):
-    """Reception-compensated global-utility estimates for all active nodes."""
-    if q_r == 1.0:
-        total = u_tilde.sum(axis=1, keepdims=True)
-        return np.where(active, total, 0.0)
-    b, n = active.shape
-    kappa = rng.random((b, n, n)) < q_r
-    received = np.einsum("bij,bj->bi", kappa, u_tilde) - kappa.diagonal(axis1=1, axis2=2) * u_tilde
-    return np.where(active, u_tilde + received / q_r, 0.0)
+def _advance(states: NodeStates, k: int, actions: np.ndarray, netcfg: NetworkConfig,
+             rngs: dict[str, np.random.Generator]) -> NodeStates:
+    """Slot-(k+1) state holding ``actions``: activation counts plus the next
+    slot's activity and schedule indices."""
+    activations = states.activations + states.active
+    active = sample_activity(netcfg, rngs["activity"], states.batch)
+    step_index = sample_step_index(
+        k + 1, netcfg.q_activity, active, states.index_mode,
+        rngs["index"], activation_count=activations,
+    )
+    return NodeStates(
+        actions=actions,
+        active=active,
+        step_index=step_index,
+        activations=activations,
+        index_mode=states.index_mode,
+    )
 
 
 def dosp_slot(
@@ -209,7 +216,7 @@ def dosp_slot(
     u = model.local_utilities(a_hat, active, env)
     eta = sample_obs_noise(sigma_eta, active.shape, rngs["noise"], netcfg.noise)
     u_tilde = np.where(active, u + eta, 0.0)
-    f_tilde = _estimate_f(u_tilde, active, netcfg.q_reception, rngs["reception"])
+    f_tilde = estimate_global_utility(u_tilde, active, netcfg.q_reception, rngs["reception"])
 
     if not np.all(np.isfinite(f_tilde)):
         bad = np.argwhere(~np.isfinite(f_tilde))[0]
@@ -232,22 +239,11 @@ def dosp_slot(
             for b, i in np.argwhere(active)
         ]
 
-    activations = states.activations + active
-    active_next = _draw_activity(netcfg, active.shape, rngs["activity"])
-    step_index_next = sample_step_index(
-        k + 1, netcfg.q_activity, active_next, states.index_mode,
-        rngs["index"], activation_count=activations,
-    )
-    gamma_next = np.where(active_next, schedule.gamma(np.maximum(step_index_next, 1)), 0.0)
-    actions_next = project(a_tilde, bounds, pert.alpha_phi, gamma_next)
-
-    new_states = NodeStates(
-        actions=actions_next,
-        active=active_next,
-        step_index=step_index_next,
-        activations=activations,
-        index_mode=states.index_mode,
-    )
+    # the shrunk projection needs the next slot's step sizes, so it follows the draws
+    new_states = _advance(states, k, a_tilde, netcfg, rngs)
+    gamma_next = np.where(new_states.active,
+                          schedule.gamma(np.maximum(new_states.step_index, 1)), 0.0)
+    new_states.actions = project(a_tilde, bounds, pert.alpha_phi, gamma_next)
     return new_states, records
 
 
@@ -276,18 +272,4 @@ def ideal_gradient_slot(
         raise NumericError(f"slot {k}: non-finite gradient")
     a_tilde = states.actions + step * grad
 
-    activations = states.activations + active
-    active_next = _draw_activity(netcfg, active.shape, rngs["activity"])
-    step_index_next = sample_step_index(
-        k + 1, netcfg.q_activity, active_next, states.index_mode,
-        rngs["index"], activation_count=activations,
-    )
-    actions_next = np.clip(a_tilde, bounds.lower, bounds.upper)
-
-    return NodeStates(
-        actions=actions_next,
-        active=active_next,
-        step_index=step_index_next,
-        activations=activations,
-        index_mode=states.index_mode,
-    )
+    return _advance(states, k, np.clip(a_tilde, bounds.lower, bounds.upper), netcfg, rngs)

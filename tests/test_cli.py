@@ -1,8 +1,10 @@
 import csv
 import os
 
+import pytest
 import yaml
 
+from dosp import ConfigError
 from dosp.cli import main
 from dosp.harness import ExperimentConfig
 
@@ -49,6 +51,30 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
 
 
+def test_malformed_yaml_is_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("model: [power\nnetwork: {n_nodes: 3\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("f_mc_samples", 1),
+    ("f_mc_samples", -5),
+    ("index_mode", "bogus"),
+])
+def test_bad_run_value_is_config_error(tmp_path, capsys, key, value):
+    d = _small_cfg().to_dict()
+    d["run"][key] = value
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_each_value(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     out = tmp_path / "sweep"
@@ -62,6 +88,33 @@ def test_sweep_runs_each_value(tmp_path, capsys):
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
+
+
+def test_sweep_values_are_parsed_as_yaml(tmp_path, capsys):
+    # the old value "beta" is a string; a constant step must still be accepted
+    path = _write_config(tmp_path, _small_cfg(algorithm="ideal_gradient"))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", path, "--out", str(out),
+               "--vary", "run.baseline_step=0.01,beta_gamma"])
+    assert rc == 0
+    assert (out / "run_baseline_step=0.01" / "trajectory.csv").exists()
+    assert (out / "run_baseline_step=beta_gamma" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("run.horizon", "5e3"),
+    ("run.horizon", "5000.0"),
+    ("run.horizon", "[1"),
+    ("model.gain_low", "abc"),
+])
+def test_sweep_uncoercible_value_is_config_error(tmp_path, capsys, key, value):
+    path = _write_config(tmp_path, _small_cfg())
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", path, "--out", str(out),
+               "--vary", f"{key}=100,{value}"])
+    assert rc == 2
+    assert not out.exists()  # no value runs before every config is built
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_verify_passes_on_reference_setup(tmp_path, capsys):

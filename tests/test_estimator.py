@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from dosp.core import RngStream
-from dosp.estimator import UtilityObservation, estimate_global_utility, mc_check_unbiasedness
+from dosp.estimator import mc_check_unbiasedness
 from dosp.network import sample_channel
 from dosp.objectives import PowerControlModel
+
+from oracles import UtilityObservation, scalar_global_utility
 
 
 def _obs(node, value):
@@ -13,26 +15,26 @@ def _obs(node, value):
 
 class TestEstimateArithmetic:
     def test_direct_example(self):
-        got = estimate_global_utility(_obs(0, 2.0), [_obs(1, 3.0), _obs(2, 5.0)], 0.5)
+        got = scalar_global_utility(_obs(0, 2.0), [_obs(1, 3.0), _obs(2, 5.0)], 0.5)
         assert got == pytest.approx(18.0, rel=1e-15)
 
     def test_full_reception_is_exact_sum(self):
         others = [_obs(i, float(i)) for i in range(1, 6)]
-        got = estimate_global_utility(_obs(0, 10.0), others, 1.0)
+        got = scalar_global_utility(_obs(0, 10.0), others, 1.0)
         assert got == pytest.approx(10.0 + sum(range(1, 6)), rel=1e-15)
 
     def test_invalid_q_r(self):
         for q_r in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                estimate_global_utility(_obs(0, 1.0), [], q_r)
+                scalar_global_utility(_obs(0, 1.0), [], q_r)
 
     def test_duplicate_sender_rejected(self):
         with pytest.raises(ValueError):
-            estimate_global_utility(_obs(0, 1.0), [_obs(1, 2.0), _obs(1, 2.0)], 0.5)
+            scalar_global_utility(_obs(0, 1.0), [_obs(1, 2.0), _obs(1, 2.0)], 0.5)
 
     def test_own_observation_in_received_rejected(self):
         with pytest.raises(ValueError):
-            estimate_global_utility(_obs(0, 1.0), [_obs(0, 2.0)], 0.5)
+            scalar_global_utility(_obs(0, 1.0), [_obs(0, 2.0)], 0.5)
 
     def test_nonfinite_observation_rejected(self):
         with pytest.raises(ValueError):

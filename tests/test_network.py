@@ -3,15 +3,13 @@ import pytest
 
 from dosp import ConfigError, NetworkConfig
 from dosp.core import RngStream
+from dosp.estimator import estimate_global_utility
 from dosp.network import (
     ChannelSpec,
     sample_activity,
     sample_channel,
     sample_obs_noise,
-    sample_reception,
-    sample_slot,
 )
-from dosp.core import role_streams
 
 
 def _gen(stream=0, seed=808):
@@ -21,14 +19,13 @@ def _gen(stream=0, seed=808):
 class TestActivity:
     def test_mean_active_count(self):
         cfg = NetworkConfig(50, 0.05, 1.0)
-        rng = _gen(1)
-        counts = np.array([sample_activity(cfg, rng).sum() for _ in range(20_000)])
+        counts = sample_activity(cfg, _gen(1), 20_000).sum(axis=1)
         se = np.sqrt(50 * 0.05 * 0.95 / counts.size)
         assert abs(counts.mean() - cfg.expected_active) <= 3 * se
 
     def test_always_active_boundary(self):
         cfg = NetworkConfig(7, 1.0, 1.0)
-        assert np.all(sample_activity(cfg, _gen(2)) == 1)
+        assert np.all(sample_activity(cfg, _gen(2), 1))
 
     def test_zero_activity_rejected(self):
         with pytest.raises(ConfigError):
@@ -36,8 +33,7 @@ class TestActivity:
 
     def test_lag_one_autocorrelation_is_null(self):
         cfg = NetworkConfig(10, 0.3, 1.0)
-        rng = _gen(3)
-        draws = np.array([sample_activity(cfg, rng) for _ in range(40_000)], dtype=float)
+        draws = sample_activity(cfg, _gen(3), 40_000).astype(float)
         x = draws[:-1, 0] - draws[:-1, 0].mean()
         y = draws[1:, 0] - draws[1:, 0].mean()
         corr = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))
@@ -45,41 +41,68 @@ class TestActivity:
 
     def test_poisson_regime_caps_at_n(self):
         cfg = NetworkConfig(6, 0.9, 1.0, activity="poisson")
-        rng = _gen(4)
-        counts = np.array([sample_activity(cfg, rng).sum() for _ in range(5000)])
+        counts = sample_activity(cfg, _gen(4), 5000).sum(axis=1)
         assert counts.max() <= 6
         assert counts.mean() < cfg.expected_active  # capping bites at high lambda
 
+    @pytest.mark.parametrize("activity", ["binomial", "poisson"])
+    def test_block_equals_single_row_draws(self, activity):
+        # every caller draws its rows in one call; the stream must not notice
+        cfg = NetworkConfig(9, 0.3, 1.0, activity=activity)
+        block = sample_activity(cfg, _gen(17), 50)
+        twin = _gen(17)
+        rows = np.concatenate([sample_activity(cfg, twin, 1) for _ in range(50)])
+        assert block.dtype == bool and block.shape == (50, 9)
+        np.testing.assert_array_equal(block, rows)
+
 
 class TestReception:
+    """Reception as the estimator draws it: node i's estimate carries (1 / q_r)
+    times each other active node's value that reached it."""
+
     def test_full_reception(self):
-        active = np.array([1, 4, 6, 9])
-        got = sample_reception(active, 4, 1.0, _gen(5))
-        assert sorted(got) == [1, 6, 9]
+        active = np.zeros((1, 10), dtype=bool)
+        active[0, [1, 4, 6, 9]] = True
+        u = np.where(active, np.arange(1.0, 11.0), 0.0)
+        got = estimate_global_utility(u, active, 1.0, _gen(5))
+        assert got[0, 4] == u.sum()
 
     def test_single_active_node_receives_nothing(self):
-        assert sample_reception(np.array([3]), 3, 0.7, _gen(6)).size == 0
+        active = np.zeros((200, 5), dtype=bool)
+        active[:, 3] = True
+        u = np.where(active, 2.5, 0.0)
+        got = estimate_global_utility(u, active, 0.7, _gen(6))
+        assert np.all(got[:, 3] == 2.5)
 
-    def test_inactive_receiver_rejected(self):
-        with pytest.raises(ValueError):
-            sample_reception(np.array([1, 2]), 5, 0.7, _gen(7))
+    def test_inactive_node_estimates_zero(self):
+        rng = _gen(7)
+        active = rng.random((50, 6)) < 0.5
+        u = np.where(active, rng.standard_normal((50, 6)), 0.0)
+        got = estimate_global_utility(u, active, 0.7, rng)
+        assert np.all(got[~active] == 0.0)
 
     def test_pairwise_inclusion_frequency(self):
-        rng = _gen(8)
-        active = np.array([0, 1])
-        hits = sum(1 in sample_reception(active, 0, 0.5, rng) for _ in range(100_000))
-        se = np.sqrt(0.25 / 100_000)
-        assert abs(hits / 100_000 - 0.5) <= 3 * se
+        # node 1 carries the only nonzero value, so node 0's estimate is
+        # (1 / q_r) * [node 1's value arrived]
+        trials = 100_000
+        active = np.ones((trials, 2), dtype=bool)
+        u = np.tile([0.0, 1.0], (trials, 1))
+        hits = estimate_global_utility(u, active, 0.5, _gen(8))[:, 0] * 0.5
+        se = np.sqrt(0.25 / trials)
+        assert abs(hits.mean() - 0.5) <= 3 * se
 
     def test_inclusion_unconditional_on_active_set_size(self):
         # the pair (0, 1) is received with probability q_r whatever else is active
         rng = _gen(9)
         q_r = 0.3
-        for extra in (np.array([0, 1]), np.arange(8)):
-            hits = sum(1 in sample_reception(extra, 0, q_r, rng)
-                       for _ in range(60_000))
-            se = np.sqrt(q_r * (1 - q_r) / 60_000)
-            assert abs(hits / 60_000 - q_r) <= 3.5 * se
+        trials = 60_000
+        for n_active in (2, 8):
+            active = np.ones((trials, n_active), dtype=bool)
+            u = np.zeros((trials, n_active))
+            u[:, 1] = 1.0
+            hits = estimate_global_utility(u, active, q_r, rng)[:, 0] * q_r
+            se = np.sqrt(q_r * (1 - q_r) / trials)
+            assert abs(hits.mean() - q_r) <= 3.5 * se
 
 
 class TestChannel:
@@ -130,17 +153,3 @@ class TestObservationNoise:
         x, y = draws[:, 0], draws[:, 1]
         corr = np.dot(x - x.mean(), y - y.mean()) / (x.std() * y.std() * x.size)
         assert abs(corr) < 3.0 / np.sqrt(x.size)
-
-
-def test_slot_outcome_schema():
-    cfg = NetworkConfig(12, 0.4, 0.6)
-    rngs = role_streams(77)
-    for _ in range(50):
-        slot = sample_slot(cfg, ChannelSpec(), 0.5, rngs)
-        assert slot.n_active == slot.activity.sum()
-        active = set(np.flatnonzero(slot.activity))
-        assert set(slot.reception) == active
-        for node, senders in slot.reception.items():
-            assert node not in senders
-            assert set(senders) <= active - {node}
-        assert np.all(slot.channel >= 0)

@@ -5,6 +5,7 @@ import pytest
 
 from dosp import NetworkConfig
 from dosp.core import ActionBounds, RngStream
+from dosp.harness import eval_F_batch
 from dosp.network import ChannelSpec, sample_activity, sample_channel
 from dosp.objectives import NumericInputError, PowerControlModel, QuadraticModel
 
@@ -16,15 +17,17 @@ def _gen(stream, seed=412):
 class TestPowerUtility:
     def test_inactive_node_is_zero(self):
         m = PowerControlModel(3)
-        channel = np.eye(3) + 0.1
-        assert m.local_utility(1, np.zeros(3), np.array([1, 0, 1]), channel) == 0.0
+        active = np.array([[True, False, True]])
+        env = m.sample_env(active, _gen(9))
+        assert m.local_utilities(np.zeros((1, 3)), active, env)[0, 1] == 0.0
 
     def test_single_active_closed_form(self):
         # one active link, unit direct gain, noise floor 0.2: 20*ln(5) - 1
         m = PowerControlModel(4, ChannelSpec(noise_floor=0.2))
-        channel = np.ones((4, 4))
-        delta = np.array([0, 0, 1, 0])
-        value = m.local_utility(2, np.zeros(4), delta, channel)
+        active = np.array([[False, False, True, False]])
+        env = m.sample_env(active, _gen(10))
+        env.gains[:] = 1.0
+        value = m.local_utilities(np.zeros((1, 4)), active, env)[0, 2]
         assert value == pytest.approx(20.0 * math.log(5.0) - 1.0, rel=1e-12)
         assert value == pytest.approx(31.18875824868201, rel=1e-9)
 
@@ -81,7 +84,7 @@ class TestGradients:
         m = PowerControlModel(8)
         cfg = NetworkConfig(8, 0.5, 1.0)
         for _ in range(20):
-            delta = sample_activity(cfg, rng)
+            delta = sample_activity(cfg, rng, 1)[0]
             if delta.sum() == 0:
                 delta[0] = 1
             channel = sample_channel(8, m.channel, rng)
@@ -136,7 +139,7 @@ class TestConcavity:
         m = PowerControlModel(6)
         cfg = NetworkConfig(6, 0.5, 1.0)
         for _ in range(10):
-            delta = sample_activity(cfg, rng)
+            delta = sample_activity(cfg, rng, 1)[0]
             if delta.sum() == 0:
                 delta[2] = 1
             channel = sample_channel(6, m.channel, rng)
@@ -174,32 +177,32 @@ class TestConcavity:
 
 
 class TestExpectedUtility:
-    def test_forced_inactivity_gives_zero(self):
-        m = QuadraticModel(np.zeros(5))
+    def test_zero_at_optimum(self):
+        # every quadratic utility vanishes at a = targets, whatever is active
+        m = QuadraticModel(np.linspace(-1, 1, 5))
         cfg = NetworkConfig(5, 0.5, 1.0)
-        activity = np.zeros((400, 5), dtype=bool)
-        est, err = m.mc_expected_F(np.ones(5), cfg, 400, _gen(6), activity=activity)
-        assert est == 0.0 and err == 0.0
+        est, err = eval_F_batch(m, m.targets[None, :], cfg, 400, _gen(6))
+        assert est[0] == 0.0 and err[0] == 0.0
 
     def test_quadratic_matches_closed_form(self):
         targets = np.linspace(-1, 1, 8)
         m = QuadraticModel(targets, gain_low=1.0, gain_high=1.0)
         cfg = NetworkConfig(8, 0.35, 1.0)
         a = targets + 0.7
-        est, err = m.mc_expected_F(a, cfg, 40_000, _gen(7))
+        est, err = eval_F_batch(m, a[None, :], cfg, 40_000, _gen(7))
         closed = -cfg.q_activity * float(np.sum((a - targets) ** 2))
-        assert abs(est - closed) <= 3 * err
+        assert abs(est[0] - closed) <= 3 * err[0]
 
     def test_estimate_peaks_at_optimum(self):
         targets = np.linspace(-1, 1, 8)
         m = QuadraticModel(targets)
         cfg = NetworkConfig(8, 0.35, 1.0)
         rng = _gen(8)
-        best, err_best = m.mc_expected_F(targets, cfg, 20_000, rng)
+        best, err_best = eval_F_batch(m, targets[None, :], cfg, 20_000, rng)
         for _ in range(5):
-            other, err = m.mc_expected_F(targets + rng.uniform(-1, 1, 8), cfg,
-                                         20_000, rng)
-            assert best >= other - 3 * (err + err_best)
+            other, err = eval_F_batch(m, (targets + rng.uniform(-1, 1, 8))[None, :],
+                                      cfg, 20_000, rng)
+            assert best[0] >= other[0] - 3 * (err[0] + err_best[0])
 
     def test_quadratic_mean_one_gain_required(self):
         with pytest.raises(Exception):

@@ -147,8 +147,8 @@ class TestSlotSemantics:
     def test_vectorized_reception_matches_estimator_module(self):
         # dual route: replay the engine's reception draws and rebuild every
         # f~ with the scalar estimator
-        from dosp.estimator import UtilityObservation, estimate_global_utility
-        from dosp.optimizer import _estimate_f
+        from dosp.estimator import estimate_global_utility
+        from oracles import UtilityObservation, scalar_global_utility
 
         rng = RngStream(321, 0).generator()
         twin = RngStream(321, 0).generator()
@@ -156,7 +156,7 @@ class TestSlotSemantics:
         b, n = 5, 7
         active = rng.random((b, n)) < 0.6
         u_tilde = np.where(active, rng.standard_normal((b, n)), 0.0)
-        got = _estimate_f(u_tilde, active, q_r, rng)
+        got = estimate_global_utility(u_tilde, active, q_r, rng)
         twin.random((b, n))  # activity draws consumed above
         twin.standard_normal((b, n))
         kappa = twin.random((b, n, n)) < q_r
@@ -171,7 +171,7 @@ class TestSlotSemantics:
                     if j != i and active[row, j] and kappa[row, i, j]
                 ]
                 own = UtilityObservation(i, float(u_tilde[row, i]))
-                expected = estimate_global_utility(own, received, q_r)
+                expected = scalar_global_utility(own, received, q_r)
                 assert got[row, i] == pytest.approx(expected, rel=1e-12)
 
     def test_perturbation_stream_drives_exploration(self):
