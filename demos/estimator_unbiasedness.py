@@ -12,7 +12,7 @@ import numpy as np
 
 from dosp.core import RngStream
 from dosp.estimator import estimate_global_utility, mc_check_unbiasedness
-from dosp.network import NetworkConfig, sample_activity, sample_channel
+from dosp.network import NetworkConfig, sample_activity
 from dosp.objectives import PowerControlModel
 
 
@@ -24,9 +24,9 @@ def main():
     delta = sample_activity(net, rng, 1)[0]
     while delta.sum() < 4:
         delta = sample_activity(net, rng, 1)[0]
-    channel = sample_channel(12, model.channel, rng)
+    env = model.sample_env(delta[None, :], rng)
     actions = rng.uniform(-1.5, 1.5, 12)
-    utilities = model.utilities_given_channel(actions, delta, channel)
+    utilities = model.local_utilities(actions, delta, env)[0]
     active = np.flatnonzero(delta)
     f_true = utilities[active].sum()
     print(f"{active.size} active nodes, true global utility f = {f_true:.3f}")
@@ -39,7 +39,7 @@ def main():
     print("\nresampling receptions and noise 200000 times:")
     print(f"{'q_r':>5} {'bias':>10} {'3*stderr':>10}")
     for q_r in (1.0, 0.5, 0.2, 0.1):
-        bias, err = mc_check_unbiasedness(model, actions, delta, channel,
+        bias, err = mc_check_unbiasedness(model, actions, delta, env,
                                           q_r=q_r, sigma_eta=0.5,
                                           n_trials=200_000, rng=rng)
         print(f"{q_r:>5} {bias:>10.4f} {3 * err:>10.4f}")

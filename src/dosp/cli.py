@@ -70,6 +70,18 @@ def _set_by_path(d: dict, dotted: str, value):
         raise ConfigError(f"cannot parse {dotted}={value!r}") from exc
 
 
+def _split_values(raw: str) -> list[str]:
+    """Split a --vary value list on the commas outside brackets, so that
+    list values such as ``[0,1,2],[2,1,0]`` stay whole."""
+    values, depth, start = [], 0, 0
+    for i, ch in enumerate(raw):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            values.append(raw[start:i])
+            start = i + 1
+    return values + [raw[start:]]
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     param, _, raw = args.vary.partition("=")
@@ -78,7 +90,7 @@ def _cmd_sweep(args) -> int:
     base = cfg.to_dict()
     # build every config before running any, so a bad value fails fast
     subs = []
-    for value in raw.split(","):
+    for value in _split_values(raw):
         d = copy.deepcopy(base)
         _set_by_path(d, param, value)
         subs.append((value, ExperimentConfig.from_dict(d)))
@@ -104,23 +116,19 @@ def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelCons
     # power model: curvature and Lipschitz constants have no closed form,
     # estimate them from sampled configurations and flag the estimate
     rng = RngStream(cfg.seed, 99).generator()
-    from .network import sample_activity, sample_channel
+    from .network import sample_activity
 
-    alpha_G = 0.0
-    alpha_F = np.inf
-    for _ in range(200):
-        delta = sample_activity(cfg.network, rng, 1)[0]
-        if delta.sum() == 0:
-            continue
-        channel = sample_channel(cfg.network.n_nodes, model.channel, rng)
-        a = rng.uniform(cfg.bounds.lower, cfg.bounds.upper)
-        H = model.hessian_given_channel(a, delta, channel)
-        alpha_G = max(alpha_G, float(np.max(np.abs(H))))
-        if a_star is not None:
-            g = model.gradient_given_channel(a, delta, channel)
-            denom = float(np.dot(a - a_star, a - a_star))
-            if denom > 1e-9:
-                alpha_F = min(alpha_F, -float(np.dot(a - a_star, g)) / denom)
+    # rows with no active node carry no curvature and would force alpha_F <= 0
+    activity = sample_activity(cfg.network, rng, 200)
+    activity = activity[activity.any(axis=1)]
+    env = model.sample_env(activity, rng)
+    a = rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=activity.shape)
+    alpha_G = float(np.abs(model.global_hessian(a, activity, env)).max(initial=0.0))
+    g = model.global_gradient(a, activity, env)
+    d = a - a_star
+    denom = (d * d).sum(axis=1)
+    keep = denom > 1e-9
+    alpha_F = float(np.min(-(d * g).sum(axis=1)[keep] / denom[keep], initial=np.inf))
     lipschitz = model.estimate_lipschitz(cfg.bounds, cfg.network, rng, n_draws=2000)
     if not np.isfinite(alpha_F) or alpha_F <= 0:
         raise ConfigError(

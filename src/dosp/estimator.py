@@ -51,6 +51,7 @@ def mc_check_unbiasedness(
     Holds (actions, activity, environment) fixed and resamples only the
     reception sets and the observation noise, by running
     :func:`estimate_global_utility` on the active block in chunks of trials.
+    ``env`` is the model's environment for the one activity row ``delta``.
     Returns (mean(estimate) - f, standard error of the mean) for ``node``.
     """
     delta = np.asarray(delta)
@@ -62,10 +63,7 @@ def mc_check_unbiasedness(
     if not delta[node]:
         raise ValueError(f"reference node {node} is inactive")
 
-    if hasattr(model, "utilities_given_channel"):
-        u = model.utilities_given_channel(a_hat, delta, env)
-    else:
-        u = np.asarray(model.local_utilities(a_hat, delta.astype(bool), env))[0]
+    u = model.local_utilities(a_hat, delta.astype(bool), env)[0]
     u_act = u[act]
     f_true = float(u_act.sum())
 

@@ -1,5 +1,6 @@
-"""Per-slot network randomness: node activity, channel environment, and
-observation noise.  Utility reception is drawn by the estimator
+"""Per-slot network randomness: node activity and observation noise.  Channel
+gains are drawn by :meth:`dosp.objectives.PowerControlModel.sample_env` and
+utility reception by the estimator
 (:func:`dosp.estimator.estimate_global_utility`).
 
 All samplers are pure functions of an owned :class:`numpy.random.Generator`;
@@ -86,27 +87,6 @@ def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> 
         if n:
             row[rng.choice(cfg.n_nodes, size=n, replace=False)] = True
     return out
-
-
-def _gains(shape, var, fading, rng):
-    if fading == "real_gaussian":
-        h = rng.standard_normal(shape)
-        return var * h * h
-    return rng.exponential(var, size=shape)
-
-
-def sample_channel(n_nodes: int, spec: ChannelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Fresh i.i.d. power-gain matrix; entry (i, j) is transmitter i -> receiver j."""
-    s = _gains((n_nodes, n_nodes), spec.var_cross, spec.fading, rng)
-    diag = _gains(n_nodes, spec.var_direct, spec.fading, rng)
-    np.fill_diagonal(s, diag)
-    # An exactly-zero direct gain is a probability-zero draw but would produce
-    # -inf utilities; resample those entries.
-    while True:
-        zero = np.flatnonzero(np.diag(s) == 0.0)
-        if zero.size == 0:
-            return s
-        s[zero, zero] = _gains(zero.size, spec.var_direct, spec.fading, rng)
 
 
 def sample_obs_noise(sigma_eta: float, size, rng: np.random.Generator, kind: str = "gaussian") -> np.ndarray:

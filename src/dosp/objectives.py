@@ -8,8 +8,6 @@ and exact gradients.  The Monte-Carlo averaged utility is
 
 All evaluation entry points are batched: activity masks of shape (B, N) are
 processed in one vectorized pass (B = replications or Monte-Carlo samples).
-Reference single-configuration methods taking a full channel matrix are kept
-alongside for direct use and for cross-checking the batched paths.
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ import numpy as np
 
 from .core import ActionBounds, ConfigError
 from .network import ChannelSpec, NetworkConfig, sample_activity
-
-
-class NumericInputError(ValueError):
-    """Non-finite action handed to an objective evaluation."""
 
 
 @dataclass
@@ -104,8 +98,6 @@ class PowerControlModel(ObjectiveModel):
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
 
-    # -- batched fast path -------------------------------------------------
-
     def sample_env(self, active: np.ndarray, rng: np.random.Generator) -> FlatChannel:
         active = np.atleast_2d(active).astype(bool)
         batch_idx, node_idx, offsets, tx_flat, rx_flat = _flat_pairs(active)
@@ -157,88 +149,49 @@ class PowerControlModel(ObjectiveModel):
         )
         return u
 
+    def _leakage(self, env: FlatChannel, power_act: np.ndarray):
+        """Per-pair w = s_kn / I_n (0 on the diagonal) and its sum over receivers n."""
+        interf = self._interference(env, power_act)
+        offdiag = env.tx_flat != env.rx_flat
+        w = np.where(offdiag, env.gains / interf[env.rx_flat], 0.0)
+        leak = np.bincount(env.tx_flat, weights=w, minlength=env.n_active_total)
+        return w, leak
+
     def global_gradient(self, a_hat, active, env: FlatChannel):
         active = np.atleast_2d(active).astype(bool)
         a_hat = np.atleast_2d(a_hat)
-        a_act = a_hat[env.batch_idx, env.node_idx]
-        power_act = np.exp(a_act)
-        interf = self._interference(env, power_act)
-        offdiag = env.tx_flat != env.rx_flat
-        leak = np.bincount(
-            env.tx_flat[offdiag],
-            weights=env.gains[offdiag] / interf[env.rx_flat[offdiag]],
-            minlength=env.n_active_total,
-        )
+        power_act = np.exp(a_hat[env.batch_idx, env.node_idx])
+        _, leak = self._leakage(env, power_act)
         g = np.zeros(active.shape)
         g[env.batch_idx, env.node_idx] = (
             self.omega1 - self.omega2 * power_act - self.omega1 * power_act * leak
         )
         return g
 
-    # -- reference single-configuration path --------------------------------
+    def global_hessian(self, a_hat, active, env: FlatChannel) -> np.ndarray:
+        """d^2 U / (da_tx da_rx) of the summed utilities for every pair of ``env``.
 
-    def utilities_given_channel(self, a_hat, delta, channel) -> np.ndarray:
-        """Local utilities for one configuration and a full gain matrix."""
-        a_hat = np.asarray(a_hat, dtype=float)
-        if not np.all(np.isfinite(a_hat)):
-            raise NumericInputError("actions must be finite")
-        act = np.flatnonzero(delta)
-        u = np.zeros(self.n_nodes)
-        if act.size == 0:
-            return u
-        sub = np.asarray(channel)[np.ix_(act, act)]
-        direct = np.diag(sub)
-        if np.any(direct <= 0):
-            raise ValueError("direct channel gain must be positive")
-        p = np.exp(a_hat[act])
-        interf = self.channel.noise_floor + p @ sub - direct * p
-        u[act] = self.omega1 * (np.log(direct) + a_hat[act] - np.log(interf)) \
-            - self.omega2 * p
-        return u
-
-    def gradient_given_channel(self, a_hat, delta, channel) -> np.ndarray:
-        """Exact gradient of the summed local utilities; zero for inactive nodes."""
-        a_hat = np.asarray(a_hat, dtype=float)
-        if not np.all(np.isfinite(a_hat)):
-            raise NumericInputError("actions must be finite")
-        act = np.flatnonzero(delta)
-        g = np.zeros(self.n_nodes)
-        if act.size == 0:
-            return g
-        sub = np.asarray(channel)[np.ix_(act, act)]
-        direct = np.diag(sub)
-        p = np.exp(a_hat[act])
-        interf = self.channel.noise_floor + p @ sub - direct * p
-        leak = (sub / interf[None, :]).sum(axis=1) - direct / interf
-        g[act] = self.omega1 - self.omega2 * p - self.omega1 * p * leak
-        return g
-
-    def hessian_given_channel(self, a_hat, delta, channel) -> np.ndarray:
-        """Exact Hessian of the summed local utilities on the active block."""
-        a_hat = np.asarray(a_hat, dtype=float)
-        act = np.flatnonzero(delta)
-        H = np.zeros((self.n_nodes, self.n_nodes))
-        if act.size == 0:
-            return H
-        sub = np.asarray(channel)[np.ix_(act, act)]
-        direct = np.diag(sub)
-        p = np.exp(a_hat[act])
-        interf = self.channel.noise_floor + p @ sub - direct * p
-        off = sub.copy()
-        np.fill_diagonal(off, 0.0)
-        # cross term: omega1 p_i p_j sum_{n != i, j} s_in s_jn / I_n^2
-        w = off / interf[None, :]
-        cross = self.omega1 * np.outer(p, p) * (w @ w.T)
-        leak = (off / interf[None, :]).sum(axis=1)
-        leak2 = (off**2 / interf[None, :] ** 2).sum(axis=1)
-        diag = (
-            -self.omega2 * p
-            - self.omega1 * p * leak
-            + self.omega1 * p**2 * leak2
-        )
-        np.fill_diagonal(cross, diag)
-        H[np.ix_(act, act)] = cross
-        return H
+        Off the diagonal this is omega1 p_k p_m sum_n w_kn w_mn over the row's
+        active n; the diagonal adds -omega2 p_k - omega1 p_k leak_k.  The sum
+        runs as one batched product of per-row (n_b, n_b) blocks of w, padded
+        to the busiest row: B * max(n_b)^2 memory, where listing every
+        (k, m, n) triple would take sum(n_b^3).
+        """
+        a_hat = np.atleast_2d(a_hat)
+        power_act = np.exp(a_hat[env.batch_idx, env.node_idx])
+        w, leak = self._leakage(env, power_act)
+        pair_b = env.batch_idx[env.tx_flat]
+        k = env.tx_flat - env.offsets[pair_b]
+        m = env.rx_flat - env.offsets[pair_b]
+        width = int(np.diff(env.offsets).max(initial=0))
+        block = np.zeros((env.shape[0], width, width))
+        block[pair_b, k, m] = w
+        wwt = np.matmul(block, block.transpose(0, 2, 1))[pair_b, k, m]
+        p_tx, p_rx = power_act[env.tx_flat], power_act[env.rx_flat]
+        h = self.omega1 * p_tx * p_rx * wwt
+        diag = env.tx_flat == env.rx_flat
+        h[diag] -= (self.omega2 + self.omega1 * leak[env.tx_flat[diag]]) * p_tx[diag]
+        return h
 
     def estimate_lipschitz(
         self,
@@ -253,22 +206,17 @@ class PowerControlModel(ObjectiveModel):
         Max observed ratio |u_i(a) - u_i(a')| / ||(a - a') o delta|| across
         sampled (activity, channel) draws; an estimate, not a certified bound.
         """
-        from .network import sample_channel
-
+        activity = sample_activity(cfg, rng, n_draws // pairs_per_draw)
+        activity = activity[activity.any(axis=1)]
+        env = self.sample_env(activity, rng)
         worst = 0.0
-        for _ in range(n_draws // pairs_per_draw):
-            delta = sample_activity(cfg, rng, 1)[0]
-            if delta.sum() == 0:
-                continue
-            channel = sample_channel(self.n_nodes, self.channel, rng)
-            for _ in range(pairs_per_draw):
-                a = rng.uniform(bounds.lower, bounds.upper)
-                b = rng.uniform(bounds.lower, bounds.upper)
-                du = self.utilities_given_channel(a, delta, channel) - \
-                    self.utilities_given_channel(b, delta, channel)
-                denom = np.linalg.norm((a - b) * delta)
-                if denom > 0:
-                    worst = max(worst, float(np.max(np.abs(du))) / denom)
+        for _ in range(pairs_per_draw):
+            a = rng.uniform(bounds.lower, bounds.upper, size=activity.shape)
+            b = rng.uniform(bounds.lower, bounds.upper, size=activity.shape)
+            du = self.local_utilities(a, activity, env) - self.local_utilities(b, activity, env)
+            denom = np.linalg.norm((a - b) * activity, axis=1)
+            ratio = np.abs(du).max(axis=1) / np.where(denom > 0, denom, np.inf)
+            worst = max(worst, float(ratio.max(initial=0.0)))
         return worst
 
 

@@ -31,7 +31,7 @@ from dosp.analysis import (
 from dosp.core import ActionBounds, FeasibilityError, RngStream
 from dosp.estimator import mc_check_unbiasedness
 from dosp.harness import build_model, emit_outputs, fit_loglog_slope, run_experiment
-from dosp.network import sample_activity, sample_channel
+from dosp.network import sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import NodeStates, dosp_slot
 from dosp.core import role_streams
@@ -104,9 +104,9 @@ def test_criterion_03_unbiased_estimator():
             delta = sample_activity(net, rng, 1)[0]
             if delta.sum() >= 2:
                 break
-        channel = sample_channel(20, model.channel, rng)
+        env = model.sample_env(delta[None, :].astype(bool), rng)
         a_hat = rng.uniform(-2.0, 2.0, 20)
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, channel,
+        bias, err = mc_check_unbiasedness(model, a_hat, delta, env,
                                           q_r=0.3, sigma_eta=0.5,
                                           n_trials=100_000, rng=rng)
         hits += abs(bias) <= 3 * err
@@ -251,15 +251,14 @@ def test_criterion_10_gradient_oracle():
             delta[point % 8] = 1
         a = rng.uniform(-2.0, 2.0, 8)
         h = 1e-6
+        active = delta.astype(bool)[None, :]
+        model = power if point % 2 == 0 else quad
         if point % 2 == 0:
-            channel = sample_channel(8, power.channel, rng)
-            grad = power.gradient_given_channel(a, delta, channel)
-            f = lambda x: power.utilities_given_channel(x, delta, channel).sum()
+            env = power.sample_env(active, rng)
         else:
-            zeta = rng.uniform(0.5, 1.5, (1, 8))
-            active = delta.astype(bool)[None, :]
-            grad = quad.global_gradient(a[None, :], active, zeta)[0]
-            f = lambda x: float(quad.local_utilities(x[None, :], active, zeta).sum())
+            env = rng.uniform(0.5, 1.5, (1, 8))
+        grad = model.global_gradient(a[None, :], active, env)[0]
+        f = lambda x: float(model.local_utilities(x[None, :], active, env).sum())
         for i in range(8):
             e = np.zeros(8)
             e[i] = h

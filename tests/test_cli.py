@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import os
 
 import pytest
 import yaml
 
-from dosp import ConfigError
+from dosp import ConfigError, StepSizeSchedule
 from dosp.cli import main
 from dosp.harness import ExperimentConfig
 
-from conftest import quadratic_config
+from conftest import power_config, quadratic_config
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _write_config(tmp_path, cfg: ExperimentConfig) -> str:
@@ -85,6 +88,16 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert (out / "network_q_reception=0.5" / "trajectory.csv").exists()
 
 
+def test_sweep_list_valued_key(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_cfg(n_nodes=3))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", path, "--out", str(out),
+               "--vary", "model.targets=[0,1,2],[2,1,0]"])
+    assert rc == 0
+    assert (out / "model_targets=[0,1,2]" / "trajectory.csv").exists()
+    assert (out / "model_targets=[2,1,0]" / "trajectory.csv").exists()
+
+
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
@@ -145,6 +158,37 @@ def test_bounds_inapplicable_exit_code(tmp_path, capsys):
     assert rc == 4
 
 
+def _solve_then_bounds(tmp_path, path):
+    opt = tmp_path / "opt"
+    assert main(["solve-optimum", "--config", path, "--tol", "0.05", "--out", str(opt)]) == 0
+    out = tmp_path / "bounds"
+    rc = main(["bounds", "--config", path, "--kmax", "2000", "--a-star-dir", str(opt),
+               "--out", str(out)])
+    return rc, out
+
+
+def test_bounds_power_model_sampled_constants(tmp_path, capsys):
+    # every node active, so each sampled row carries the full curvature; the
+    # constants are sample estimates, and at this seed alpha_F comes out positive
+    cfg = power_config(n_nodes=5, q_activity=1.0, bound=2.0, horizon=200,
+                       replications=2, seed=7)
+    cfg = dataclasses.replace(cfg, schedule=StepSizeSchedule(0.5, 0.5, 0.75, 0.25))
+    rc, out = _solve_then_bounds(tmp_path, _write_config(tmp_path, cfg))
+    assert rc == 0
+    assert (out / "bounds.csv").exists()
+    assert "note: alpha_F, alpha_G, L estimated by sampling" in capsys.readouterr().out
+
+
+def test_bounds_power_model_without_strong_concavity(tmp_path, capsys):
+    path = os.path.join(CONFIGS, "power_utility_reception_sweep.yaml")
+    rc, out = _solve_then_bounds(tmp_path, path)
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not certify a positive strong-concavity constant")
+    assert err.count("\n") == 1
+
+
 def test_solve_optimum_writes_cache(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg(q_activity=0.4))
     out = tmp_path / "opt"
@@ -165,8 +209,7 @@ def test_solve_optimum_nonconvergence_exit_code(tmp_path, capsys):
 def test_shipped_configs_are_valid():
     import glob
 
-    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
-                                          "configs", "*.yaml")))
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
     assert len(paths) >= 3
     for path in paths:
         cfg = ExperimentConfig.from_yaml(path)

@@ -3,7 +3,6 @@ import pytest
 
 from dosp.core import RngStream
 from dosp.estimator import mc_check_unbiasedness
-from dosp.network import sample_channel
 from dosp.objectives import PowerControlModel
 
 from oracles import UtilityObservation, scalar_global_utility
@@ -42,37 +41,37 @@ class TestEstimateArithmetic:
 
 
 class TestUnbiasedness:
-    def _fixed_world(self, seed=5):
+    def _fixed_world(self, seed=5, delta=(1, 1, 0, 1, 0, 1, 1, 0, 1, 0)):
         rng = RngStream(seed, 0).generator()
         model = PowerControlModel(10)
-        delta = np.array([1, 1, 0, 1, 0, 1, 1, 0, 1, 0])
-        channel = sample_channel(10, model.channel, rng)
+        delta = np.array(delta)
+        env = model.sample_env(delta[None, :].astype(bool), rng)
         a_hat = rng.uniform(-1.5, 1.5, 10)
-        return model, a_hat, delta, channel
+        return model, a_hat, delta, env
 
     def test_exact_when_everything_received_noiselessly(self):
-        model, a_hat, delta, channel = self._fixed_world()
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, channel, 1.0, 0.0,
+        model, a_hat, delta, env = self._fixed_world()
+        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 1.0, 0.0,
                                           64, RngStream(1, 1).generator())
         assert bias == 0.0 and err == 0.0
 
     def test_lossy_noisy_estimate_is_unbiased(self):
-        model, a_hat, delta, channel = self._fixed_world()
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, channel, 0.1, 0.5,
+        model, a_hat, delta, env = self._fixed_world()
+        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.1, 0.5,
                                           100_000, RngStream(2, 1).generator())
         assert abs(bias) <= 3 * err
 
     def test_resampled_estimator_mean_matches_global_utility(self):
-        model, a_hat, delta, channel = self._fixed_world(seed=9)
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, channel, 0.4, 0.3,
+        model, a_hat, delta, env = self._fixed_world(seed=9)
+        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.4, 0.3,
                                           100_000, RngStream(3, 1).generator())
         assert abs(bias) <= 3 * err
 
     def test_single_active_node_sees_only_noise(self):
-        model, a_hat, _, channel = self._fixed_world()
         delta = np.zeros(10, dtype=int)
         delta[4] = 1
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, channel, 0.5, 0.8,
+        model, a_hat, delta, env = self._fixed_world(delta=delta)
+        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.5, 0.8,
                                           50_000, RngStream(4, 1).generator(),
                                           node=4)
         # estimate is u_4 + noise, so the bias is the sample mean of the noise
@@ -80,9 +79,9 @@ class TestUnbiasedness:
         assert err == pytest.approx(0.8 / np.sqrt(50_000), rel=0.05)
 
     def test_variance_decreases_with_reception_probability(self):
-        model, a_hat, delta, channel = self._fixed_world(seed=11)
+        model, a_hat, delta, env = self._fixed_world(seed=11)
         rng = RngStream(5, 1).generator()
-        u = model.utilities_given_channel(a_hat, delta, channel)
+        u = model.local_utilities(a_hat, delta.astype(bool), env)[0]
         f = u[np.flatnonzero(delta)].sum()
         variances = []
         for q_r in (0.1, 0.5, 1.0):
@@ -100,7 +99,7 @@ class TestUnbiasedness:
         assert variances[-1] == pytest.approx(0.0, abs=1e-18)
 
     def test_requires_an_active_node(self):
-        model, a_hat, _, channel = self._fixed_world()
+        model, a_hat, _, env = self._fixed_world()
         with pytest.raises(ValueError):
-            mc_check_unbiasedness(model, a_hat, np.zeros(10, dtype=int), channel,
+            mc_check_unbiasedness(model, a_hat, np.zeros(10, dtype=int), env,
                                   0.5, 0.1, 10, RngStream(6, 1).generator())

@@ -4,12 +4,8 @@ import pytest
 from dosp import ConfigError, NetworkConfig
 from dosp.core import RngStream
 from dosp.estimator import estimate_global_utility
-from dosp.network import (
-    ChannelSpec,
-    sample_activity,
-    sample_channel,
-    sample_obs_noise,
-)
+from dosp.network import ChannelSpec, sample_activity, sample_obs_noise
+from dosp.objectives import PowerControlModel
 
 
 def _gen(stream=0, seed=808):
@@ -106,28 +102,32 @@ class TestReception:
 
 
 class TestChannel:
+    """The channel law as ``PowerControlModel.sample_env`` draws it, over
+    all-active rows so that every ordered pair carries a gain."""
+
+    @staticmethod
+    def _gains(spec, n_nodes, rows, rng):
+        env = PowerControlModel(n_nodes, spec).sample_env(np.ones((rows, n_nodes), bool), rng)
+        direct = env.tx_flat == env.rx_flat
+        return env, env.gains[direct], env.gains[~direct]
+
     def test_direct_and_cross_means(self):
         spec = ChannelSpec(var_direct=1.0, var_cross=0.1, noise_floor=0.2)
-        rng = _gen(10)
-        draws = np.stack([sample_channel(12, spec, rng) for _ in range(4000)])
-        diag = draws[:, np.arange(12), np.arange(12)]
-        off = draws[:, 0, 1:]
+        env, diag, off = self._gains(spec, 12, 4000, _gen(10))
         # E|h|^2 equals the amplitude variance for a zero-mean channel
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
         assert abs(off.mean() - 0.1) <= 3 * off.std() / np.sqrt(off.size)
-        assert np.all(draws >= 0)
+        assert np.all(env.gains >= 0)
 
     def test_complex_gaussian_variant(self):
         spec = ChannelSpec(fading="complex_gaussian")
-        rng = _gen(11)
-        draws = np.stack([sample_channel(8, spec, rng) for _ in range(4000)])
-        diag = draws[:, np.arange(8), np.arange(8)]
+        _, diag, _ = self._gains(spec, 8, 4000, _gen(11))
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
 
     def test_slots_are_independent(self):
-        spec = ChannelSpec()
-        rng = _gen(12)
-        draws = np.stack([sample_channel(4, spec, rng)[0, 1] for _ in range(60_000)])
+        env, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
+        link = (env.node_idx[env.tx_flat] == 0) & (env.node_idx[env.rx_flat] == 1)
+        draws = env.gains[link]  # the 0 -> 1 gain of every slot, in slot order
         x = draws[:-1] - draws[:-1].mean()
         y = draws[1:] - draws[1:].mean()
         corr = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))

@@ -6,12 +6,29 @@ import pytest
 from dosp import NetworkConfig
 from dosp.core import ActionBounds, RngStream
 from dosp.harness import eval_F_batch
-from dosp.network import ChannelSpec, sample_activity, sample_channel
-from dosp.objectives import NumericInputError, PowerControlModel, QuadraticModel
+from dosp.network import ChannelSpec, sample_activity
+from dosp.objectives import PowerControlModel, QuadraticModel
+
+from oracles import dense_channel, dense_gradient, dense_hessian, dense_utilities
 
 
 def _gen(stream, seed=412):
     return RngStream(seed, stream).generator()
+
+
+def _nonempty_activity(cfg, rng, rows):
+    """``rows`` activity rows, each with at least one active node."""
+    active = sample_activity(cfg, rng, rows)
+    active[~active.any(axis=1), 0] = True
+    return active
+
+
+def _pair_matrix(env, values, row):
+    """Scatter one row's per-pair values into an (N, N) matrix."""
+    sel = env.batch_idx[env.tx_flat] == row
+    out = np.zeros((env.shape[1], env.shape[1]))
+    out[env.node_idx[env.tx_flat[sel]], env.node_idx[env.rx_flat[sel]]] = values[sel]
+    return out
 
 
 class TestPowerUtility:
@@ -33,27 +50,13 @@ class TestPowerUtility:
 
     def test_interference_enters_denominator(self):
         m = PowerControlModel(2, ChannelSpec(noise_floor=0.2))
+        active = np.ones((1, 2), dtype=bool)
+        env = m.sample_env(active, _gen(11))
         channel = np.array([[1.0, 0.3], [0.5, 1.0]])
-        a = np.array([0.0, 0.0])
-        delta = np.array([1, 1])
-        u0 = m.utilities_given_channel(a, delta, channel)[0]
+        env.gains = channel[env.node_idx[env.tx_flat], env.node_idx[env.rx_flat]]
+        u0 = m.local_utilities(np.zeros((1, 2)), active, env)[0, 0]
         expected = 20.0 * math.log(1.0 / (0.2 + 0.5)) - 1.0
         assert u0 == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonfinite_action(self):
-        m = PowerControlModel(2)
-        with pytest.raises(NumericInputError):
-            m.utilities_given_channel(np.array([np.nan, 0.0]), np.array([1, 1]),
-                                      np.ones((2, 2)))
-
-    def test_rejects_dead_direct_channel(self):
-        # a zero direct gain would mean log(0); the samplers resample the
-        # (probability-zero) event away and the evaluator refuses it outright
-        m = PowerControlModel(2)
-        channel = np.ones((2, 2))
-        channel[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            m.utilities_given_channel(np.zeros(2), np.array([1, 1]), channel)
 
     def test_batched_matches_reference(self):
         rng = _gen(0)
@@ -61,42 +64,44 @@ class TestPowerUtility:
         active = rng.random((6, 9)) < 0.5
         active[0] = False
         active[0, 3] = True
+        active[1] = False
         env = m.sample_env(active, rng)
+        # every row's world is a full dense channel; the batched path sees
+        # only its active block
+        channels = [dense_channel(9, m.channel, rng) for _ in range(6)]
+        pair_b = env.batch_idx[env.tx_flat]
+        tx, rx = env.node_idx[env.tx_flat], env.node_idx[env.rx_flat]
+        env.gains = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
         a_hat = rng.uniform(-2.0, 2.0, size=(6, 9))
         u = m.local_utilities(a_hat, active, env)
         g = m.global_gradient(a_hat, active, env)
+        h = m.global_hessian(a_hat, active, env)
         for b in range(6):
-            channel = np.ones((9, 9))
-            sel = env.batch_idx[env.tx_flat] == b
-            tx = env.node_idx[env.tx_flat[sel]]
-            rx = env.node_idx[env.rx_flat[sel]]
-            channel[tx, rx] = env.gains[sel]
             delta = active[b].astype(int)
             np.testing.assert_allclose(
-                u[b], m.utilities_given_channel(a_hat[b], delta, channel), rtol=1e-12)
+                u[b], dense_utilities(m, a_hat[b], delta, channels[b]), rtol=1e-12)
             np.testing.assert_allclose(
-                g[b], m.gradient_given_channel(a_hat[b], delta, channel), rtol=1e-12)
+                g[b], dense_gradient(m, a_hat[b], delta, channels[b]), rtol=1e-12)
+            np.testing.assert_allclose(
+                _pair_matrix(env, h, b), dense_hessian(m, a_hat[b], delta, channels[b]),
+                rtol=1e-12)
 
 
 class TestGradients:
     def test_power_matches_finite_differences(self):
         rng = _gen(1)
         m = PowerControlModel(8)
-        cfg = NetworkConfig(8, 0.5, 1.0)
-        for _ in range(20):
-            delta = sample_activity(cfg, rng, 1)[0]
-            if delta.sum() == 0:
-                delta[0] = 1
-            channel = sample_channel(8, m.channel, rng)
-            a = rng.uniform(-2.0, 2.0, 8)
-            grad = m.gradient_given_channel(a, delta, channel)
-            h = 1e-6
-            for i in range(8):
-                e = np.zeros(8)
-                e[i] = h
-                fd = (m.utilities_given_channel(a + e, delta, channel).sum()
-                      - m.utilities_given_channel(a - e, delta, channel).sum()) / (2 * h)
-                assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        active = _nonempty_activity(NetworkConfig(8, 0.5, 1.0), rng, 20)
+        env = m.sample_env(active, rng)
+        a = rng.uniform(-2.0, 2.0, (20, 8))
+        grad = m.global_gradient(a, active, env)
+        h = 1e-6
+        for i in range(8):
+            e = np.zeros(8)
+            e[i] = h
+            fd = (m.local_utilities(a + e, active, env).sum(axis=1)
+                  - m.local_utilities(a - e, active, env).sum(axis=1)) / (2 * h)
+            assert grad[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_quadratic_closed_form(self):
         m = QuadraticModel(np.array([0.5, -0.5, 1.0]))
@@ -115,21 +120,23 @@ class TestGradients:
     def test_power_hessian_matches_second_differences(self):
         rng = _gen(2)
         m = PowerControlModel(5)
-        delta = np.array([1, 1, 0, 1, 1])
-        channel = sample_channel(5, m.channel, rng)
-        a = rng.uniform(-1.0, 1.0, 5)
-        H = m.hessian_given_channel(a, delta, channel)
-        h = 1e-4
+        active = np.array([[1, 1, 0, 1, 1], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+        env = m.sample_env(active, rng)
+        a = rng.uniform(-1.0, 1.0, (3, 5))
+        h = m.global_hessian(a, active, env)
+        H = np.stack([_pair_matrix(env, h, b) for b in range(3)])
+        step = 1e-4
+
+        def total(x):
+            return m.local_utilities(x, active, env).sum(axis=1)
+
         for i in range(5):
             for j in range(5):
-                ei = np.zeros(5); ei[i] = h
-                ej = np.zeros(5); ej[j] = h
-                fpp = m.utilities_given_channel(a + ei + ej, delta, channel).sum()
-                fpm = m.utilities_given_channel(a + ei - ej, delta, channel).sum()
-                fmp = m.utilities_given_channel(a - ei + ej, delta, channel).sum()
-                fmm = m.utilities_given_channel(a - ei - ej, delta, channel).sum()
-                fd = (fpp - fpm - fmp + fmm) / (4 * h * h)
-                assert H[i, j] == pytest.approx(fd, rel=5e-3, abs=1e-5)
+                ei = np.zeros(5); ei[i] = step
+                ej = np.zeros(5); ej[j] = step
+                fd = (total(a + ei + ej) - total(a + ei - ej)
+                      - total(a - ei + ej) + total(a - ei - ej)) / (4 * step * step)
+                assert H[:, i, j] == pytest.approx(fd, rel=5e-3, abs=1e-5)
 
 
 class TestConcavity:
@@ -137,21 +144,17 @@ class TestConcavity:
         # second differences of the summed utilities along each active action
         rng = _gen(3)
         m = PowerControlModel(6)
-        cfg = NetworkConfig(6, 0.5, 1.0)
-        for _ in range(10):
-            delta = sample_activity(cfg, rng, 1)[0]
-            if delta.sum() == 0:
-                delta[2] = 1
-            channel = sample_channel(6, m.channel, rng)
-            a = rng.uniform(-2.0, 2.0, 6)
-            h = 1e-4
-            for i in np.flatnonzero(delta):
-                e = np.zeros(6)
-                e[i] = h
-                second = (m.utilities_given_channel(a + e, delta, channel).sum()
-                          - 2 * m.utilities_given_channel(a, delta, channel).sum()
-                          + m.utilities_given_channel(a - e, delta, channel).sum()) / h**2
-                assert second < 0
+        active = _nonempty_activity(NetworkConfig(6, 0.5, 1.0), rng, 10)
+        env = m.sample_env(active, rng)
+        a = rng.uniform(-2.0, 2.0, (10, 6))
+        h = 1e-4
+        for i in range(6):
+            e = np.zeros(6)
+            e[i] = h
+            second = (m.local_utilities(a + e, active, env).sum(axis=1)
+                      - 2 * m.local_utilities(a, active, env).sum(axis=1)
+                      + m.local_utilities(a - e, active, env).sum(axis=1)) / h**2
+            assert np.all(second[active[:, i]] < 0)
 
     def test_quadratic_strong_concavity_constant(self):
         q_a = 0.3
