@@ -1,9 +1,10 @@
 """Exact averaged step sizes, concentration bounds, bias envelopes, and
 convergence-rate machinery for the sporadic derivative-free learner.
 
-Everything here is deterministic numerics: binomial averages are evaluated in
-log space (relative weight precision ~1e-13), bounds are closed forms, and
-rate parameters are maxima over an explicit slot grid.
+Binomial averages are evaluated in log space (relative weight precision
+~1e-13), bounds are closed forms, and rate parameters are maxima over an
+explicit slot grid.  The one Monte-Carlo cross-check, :func:`mc_step_average`,
+draws through the learner's own activity and index samplers.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ActionBounds, ConfigError, PerturbationSpec, StepSizeSchedule
-from .network import NetworkConfig
+from .network import NetworkConfig, sample_activity
+from .optimizer import sample_step_index, step_sizes
 
 MAX_AVERAGE_K = 1_000_000
+MIN_RATE_K = 4  # smallest k_max that rate_params accepts
 _FULL_RANGE_K = 2048
 
 
@@ -96,19 +99,19 @@ def averaged_steps_grid(schedule: StepSizeSchedule, ks, q_a: float) -> dict[str,
         s = averaged_steps(schedule, int(k), q_a)
         for name in out:
             out[name][j] = getattr(s, name)
-    out["k"] = ks
     return out
 
 
 def mc_step_average(x, k: int, q_a: float, n_draws: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo oracle for the averaged-step operator: mean of delta * x(ell).
 
-    Draws activity and a fresh Binomial(k-1, q_a) index per trial; returns
-    (mean, standard error).  Used to cross-check the closed-form averages.
+    Each trial is one binomial node-slot: its activity and its sampled
+    index, drawn by the learner's samplers.  Returns (mean, standard error).
+    Used to cross-check the closed-form averages.
     """
-    delta = rng.random(n_draws) < q_a
-    ell_t = rng.binomial(k - 1, q_a, size=n_draws)
-    vals = np.where(delta, np.asarray(x(ell_t + 1), dtype=float), 0.0)
+    delta = sample_activity(NetworkConfig(1, q_a, 1.0), rng, n_draws)
+    ell = sample_step_index(k, q_a, delta, "sampled", rng)
+    vals = step_sizes(x, delta, ell)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))
 
 
@@ -218,75 +221,6 @@ def bias_diagnostics(
     return BiasDiagnostics(k=ks, w_bound=w_bound, omega=omega, b_bound=scale * w_bound)
 
 
-def mc_gradient_bias(
-    model,
-    schedule: StepSizeSchedule,
-    netcfg: NetworkConfig,
-    pert: PerturbationSpec,
-    sigma_eta: float,
-    a: np.ndarray,
-    node: int,
-    k: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    grad_F=None,
-    chunk: int = 20_000,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of one node's gradient-estimate bias at slot ``k``.
-
-    Freezes the action vector, draws the full slot randomness (activity,
-    indices, perturbations, environment, noise, receptions), averages the raw
-    update g = beta~ * phi * f~, rescales by q_a / (sigma_phi^2 * bg_k), and
-    subtracts the true averaged-utility gradient component.  Returns
-    (bias estimate, standard error).  ``grad_F`` supplies the exact gradient
-    (defaults to the quadratic model's closed form).
-    """
-    a = np.asarray(a, dtype=float)
-    n = netcfg.n_nodes
-    q_a = netcfg.q_activity
-    bg = averaged_steps(schedule, k, q_a).bg
-    if grad_F is None:
-        if not hasattr(model, "targets"):
-            raise ValueError("pass grad_F explicitly for models without a closed form")
-        grad_F = lambda point: -2.0 * q_a * (point - model.targets)
-    target_grad = float(np.asarray(grad_F(a))[node])
-
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        delta = rng.random((m, n)) < q_a
-        ell_t = rng.binomial(k - 1, q_a, size=(m, n)) if k > 1 else np.zeros(
-            (m, n), dtype=np.int64)
-        beta_t = np.where(delta, schedule.beta(ell_t + 1), 0.0)
-        gamma_t = np.where(delta, schedule.gamma(ell_t + 1), 0.0)
-        phi = pert.sample(rng, size=(m, n))
-        a_hat = a + gamma_t * phi
-        env = model.sample_env(delta, rng)
-        u = model.local_utilities(a_hat, delta, env)
-        if sigma_eta > 0:
-            u = u + sigma_eta * rng.standard_normal((m, n))
-        u_tilde = np.where(delta, u, 0.0)
-        if netcfg.q_reception == 1.0:
-            f_node = u_tilde.sum(axis=1)
-        else:
-            kappa = rng.random((m, n)) < netcfg.q_reception
-            kappa[:, node] = False
-            f_node = u_tilde[:, node] + (kappa * u_tilde).sum(axis=1) / netcfg.q_reception
-        g = np.where(delta[:, node], beta_t[:, node] * phi[:, node] * f_node, 0.0)
-        total += float(g.sum())
-        total_sq += float(np.dot(g, g))
-        done += m
-
-    mean_g = total / n_samples
-    var_g = max(total_sq / n_samples - mean_g**2, 0.0) * n_samples / (n_samples - 1)
-    scale = q_a / (pert.sigma_phi_sq * bg)
-    bias = scale * mean_g - target_grad
-    stderr = scale * math.sqrt(var_g / n_samples)
-    return bias, stderr
-
-
 def compute_K0(
     schedule: StepSizeSchedule,
     pert: PerturbationSpec,
@@ -343,8 +277,6 @@ class RateBoundParams:
     eps4: float
     eps2_tail: float | None
     eps4_tail: float | None
-    eps1_tail_trend: float
-    eps3_tail_trend: float
     vartheta: float | None
     varrho: float | None
     K0: int
@@ -358,7 +290,6 @@ class RateBoundParams:
     envelope_a_valid: bool
     envelope_b_valid: bool
     status: str
-    xi_fit: float | None = None
 
     def at(self, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """theta, upsilon, psi restricted to the slots ``ks`` (must lie on the grid)."""
@@ -420,9 +351,10 @@ def rate_params(
 
     The epsilon maxima are exact over the grid [K0, k_max]; the tail beyond
     k_max is certified with the closed-form ratio dominators where their
-    exponent is nonincreasing, and reported as a trend estimate otherwise.
+    exponent is nonincreasing; otherwise ``eps2_tail`` / ``eps4_tail`` stay
+    None and only the grid maxima hold.
     """
-    if k_max < 4:
+    if k_max < MIN_RATE_K:
         raise ValueError("k_max too small")
     q_a = netcfg.q_activity
     lam = netcfg.expected_active
@@ -490,9 +422,6 @@ def rate_params(
         cand = float(tail["psi2_over_theta_upsilon"](k_max))
         if cand >= ratio_ut[-1]:
             eps4_tail = cand
-    last = max(lo, chi.size - max(chi.size // 10, 2))
-    eps1_tail_trend = float(np.max(chi[last:]))
-    eps3_tail_trend = float(np.max(varpi[last:]))
 
     if d0 is None:
         width = np.asarray(bounds.upper - bounds.lower)
@@ -535,7 +464,6 @@ def rate_params(
         k=ks, theta=theta, upsilon=upsilon, psi=psi,
         eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
         eps2_tail=eps2_tail, eps4_tail=eps4_tail,
-        eps1_tail_trend=eps1_tail_trend, eps3_tail_trend=eps3_tail_trend,
         vartheta=vartheta, varrho=varrho,
         K0=K0, K1=K1, K2=K2, d0=d0,
         q_a=q_a, q_r=netcfg.q_reception,
@@ -602,7 +530,6 @@ def rate_envelope(params: RateBoundParams, k_grid) -> EnvelopeTable:
             )
             xi_fit = float(np.exp(logxi))
             asymptotic = xi_fit / params.q_r * (params.q_a * ks) ** (-expo)
-            params.xi_fit = xi_fit  # stash the display scale with the params
     status = [
         "ok" if np.isfinite(envelope[j]) else "no envelope"
         for j in range(ks.size)

@@ -102,6 +102,12 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_kmax(kmax: int, smallest: int) -> None:
+    if not smallest <= kmax <= analysis.MAX_AVERAGE_K:
+        raise ConfigError(
+            f"--kmax must lie in [{smallest}, {analysis.MAX_AVERAGE_K}], got {kmax}")
+
+
 def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelConstants:
     from .objectives import QuadraticModel
 
@@ -142,6 +148,9 @@ def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelCons
 
 
 def _cmd_bounds(args) -> int:
+    _check_kmax(args.kmax, analysis.MIN_RATE_K)
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     cfg = _load_config(args.config)
     model = build_model(cfg)
     a_star = model.optimum_hint
@@ -185,6 +194,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_kmax(args.kmax, 1)
     cfg = _load_config(args.config)
     results = verification_suite(cfg, k_max=args.kmax)
     failed = 0

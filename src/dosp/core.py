@@ -150,10 +150,6 @@ class ActionBounds:
         """Worst-case squared action magnitude, max_i max(lower_i^2, upper_i^2)."""
         return float(np.max(np.maximum(self.lower**2, self.upper**2)))
 
-    @property
-    def max_width(self) -> float:
-        return float(np.max(self.upper - self.lower))
-
     def __eq__(self, other):
         if not isinstance(other, ActionBounds):
             return NotImplemented

@@ -47,10 +47,6 @@ class NodeStates:
         return self.actions.shape[0]
 
     @property
-    def n_nodes(self) -> int:
-        return self.actions.shape[1]
-
-    @property
     def n_active(self) -> np.ndarray:
         return self.active.sum(axis=1)
 
@@ -107,6 +103,11 @@ def sample_step_index(k: int, q_a: float, active, mode: str,
     return np.where(active, ell_t + 1, 0)
 
 
+def step_sizes(fn, active, step_index):
+    """``fn`` at each node's schedule index, 0 where the node is inactive."""
+    return np.where(active, fn(np.maximum(step_index, 1)), 0.0)
+
+
 def _shrunk_interval(bounds: ActionBounds, alpha_phi: float, gamma_tilde):
     """[lower + alpha_phi * gamma~, upper - alpha_phi * gamma~] per entry.
 
@@ -149,7 +150,7 @@ def initialize_states(
     shape = (batch, bounds.n_nodes)
     active = sample_activity(netcfg, rngs["activity"], batch)
     step_index = np.where(active, 1, 0)
-    gamma_t = np.where(active, schedule.gamma(1), 0.0)
+    gamma_t = step_sizes(schedule.gamma, active, step_index)
     lo, hi = _shrunk_interval(bounds, pert.alpha_phi, gamma_t)
     actions = lo + rngs["init"].random(shape) * (hi - lo)
     return NodeStates(
@@ -180,6 +181,34 @@ def _advance(states: NodeStates, k: int, actions: np.ndarray, netcfg: NetworkCon
     )
 
 
+def learner_estimate(
+    states: NodeStates,
+    model,
+    netcfg: NetworkConfig,
+    schedule: StepSizeSchedule,
+    pert: PerturbationSpec,
+    sigma_eta: float,
+    rngs: dict[str, np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One slot's perturb -> act -> observe -> exchange for every node.
+
+    Returns (beta~, gamma~, phi, a_hat, f~), each (B, N); inactive entries
+    have zero step sizes and a zero estimate.  The perturbation, channel,
+    noise and reception draws come from their roles' streams in that order.
+    """
+    active = states.active
+    beta_t = step_sizes(schedule.beta, active, states.step_index)
+    gamma_t = step_sizes(schedule.gamma, active, states.step_index)
+    phi = pert.sample(rngs["perturbation"], size=active.shape)
+    a_hat = states.actions + gamma_t * phi
+    env = model.sample_env(active, rngs["channel"])
+    u = model.local_utilities(a_hat, active, env)
+    eta = sample_obs_noise(sigma_eta, active.shape, rngs["noise"], netcfg.noise)
+    u_tilde = np.where(active, u + eta, 0.0)
+    f_tilde = estimate_global_utility(u_tilde, active, netcfg.q_reception, rngs["reception"])
+    return beta_t, gamma_t, phi, a_hat, f_tilde
+
+
 def dosp_slot(
     states: NodeStates,
     k: int,
@@ -194,30 +223,18 @@ def dosp_slot(
 ) -> tuple[NodeStates, list[SlotUpdateRecord] | None]:
     """Advance every node by one slot of the sporadic perturbation learner.
 
-    Active nodes perturb, act, observe, exchange observations, and update;
-    inactive nodes carry their action unchanged.  All nodes then draw the
-    next slot's activity and step indices and project.
+    Active nodes estimate (:func:`learner_estimate`) and update; inactive
+    nodes carry their action unchanged.  All nodes then draw the next slot's
+    activity and step indices and project.
     """
-    active = states.active
-    ell_safe = np.maximum(states.step_index, 1)
-    beta_t = np.where(active, schedule.beta(ell_safe), 0.0)
-    gamma_t = np.where(active, schedule.gamma(ell_safe), 0.0)
-
-    phi = pert.sample(rngs["perturbation"], size=active.shape)
-    a_hat = states.actions + gamma_t * phi
+    beta_t, gamma_t, phi, a_hat, f_tilde = learner_estimate(
+        states, model, netcfg, schedule, pert, sigma_eta, rngs)
 
     if np.any(a_hat < bounds.lower) or np.any(a_hat > bounds.upper):
         bad = np.argwhere((a_hat < bounds.lower) | (a_hat > bounds.upper))[0]
         raise FeasibilityError(
             f"slot {k}: performed action left its interval at (replication, node) = {tuple(bad)}"
         )
-
-    env = model.sample_env(active, rngs["channel"])
-    u = model.local_utilities(a_hat, active, env)
-    eta = sample_obs_noise(sigma_eta, active.shape, rngs["noise"], netcfg.noise)
-    u_tilde = np.where(active, u + eta, 0.0)
-    f_tilde = estimate_global_utility(u_tilde, active, netcfg.q_reception, rngs["reception"])
-
     if not np.all(np.isfinite(f_tilde)):
         bad = np.argwhere(~np.isfinite(f_tilde))[0]
         raise NumericError(
@@ -236,13 +253,12 @@ def dosp_slot(
                 beta=float(beta_t[b, i]), gamma=float(gamma_t[b, i]),
                 phi=float(phi[b, i]),
             )
-            for b, i in np.argwhere(active)
+            for b, i in np.argwhere(states.active)
         ]
 
     # the shrunk projection needs the next slot's step sizes, so it follows the draws
     new_states = _advance(states, k, a_tilde, netcfg, rngs)
-    gamma_next = np.where(new_states.active,
-                          schedule.gamma(np.maximum(new_states.step_index, 1)), 0.0)
+    gamma_next = step_sizes(schedule.gamma, new_states.active, new_states.step_index)
     new_states.actions = project(a_tilde, bounds, pert.alpha_phi, gamma_next)
     return new_states, records
 
@@ -263,8 +279,7 @@ def ideal_gradient_slot(
     plain clamp to the action bounds.
     """
     active = states.active
-    ell_safe = np.maximum(states.step_index, 1)
-    step = np.where(active, step_fn(ell_safe), 0.0)
+    step = step_sizes(step_fn, active, states.step_index)
 
     env = model.sample_env(active, rngs["channel"])
     grad = model.global_gradient(states.actions, active, env)

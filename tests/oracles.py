@@ -1,12 +1,22 @@
 """Scalar and dense reference implementations that the tests compare the
-batched library code against."""
+batched library code against, and the Monte-Carlo gradient-bias oracle that
+runs the learner's own slot."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from dosp.analysis import averaged_steps
+from dosp.core import ROLES
+from dosp.network import sample_activity
+from dosp.optimizer import NodeStates, learner_estimate, sample_step_index
+
+# uniforms in the learner's (rows, N, N) reception block per chunk at q_r < 1
+_RECEPTION_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,3 +103,56 @@ def dense_hessian(model, a_hat, delta, channel) -> np.ndarray:
     H = np.zeros((model.n_nodes, model.n_nodes))
     H[np.ix_(act, act)] = block
     return H
+
+
+# -- gradient-estimate bias of the learner's slot -----------------------------
+
+def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
+                     n_samples, rng, grad_F=None, chunk=20_000):
+    """Monte-Carlo estimate of one node's gradient-estimate bias at slot ``k``.
+
+    Freezes the action vector, draws each sample's activity and indices with
+    the learner's samplers, and runs the learner's own estimate
+    (:func:`dosp.optimizer.learner_estimate`) with every randomness role on
+    ``rng``.  Averages the raw update g = beta~ * phi * f~ of ``node``,
+    rescales by q_a / (sigma_phi^2 * bg_k), and subtracts the true
+    averaged-utility gradient component.  Returns (bias estimate, standard
+    error).  ``grad_F`` supplies the exact gradient (defaults to the
+    quadratic model's closed form).
+    """
+    a = np.asarray(a, dtype=float)
+    n = netcfg.n_nodes
+    q_a = netcfg.q_activity
+    bg = averaged_steps(schedule, k, q_a).bg
+    if grad_F is None:
+        if not hasattr(model, "targets"):
+            raise ValueError("pass grad_F explicitly for models without a closed form")
+        grad_F = lambda point: -2.0 * q_a * (point - model.targets)
+    target_grad = float(np.asarray(grad_F(a))[node])
+    if netcfg.q_reception < 1.0:
+        chunk = min(chunk, max(1, _RECEPTION_DRAWS // (n * n)))
+    rngs = dict.fromkeys(ROLES, rng)
+
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        active = sample_activity(netcfg, rng, m)
+        states = NodeStates(
+            actions=np.broadcast_to(a, (m, n)), active=active,
+            step_index=sample_step_index(k, q_a, active, "sampled", rng),
+            activations=np.zeros((m, n), dtype=np.int64))
+        beta_t, _, phi, _, f_tilde = learner_estimate(
+            states, model, netcfg, schedule, pert, sigma_eta, rngs)
+        g = beta_t[:, node] * phi[:, node] * f_tilde[:, node]  # 0 where inactive
+        total += float(g.sum())
+        total_sq += float(np.dot(g, g))
+        done += m
+
+    mean_g = total / n_samples
+    var_g = max(total_sq / n_samples - mean_g**2, 0.0) * n_samples / (n_samples - 1)
+    scale = q_a / (pert.sigma_phi_sq * bg)
+    bias = scale * mean_g - target_grad
+    stderr = scale * math.sqrt(var_g / n_samples)
+    return bias, stderr

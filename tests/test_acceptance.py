@@ -22,7 +22,6 @@ from dosp.analysis import (
     bias_diagnostics,
     chernoff_step_bound,
     compute_K0,
-    mc_gradient_bias,
     mc_step_average,
     rate_params,
     recurrence_envelope,
@@ -37,6 +36,7 @@ from dosp.optimizer import NodeStates, dosp_slot
 from dosp.core import role_streams
 
 from conftest import power_config, quadratic_config, reference_schedule
+from oracles import mc_gradient_bias
 
 RESULTS = []
 

@@ -13,7 +13,6 @@ from dosp.analysis import (
     binomial_weights,
     chernoff_step_bound,
     compute_K0,
-    mc_gradient_bias,
     mc_step_average,
     rate_envelope,
     rate_params,
@@ -24,6 +23,7 @@ from dosp.analysis import (
 from dosp.objectives import QuadraticModel
 
 from conftest import reference_schedule
+from oracles import mc_gradient_bias
 
 
 def _gen(stream, seed=2718):
@@ -198,11 +198,15 @@ class TestBiasDiagnostics:
         diag = bias_diagnostics(s, net, PerturbationSpec.rademacher(), 2.0, ks)
         np.testing.assert_allclose(diag.w_bound, 3.0 * s.gamma(ks), rtol=1e-12)
 
-    def test_gradient_bias_simulation_stays_below_bound(self):
+    @pytest.mark.parametrize("net", [
+        NetworkConfig(10, 0.2, 1.0),
+        NetworkConfig(10, 0.2, 0.5),
+        NetworkConfig(10, 0.2, 1.0, activity="poisson", noise="uniform"),
+    ], ids=["binomial-qr1", "binomial-qr0.5", "poisson-uniform"])
+    def test_gradient_bias_simulation_stays_below_bound(self, net):
         targets = np.linspace(-1.5, 1.5, 10)
         model = QuadraticModel(targets)
         s = StepSizeSchedule(0.5, 2.0, 0.75, 0.25)
-        net = NetworkConfig(10, 0.2, 1.0)
         pert = PerturbationSpec.rademacher()
         a = targets + 0.4
         bias, err = mc_gradient_bias(model, s, net, pert, 0.5, a, node=3, k=50,
@@ -305,6 +309,14 @@ class TestRateParams:
         table = rate_envelope(params, grid)
         assert np.all(np.diff(table.envelope) <= 1e-12)
         assert table.xi_fit is not None and table.xi_fit > 0
+
+    def test_envelope_leaves_params_unchanged(self):
+        _, _, params = _quadratic_params()
+        before = dict(vars(params))
+        rate_envelope(params, np.arange(params.K2, 4000))
+        after = vars(params)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
     def test_asymptotic_display_tracks_envelope_order(self):
         _, _, params = _quadratic_params()

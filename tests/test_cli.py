@@ -137,6 +137,24 @@ def test_verify_passes_on_reference_setup(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--kmax", "3"],
+    ["bounds", "--kmax", "2000000"],
+    ["bounds", "--points", "0"],
+    ["verify", "--kmax", "0"],
+    ["verify", "--kmax", "3000000"],
+], ids=["bounds-kmax-3", "bounds-kmax-2e6", "bounds-points-0", "verify-kmax-0",
+        "verify-kmax-3e6"])
+def test_out_of_range_horizon_is_config_error(tmp_path, capsys, argv):
+    path = _write_config(tmp_path, _small_cfg(q_activity=0.2))
+    out = tmp_path / "bounds"
+    extra = ["--out", str(out)] if argv[0] == "bounds" else []
+    assert main(argv + ["--config", path] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bounds_emits_table(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg(q_activity=0.2, beta0=0.25,
                                               gamma0=2.0, bound=3.0))
