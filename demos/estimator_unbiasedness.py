@@ -21,27 +21,28 @@ def main():
     model = PowerControlModel(12)
     net = NetworkConfig(12, 0.5, 1.0)
 
-    delta = sample_activity(net, rng, 1)[0]
-    while delta.sum() < 4:
-        delta = sample_activity(net, rng, 1)[0]
-    env = model.sample_env(delta[None, :], rng)
+    live = sample_activity(net, rng, 1)
+    while live.size < 4:
+        live = sample_activity(net, rng, 1)
+    env = model.sample_env(live, rng)
     actions = rng.uniform(-1.5, 1.5, 12)
-    utilities = model.local_utilities(actions, delta, env)[0]
-    active = np.flatnonzero(delta)
-    f_true = utilities[active].sum()
+    active = live.node_idx
+    utilities = model.local_utilities(actions[active], live, env)
+    f_true = utilities.sum()
     print(f"{active.size} active nodes, true global utility f = {f_true:.3f}")
 
     # one slot's estimates: every active node sees a different reception set
-    f_tilde = estimate_global_utility(utilities[None, :], delta[None, :], 0.5, rng)[0]
+    f_tilde = estimate_global_utility(utilities, live, 0.5, rng)
     print("one slot at q_r=0.5, per active node: "
-          + " ".join(f"{f_tilde[i]:.1f}" for i in active))
+          + " ".join(f"{f:.1f}" for f in f_tilde))
 
     print("\nresampling receptions and noise 200000 times:")
     print(f"{'q_r':>5} {'bias':>10} {'3*stderr':>10}")
     for q_r in (1.0, 0.5, 0.2, 0.1):
-        bias, err = mc_check_unbiasedness(model, actions, delta, env,
+        bias, err = mc_check_unbiasedness(model, actions, live, env,
                                           q_r=q_r, sigma_eta=0.5,
-                                          n_trials=200_000, rng=rng)
+                                          n_trials=200_000, rng=rng,
+                                          noise=net.noise)
         print(f"{q_r:>5} {bias:>10.4f} {3 * err:>10.4f}")
     print("the bias column sits inside the 3-sigma band at every loss rate,")
     print("while the band itself widens as 1/q_r inflation amplifies noise")

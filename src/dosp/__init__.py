@@ -12,7 +12,7 @@ from .core import (
     StepSizeSchedule,
     role_streams,
 )
-from .network import ChannelSpec, NetworkConfig
+from .network import ActiveSet, ChannelSpec, NetworkConfig
 from .objectives import PowerControlModel, QuadraticModel
 from .estimator import estimate_global_utility, mc_check_unbiasedness
 from .optimizer import (

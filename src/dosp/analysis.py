@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from .core import ActionBounds, ConfigError, PerturbationSpec, StepSizeSchedule
 from .network import NetworkConfig, sample_activity
-from .optimizer import sample_step_index, step_sizes
+from .optimizer import sample_step_index
 
 MAX_AVERAGE_K = 1_000_000
 MIN_RATE_K = 4  # smallest k_max that rate_params accepts
@@ -109,9 +109,9 @@ def mc_step_average(x, k: int, q_a: float, n_draws: int, rng: np.random.Generato
     index, drawn by the learner's samplers.  Returns (mean, standard error).
     Used to cross-check the closed-form averages.
     """
-    delta = sample_activity(NetworkConfig(1, q_a, 1.0), rng, n_draws)
-    ell = sample_step_index(k, q_a, delta, "sampled", rng)
-    vals = step_sizes(x, delta, ell)
+    live = sample_activity(NetworkConfig(1, q_a, 1.0), rng, n_draws)
+    vals = np.zeros(n_draws)
+    vals[live.batch_idx] = x(sample_step_index(k, q_a, live, "sampled", rng))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))
 
 

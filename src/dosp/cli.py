@@ -125,16 +125,17 @@ def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelCons
     from .network import sample_activity
 
     # rows with no active node carry no curvature and would force alpha_F <= 0
-    activity = sample_activity(cfg.network, rng, 200)
-    activity = activity[activity.any(axis=1)]
-    env = model.sample_env(activity, rng)
-    a = rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=activity.shape)
-    alpha_G = float(np.abs(model.global_hessian(a, activity, env)).max(initial=0.0))
-    g = model.global_gradient(a, activity, env)
+    live = sample_activity(cfg.network, rng, 200).without_empty_rows()
+    env = model.sample_env(live, rng)
+    a = rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=live.shape)
+    entries = (live.batch_idx, live.node_idx)
+    alpha_G = float(np.abs(model.global_hessian(a[entries], live, env)).max(initial=0.0))
+    g = model.global_gradient(a[entries], live, env)
     d = a - a_star
     denom = (d * d).sum(axis=1)
+    ascent = np.bincount(live.batch_idx, weights=d[entries] * g, minlength=live.shape[0])
     keep = denom > 1e-9
-    alpha_F = float(np.min(-(d * g).sum(axis=1)[keep] / denom[keep], initial=np.inf))
+    alpha_F = float(np.min(-ascent[keep] / denom[keep], initial=np.inf))
     lipschitz = model.estimate_lipschitz(cfg.bounds, cfg.network, rng, n_draws=2000)
     if not np.isfinite(alpha_F) or alpha_F <= 0:
         raise ConfigError(

@@ -22,6 +22,7 @@ import yaml
 from .core import (
     ActionBounds,
     ConfigError,
+    NumericError,
     PerturbationSpec,
     StepSizeSchedule,
     role_streams,
@@ -246,13 +247,21 @@ def record_slots(horizon: int, stride: int) -> np.ndarray:
 def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
                  n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo averaged-utility estimate and its standard error for each
-    action row, over ``n_samples`` fresh (activity, environment) draws."""
+    action row, over ``n_samples`` fresh (activity, environment) draws.
+
+    Raises :class:`NumericError` on a non-finite estimate, as the slot does.
+    """
     b = actions.shape[0]
-    activity = sample_activity(netcfg, rng, b * n_samples)
-    env = model.sample_env(activity, rng)
-    a_hat = np.repeat(actions, n_samples, axis=0)
-    f = model.local_utilities(a_hat, activity, env).sum(axis=1).reshape(b, n_samples)
-    return f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
+    live = sample_activity(netcfg, rng, b * n_samples)
+    env = model.sample_env(live, rng)
+    u = model.local_utilities(actions[live.batch_idx // n_samples, live.node_idx], live, env)
+    f = np.bincount(live.batch_idx, weights=u, minlength=b * n_samples).reshape(b, n_samples)
+    est, err = f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
+    finite = np.isfinite(est) & np.isfinite(err)
+    if not finite.all():
+        raise NumericError(
+            f"non-finite Monte-Carlo utility estimate for action row {int(np.argmin(finite))}")
+    return est, err
 
 
 def resolve_optimum(cfg: ExperimentConfig, model, a_star=None) -> np.ndarray | None:
@@ -402,11 +411,10 @@ def solve_optimum(
     a = np.asarray((cfg.bounds.lower + cfg.bounds.upper) / 2.0, dtype=float)
 
     def avg_gradient(point, samples):
-        activity = sample_activity(net, rng, samples)
-        env = model.sample_env(activity, rng)
-        g = model.global_gradient(np.broadcast_to(point, activity.shape),
-                                  activity, env)
-        return g.mean(axis=0)
+        live = sample_activity(net, rng, samples)
+        env = model.sample_env(live, rng)
+        g = model.global_gradient(point[live.node_idx], live, env)
+        return np.bincount(live.node_idx, weights=g, minlength=net.n_nodes) / samples
 
     iters = 0
     gnorm = math.inf

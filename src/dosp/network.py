@@ -3,6 +3,9 @@ gains are drawn by :meth:`dosp.objectives.PowerControlModel.sample_env` and
 utility reception by the estimator
 (:func:`dosp.estimator.estimate_global_utility`).
 
+Activity comes out as an :class:`ActiveSet`, the flat list of live
+(replication, node) entries that every later per-slot stage runs on.
+
 All samplers are pure functions of an owned :class:`numpy.random.Generator`;
 slots within one replication are sequential, replications use disjoint
 streams.
@@ -11,6 +14,7 @@ streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,21 +76,80 @@ class ChannelSpec:
             raise ConfigError(f"unknown fading model {self.fading!r}")
 
 
-def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Draw ``rows`` independent slots' activity, a (rows, N) bool array.
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+@dataclass(eq=False)
+class ActiveSet:
+    """The live (row, node) entries of a batch of slots, as one flat list.
+
+    Entries run row by row, nodes ascending within a row; row ``b`` owns
+    entries ``offsets[b]:offsets[b + 1]``.  Per-entry arrays of length
+    ``size`` (actions, step indices, utilities, estimates) follow this order.
+    """
+
+    shape: tuple[int, int]  # (B, N)
+    batch_idx: np.ndarray  # (A,) row of each entry
+    node_idx: np.ndarray  # (A,) node of each entry
+    offsets: np.ndarray  # (B+1,) start of each row's block
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
+        batch_idx, node_idx = np.nonzero(mask)
+        return cls(mask.shape, batch_idx, node_idx, _offsets(np.count_nonzero(mask, axis=1)))
+
+    @property
+    def size(self) -> int:
+        return self.node_idx.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(B,) number of live entries per row."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) entry indices of every ordered pair of entries in one row,
+        self-pairs included: sum_b n_b^2 pairs, row by row, ordered by i and
+        then j, as in a dense (B, N, N) block restricted to the live entries."""
+        per_entry = self.counts[self.batch_idx]  # row size seen from each entry
+        first = np.repeat(np.arange(self.size), per_entry)
+        block = np.cumsum(per_entry) - per_entry  # first pair of each entry
+        second = np.arange(first.size) - np.repeat(block - self.offsets[self.batch_idx], per_entry)
+        return first, second
+
+    def without_empty_rows(self) -> "ActiveSet":
+        """The same entries with the rows that hold none dropped."""
+        counts = self.counts
+        kept = counts > 0
+        rank = np.cumsum(kept) - 1
+        return ActiveSet((int(kept.sum()), self.shape[1]), rank[self.batch_idx],
+                         self.node_idx, _offsets(counts[kept]))
+
+
+def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> ActiveSet:
+    """Draw ``rows`` independent slots' activity as their live-entry list.
 
     Binomial rows come from one uniform block, which consumes the stream
     exactly as ``rows`` single-row draws would.
     """
+    n = cfg.n_nodes
     if cfg.activity == "binomial":
-        return rng.random((rows, cfg.n_nodes)) < cfg.q_activity
+        return ActiveSet.from_mask(rng.random((rows, n)) < cfg.q_activity)
     # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
-    out = np.zeros((rows, cfg.n_nodes), dtype=bool)
-    for row in out:
-        n = min(int(rng.poisson(cfg.expected_active)), cfg.n_nodes)
-        if n:
-            row[rng.choice(cfg.n_nodes, size=n, replace=False)] = True
-    return out
+    counts = np.zeros(rows, dtype=np.int64)
+    chosen = []
+    for row in range(rows):
+        size = min(int(rng.poisson(cfg.expected_active)), n)
+        if size:
+            counts[row] = size
+            chosen.append(rng.choice(n, size=size, replace=False) + row * n)
+    # flat (row, node) keys, sorted once into row-major, node-ascending order
+    keys = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.int64)
+    return ActiveSet((rows, n), keys // n, keys % n, _offsets(counts))
 
 
 def sample_obs_noise(sigma_eta: float, size, rng: np.random.Generator, kind: str = "gaussian") -> np.ndarray:

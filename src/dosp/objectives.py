@@ -6,8 +6,10 @@ model, random quadratic gains for the oracle) and evaluates local utilities
 and exact gradients.  The Monte-Carlo averaged utility is
 :func:`dosp.harness.eval_F_batch`.
 
-All evaluation entry points are batched: activity masks of shape (B, N) are
-processed in one vectorized pass (B = replications or Monte-Carlo samples).
+All evaluation entry points run on the flat list of live entries of a batch
+of slots (:class:`dosp.network.ActiveSet`, B = replications or Monte-Carlo
+samples): actions, utilities and gradients are (A,) arrays in the list's
+order, and callers scatter or sum by row or node where they need to.
 """
 
 from __future__ import annotations
@@ -17,45 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionBounds, ConfigError
-from .network import ChannelSpec, NetworkConfig, sample_activity
+from .network import ActiveSet, ChannelSpec, NetworkConfig, sample_activity
 
 
 @dataclass
 class FlatChannel:
-    """Channel gains drawn only for active transmitter/receiver pairs.
+    """Channel gains drawn only for the ordered pairs of live entries
+    (``live.pairs``), so a whole batch of slots is evaluated with a handful
+    of array ops, regardless of how sparse the activity is."""
 
-    The active nodes of every batch row are flattened into one index list so
-    a whole batch of slots can be evaluated with a handful of array ops,
-    regardless of how sparse the activity is.
-    """
-
-    shape: tuple[int, int]  # (B, N)
-    batch_idx: np.ndarray  # (A,) batch row of each active entry
-    node_idx: np.ndarray  # (A,) node id of each active entry
-    offsets: np.ndarray  # (B+1,) start of each row's block in the active list
-    tx_flat: np.ndarray  # (P,) transmitter, as index into the active list
-    rx_flat: np.ndarray  # (P,) receiver, as index into the active list
+    live: ActiveSet
+    tx_flat: np.ndarray  # (P,) transmitter, as index into the live list
+    rx_flat: np.ndarray  # (P,) receiver, as index into the live list
     gains: np.ndarray  # (P,) power gains s_{tx -> rx}
-
-    @property
-    def n_active_total(self) -> int:
-        return self.batch_idx.size
-
-
-def _flat_pairs(active: np.ndarray):
-    """Index plumbing for all ordered active pairs of every batch row."""
-    counts = active.sum(axis=1).astype(np.int64)
-    batch_idx, node_idx = np.nonzero(active)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    n2 = counts * counts
-    poff = np.concatenate(([0], np.cumsum(n2)))
-    total = int(poff[-1])
-    pair_b = np.repeat(np.arange(active.shape[0]), n2)
-    p_local = np.arange(total) - poff[pair_b]
-    n_b = counts[pair_b]
-    tx_flat = offsets[pair_b] + p_local // np.maximum(n_b, 1)
-    rx_flat = offsets[pair_b] + p_local % np.maximum(n_b, 1)
-    return batch_idx, node_idx, offsets, tx_flat, rx_flat
 
 
 class ObjectiveModel:
@@ -68,13 +44,13 @@ class ObjectiveModel:
         """Known maximizer of the averaged global utility, if any."""
         return None
 
-    def sample_env(self, active: np.ndarray, rng: np.random.Generator):
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator):
         raise NotImplementedError
 
-    def local_utilities(self, a_hat: np.ndarray, active: np.ndarray, env) -> np.ndarray:
+    def local_utilities(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
         raise NotImplementedError
 
-    def global_gradient(self, a_hat: np.ndarray, active: np.ndarray, env) -> np.ndarray:
+    def global_gradient(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -98,10 +74,9 @@ class PowerControlModel(ObjectiveModel):
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
 
-    def sample_env(self, active: np.ndarray, rng: np.random.Generator) -> FlatChannel:
-        active = np.atleast_2d(active).astype(bool)
-        batch_idx, node_idx, offsets, tx_flat, rx_flat = _flat_pairs(active)
-        diag = node_idx[tx_flat] == node_idx[rx_flat]
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> FlatChannel:
+        tx_flat, rx_flat = live.pairs
+        diag = tx_flat == rx_flat
         var = np.where(diag, self.channel.var_direct, self.channel.var_cross)
         if self.channel.fading == "real_gaussian":
             h = rng.standard_normal(tx_flat.size)
@@ -115,79 +90,56 @@ class PowerControlModel(ObjectiveModel):
                 break
             h = rng.standard_normal(zero.size)
             gains[zero] = var[zero] * h * h
-        return FlatChannel(
-            shape=active.shape,
-            batch_idx=batch_idx,
-            node_idx=node_idx,
-            offsets=offsets,
-            tx_flat=tx_flat,
-            rx_flat=rx_flat,
-            gains=gains,
-        )
+        return FlatChannel(live=live, tx_flat=tx_flat, rx_flat=rx_flat, gains=gains)
 
-    def _interference(self, env: FlatChannel, power_act: np.ndarray) -> np.ndarray:
-        """sigma^2 plus received cross power at every active node."""
+    def _interference(self, env: FlatChannel, power: np.ndarray) -> np.ndarray:
+        """sigma^2 plus received cross power at every live entry."""
         offdiag = env.tx_flat != env.rx_flat
         cross = np.bincount(
             env.rx_flat[offdiag],
-            weights=env.gains[offdiag] * power_act[env.tx_flat[offdiag]],
-            minlength=env.n_active_total,
+            weights=env.gains[offdiag] * power[env.tx_flat[offdiag]],
+            minlength=env.live.size,
         )
         return self.channel.noise_floor + cross
 
-    def local_utilities(self, a_hat, active, env: FlatChannel):
-        active = np.atleast_2d(active).astype(bool)
-        a_hat = np.atleast_2d(a_hat)
-        a_act = a_hat[env.batch_idx, env.node_idx]
-        power_act = np.exp(a_act)
-        interf = self._interference(env, power_act)
+    def local_utilities(self, a_hat, live, env: FlatChannel):
+        power = np.exp(a_hat)
+        interf = self._interference(env, power)
         s_direct = env.gains[env.tx_flat == env.rx_flat]
-        u = np.zeros(active.shape)
-        u[env.batch_idx, env.node_idx] = (
-            self.omega1 * (np.log(s_direct) + a_act - np.log(interf))
-            - self.omega2 * power_act
-        )
-        return u
+        return self.omega1 * (np.log(s_direct) + a_hat - np.log(interf)) - self.omega2 * power
 
-    def _leakage(self, env: FlatChannel, power_act: np.ndarray):
+    def _leakage(self, env: FlatChannel, power: np.ndarray):
         """Per-pair w = s_kn / I_n (0 on the diagonal) and its sum over receivers n."""
-        interf = self._interference(env, power_act)
+        interf = self._interference(env, power)
         offdiag = env.tx_flat != env.rx_flat
         w = np.where(offdiag, env.gains / interf[env.rx_flat], 0.0)
-        leak = np.bincount(env.tx_flat, weights=w, minlength=env.n_active_total)
+        leak = np.bincount(env.tx_flat, weights=w, minlength=env.live.size)
         return w, leak
 
-    def global_gradient(self, a_hat, active, env: FlatChannel):
-        active = np.atleast_2d(active).astype(bool)
-        a_hat = np.atleast_2d(a_hat)
-        power_act = np.exp(a_hat[env.batch_idx, env.node_idx])
-        _, leak = self._leakage(env, power_act)
-        g = np.zeros(active.shape)
-        g[env.batch_idx, env.node_idx] = (
-            self.omega1 - self.omega2 * power_act - self.omega1 * power_act * leak
-        )
-        return g
+    def global_gradient(self, a_hat, live, env: FlatChannel):
+        power = np.exp(a_hat)
+        _, leak = self._leakage(env, power)
+        return self.omega1 - self.omega2 * power - self.omega1 * power * leak
 
-    def global_hessian(self, a_hat, active, env: FlatChannel) -> np.ndarray:
+    def global_hessian(self, a_hat, live, env: FlatChannel) -> np.ndarray:
         """d^2 U / (da_tx da_rx) of the summed utilities for every pair of ``env``.
 
         Off the diagonal this is omega1 p_k p_m sum_n w_kn w_mn over the row's
-        active n; the diagonal adds -omega2 p_k - omega1 p_k leak_k.  The sum
+        live n; the diagonal adds -omega2 p_k - omega1 p_k leak_k.  The sum
         runs as one batched product of per-row (n_b, n_b) blocks of w, padded
         to the busiest row: B * max(n_b)^2 memory, where listing every
         (k, m, n) triple would take sum(n_b^3).
         """
-        a_hat = np.atleast_2d(a_hat)
-        power_act = np.exp(a_hat[env.batch_idx, env.node_idx])
-        w, leak = self._leakage(env, power_act)
-        pair_b = env.batch_idx[env.tx_flat]
-        k = env.tx_flat - env.offsets[pair_b]
-        m = env.rx_flat - env.offsets[pair_b]
-        width = int(np.diff(env.offsets).max(initial=0))
-        block = np.zeros((env.shape[0], width, width))
+        power = np.exp(a_hat)
+        w, leak = self._leakage(env, power)
+        pair_b = live.batch_idx[env.tx_flat]
+        k = env.tx_flat - live.offsets[pair_b]
+        m = env.rx_flat - live.offsets[pair_b]
+        width = int(live.counts.max(initial=0))
+        block = np.zeros((live.shape[0], width, width))
         block[pair_b, k, m] = w
         wwt = np.matmul(block, block.transpose(0, 2, 1))[pair_b, k, m]
-        p_tx, p_rx = power_act[env.tx_flat], power_act[env.rx_flat]
+        p_tx, p_rx = power[env.tx_flat], power[env.rx_flat]
         h = self.omega1 * p_tx * p_rx * wwt
         diag = env.tx_flat == env.rx_flat
         h[diag] -= (self.omega2 + self.omega1 * leak[env.tx_flat[diag]]) * p_tx[diag]
@@ -206,16 +158,17 @@ class PowerControlModel(ObjectiveModel):
         Max observed ratio |u_i(a) - u_i(a')| / ||(a - a') o delta|| across
         sampled (activity, channel) draws; an estimate, not a certified bound.
         """
-        activity = sample_activity(cfg, rng, n_draws // pairs_per_draw)
-        activity = activity[activity.any(axis=1)]
-        env = self.sample_env(activity, rng)
+        live = sample_activity(cfg, rng, n_draws // pairs_per_draw).without_empty_rows()
+        env = self.sample_env(live, rng)
+        entries = (live.batch_idx, live.node_idx)
         worst = 0.0
         for _ in range(pairs_per_draw):
-            a = rng.uniform(bounds.lower, bounds.upper, size=activity.shape)
-            b = rng.uniform(bounds.lower, bounds.upper, size=activity.shape)
-            du = self.local_utilities(a, activity, env) - self.local_utilities(b, activity, env)
-            denom = np.linalg.norm((a - b) * activity, axis=1)
-            ratio = np.abs(du).max(axis=1) / np.where(denom > 0, denom, np.inf)
+            a = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
+            b = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
+            du = np.abs(self.local_utilities(a, live, env) - self.local_utilities(b, live, env))
+            denom = np.sqrt(np.bincount(live.batch_idx, weights=(a - b) ** 2,
+                                        minlength=live.shape[0]))
+            ratio = np.maximum.reduceat(du, live.offsets[:-1]) / np.where(denom > 0, denom, np.inf)
             worst = max(worst, float(ratio.max(initial=0.0)))
         return worst
 
@@ -249,21 +202,17 @@ class QuadraticModel(ObjectiveModel):
     def default_targets(cls, n_nodes: int, low: float = -1.5, high: float = 1.5):
         return np.linspace(low, high, n_nodes)
 
-    def sample_env(self, active, rng: np.random.Generator):
-        active = np.atleast_2d(active)
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator):
+        """Gains zeta of the live entries."""
         if self.gain_low == self.gain_high:
-            return np.full(active.shape, self.gain_low)
-        return rng.uniform(self.gain_low, self.gain_high, size=active.shape)
+            return np.full(live.size, self.gain_low)
+        return rng.uniform(self.gain_low, self.gain_high, size=live.size)
 
-    def local_utilities(self, a_hat, active, env):
-        a_hat = np.atleast_2d(a_hat)
-        active = np.atleast_2d(active)
-        return -env * (a_hat - self.targets) ** 2 * active
+    def local_utilities(self, a_hat, live, env):
+        return -env * (a_hat - self.targets[live.node_idx]) ** 2
 
-    def global_gradient(self, a_hat, active, env):
-        a_hat = np.atleast_2d(a_hat)
-        active = np.atleast_2d(active)
-        return -2.0 * env * (a_hat - self.targets) * active
+    def global_gradient(self, a_hat, live, env):
+        return -2.0 * env * (a_hat - self.targets[live.node_idx])
 
     # closed-form constants used by the rate-bound machinery
     def alpha_F(self, q_a: float) -> float:

@@ -5,6 +5,7 @@ runs the learner's own slot."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -12,11 +13,41 @@ import numpy as np
 
 from dosp.analysis import averaged_steps
 from dosp.core import ROLES
-from dosp.network import sample_activity
+from dosp.network import ActiveSet, sample_activity
 from dosp.optimizer import NodeStates, learner_estimate, sample_step_index
 
-# uniforms in the learner's (rows, N, N) reception block per chunk at q_r < 1
-_RECEPTION_DRAWS = 1 << 20
+
+def scatter(live: ActiveSet, values) -> np.ndarray:
+    """Per-entry ``values`` of ``live`` as a dense (B, N) array, 0 elsewhere."""
+    out = np.zeros(live.shape, dtype=np.asarray(values).dtype)
+    out[live.batch_idx, live.node_idx] = values
+    return out
+
+
+def mask_of(live: ActiveSet) -> np.ndarray:
+    """The (B, N) activity mask of ``live``."""
+    return scatter(live, np.ones(live.size, dtype=bool))
+
+
+class CountingGenerator:
+    """Wraps a generator and tallies, per method, the variates it returned."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self.counts = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.counts[name] += np.size(out)
+            return out
+
+        return counted
+
+    def total(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -129,8 +160,6 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
             raise ValueError("pass grad_F explicitly for models without a closed form")
         grad_F = lambda point: -2.0 * q_a * (point - model.targets)
     target_grad = float(np.asarray(grad_F(a))[node])
-    if netcfg.q_reception < 1.0:
-        chunk = min(chunk, max(1, _RECEPTION_DRAWS // (n * n)))
     rngs = dict.fromkeys(ROLES, rng)
 
     total = 0.0
@@ -138,14 +167,14 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        active = sample_activity(netcfg, rng, m)
+        live = sample_activity(netcfg, rng, m)
         states = NodeStates(
-            actions=np.broadcast_to(a, (m, n)), active=active,
-            step_index=sample_step_index(k, q_a, active, "sampled", rng),
-            activations=np.zeros((m, n), dtype=np.int64))
-        beta_t, _, phi, _, f_tilde = learner_estimate(
+            actions=np.broadcast_to(a, (m, n)), live=live,
+            step_index=sample_step_index(k, q_a, live, "sampled", rng))
+        _, beta_t, _, phi, _, f_tilde = learner_estimate(
             states, model, netcfg, schedule, pert, sigma_eta, rngs)
-        g = beta_t[:, node] * phi[:, node] * f_tilde[:, node]  # 0 where inactive
+        # samples where the node is inactive contribute g = 0
+        g = (beta_t * phi * f_tilde)[live.node_idx == node]
         total += float(g.sum())
         total_sq += float(np.dot(g, g))
         done += m

@@ -30,13 +30,13 @@ from dosp.analysis import (
 from dosp.core import ActionBounds, FeasibilityError, RngStream
 from dosp.estimator import mc_check_unbiasedness
 from dosp.harness import build_model, emit_outputs, fit_loglog_slope, run_experiment
-from dosp.network import sample_activity
+from dosp.network import ActiveSet, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import NodeStates, dosp_slot
 from dosp.core import role_streams
 
 from conftest import power_config, quadratic_config, reference_schedule
-from oracles import mc_gradient_bias
+from oracles import mask_of, mc_gradient_bias, scatter
 
 RESULTS = []
 
@@ -101,14 +101,14 @@ def test_criterion_03_unbiased_estimator():
     hits = 0
     for trial in range(10):
         while True:
-            delta = sample_activity(net, rng, 1)[0]
-            if delta.sum() >= 2:
+            live = sample_activity(net, rng, 1)
+            if live.size >= 2:
                 break
-        env = model.sample_env(delta[None, :].astype(bool), rng)
+        env = model.sample_env(live, rng)
         a_hat = rng.uniform(-2.0, 2.0, 20)
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, env,
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env,
                                           q_r=0.3, sigma_eta=0.5,
-                                          n_trials=100_000, rng=rng)
+                                          n_trials=100_000, rng=rng, noise=net.noise)
         hits += abs(bias) <= 3 * err
     _check("03", hits >= 9, f"|bias| <= 3 se in {hits}/10 resampled worlds")
 
@@ -124,9 +124,8 @@ def test_criterion_04_feasibility_invariant():
     # the engine must hard-fail if a state were ever pushed outside:
     # 2.7 +- gamma(1) = 2.7 +- 0.5 lies beyond 2.05 for either perturbation sign
     bad = NodeStates(actions=np.array([[2.7, 0.0]]),
-                     active=np.array([[True, False]]),
-                     step_index=np.array([[1, 0]]),
-                     activations=np.zeros((1, 2), dtype=int))
+                     live=ActiveSet.from_mask(np.array([[True, False]])),
+                     step_index=np.array([1]))
     small = quadratic_config(n_nodes=2, q_activity=0.5, gamma0=0.5, bound=2.05,
                              horizon=10, replications=1)
     model = build_model(small)
@@ -246,19 +245,19 @@ def test_criterion_10_gradient_oracle():
     quad = QuadraticModel(QuadraticModel.default_targets(8))
     net = NetworkConfig(8, 0.5, 1.0)
     for point in range(20):
-        delta = sample_activity(net, rng, 1)[0]
+        delta = mask_of(sample_activity(net, rng, 1))[0]
         if delta.sum() == 0:
             delta[point % 8] = 1
         a = rng.uniform(-2.0, 2.0, 8)
         h = 1e-6
-        active = delta.astype(bool)[None, :]
+        live = ActiveSet.from_mask(delta[None, :])
         model = power if point % 2 == 0 else quad
         if point % 2 == 0:
-            env = power.sample_env(active, rng)
+            env = power.sample_env(live, rng)
         else:
-            env = rng.uniform(0.5, 1.5, (1, 8))
-        grad = model.global_gradient(a[None, :], active, env)[0]
-        f = lambda x: float(model.local_utilities(x[None, :], active, env).sum())
+            env = rng.uniform(0.5, 1.5, (1, 8))[0, live.node_idx]
+        grad = scatter(live, model.global_gradient(a[live.node_idx], live, env))[0]
+        f = lambda x: float(model.local_utilities(x[live.node_idx], live, env).sum())
         for i in range(8):
             e = np.zeros(8)
             e[i] = h

@@ -3,9 +3,10 @@ import pytest
 
 from dosp.core import RngStream
 from dosp.estimator import mc_check_unbiasedness
+from dosp.network import ActiveSet
 from dosp.objectives import PowerControlModel
 
-from oracles import UtilityObservation, scalar_global_utility
+from oracles import CountingGenerator, UtilityObservation, scalar_global_utility
 
 
 def _obs(node, value):
@@ -44,52 +45,59 @@ class TestUnbiasedness:
     def _fixed_world(self, seed=5, delta=(1, 1, 0, 1, 0, 1, 1, 0, 1, 0)):
         rng = RngStream(seed, 0).generator()
         model = PowerControlModel(10)
-        delta = np.array(delta)
-        env = model.sample_env(delta[None, :].astype(bool), rng)
+        live = ActiveSet.from_mask(np.array(delta, dtype=bool)[None, :])
+        env = model.sample_env(live, rng)
         a_hat = rng.uniform(-1.5, 1.5, 10)
-        return model, a_hat, delta, env
+        return model, a_hat, live, env
 
     def test_exact_when_everything_received_noiselessly(self):
-        model, a_hat, delta, env = self._fixed_world()
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 1.0, 0.0,
+        model, a_hat, live, env = self._fixed_world()
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env, 1.0, 0.0,
                                           64, RngStream(1, 1).generator())
         assert bias == 0.0 and err == 0.0
 
     def test_lossy_noisy_estimate_is_unbiased(self):
-        model, a_hat, delta, env = self._fixed_world()
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.1, 0.5,
+        model, a_hat, live, env = self._fixed_world()
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env, 0.1, 0.5,
                                           100_000, RngStream(2, 1).generator())
         assert abs(bias) <= 3 * err
 
     def test_resampled_estimator_mean_matches_global_utility(self):
-        model, a_hat, delta, env = self._fixed_world(seed=9)
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.4, 0.3,
+        model, a_hat, live, env = self._fixed_world(seed=9)
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env, 0.4, 0.3,
                                           100_000, RngStream(3, 1).generator())
         assert abs(bias) <= 3 * err
 
     def test_single_active_node_sees_only_noise(self):
         delta = np.zeros(10, dtype=int)
         delta[4] = 1
-        model, a_hat, delta, env = self._fixed_world(delta=delta)
-        bias, err = mc_check_unbiasedness(model, a_hat, delta, env, 0.5, 0.8,
+        model, a_hat, live, env = self._fixed_world(delta=delta)
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env, 0.5, 0.8,
                                           50_000, RngStream(4, 1).generator(),
                                           node=4)
         # estimate is u_4 + noise, so the bias is the sample mean of the noise
         assert abs(bias) <= 3 * err
         assert err == pytest.approx(0.8 / np.sqrt(50_000), rel=0.05)
 
+    def test_uniform_noise_world_is_checked_under_its_law(self):
+        model, a_hat, live, env = self._fixed_world(seed=13)
+        rng = CountingGenerator(RngStream(7, 1).generator())
+        trials = 100_000
+        bias, err = mc_check_unbiasedness(model, a_hat, live, env, 0.4, 0.6, trials, rng,
+                                          noise="uniform")
+        assert abs(bias) <= 3 * err
+        assert rng.counts["uniform"] == trials * live.size
+        assert rng.counts["standard_normal"] == 0
+
     def test_variance_decreases_with_reception_probability(self):
-        model, a_hat, delta, env = self._fixed_world(seed=11)
+        model, a_hat, live, env = self._fixed_world(seed=11)
         rng = RngStream(5, 1).generator()
-        u = model.local_utilities(a_hat, delta.astype(bool), env)[0]
-        f = u[np.flatnonzero(delta)].sum()
+        u = model.local_utilities(a_hat[live.node_idx], live, env)
         variances = []
         for q_r in (0.1, 0.5, 1.0):
             trials = 200_000
-            act = np.flatnonzero(delta)
-            others = act[act != act[0]]
-            mask = rng.random((trials, others.size)) < q_r
-            est = u[act[0]] + (mask * u[others]).sum(axis=1) / q_r
+            mask = rng.random((trials, u.size - 1)) < q_r
+            est = u[0] + (mask * u[1:]).sum(axis=1) / q_r
             variances.append(est.var(ddof=1))
             del est
         # one-sided comparison with a 3-sigma allowance on the variance estimates
@@ -101,5 +109,5 @@ class TestUnbiasedness:
     def test_requires_an_active_node(self):
         model, a_hat, _, env = self._fixed_world()
         with pytest.raises(ValueError):
-            mc_check_unbiasedness(model, a_hat, np.zeros(10, dtype=int), env,
-                                  0.5, 0.1, 10, RngStream(6, 1).generator())
+            mc_check_unbiasedness(model, a_hat, ActiveSet.from_mask(np.zeros((1, 10), bool)),
+                                  env, 0.5, 0.1, 10, RngStream(6, 1).generator())

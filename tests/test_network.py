@@ -4,8 +4,10 @@ import pytest
 from dosp import ConfigError, NetworkConfig
 from dosp.core import RngStream
 from dosp.estimator import estimate_global_utility
-from dosp.network import ChannelSpec, sample_activity, sample_obs_noise
+from dosp.network import ActiveSet, ChannelSpec, sample_activity, sample_obs_noise
 from dosp.objectives import PowerControlModel
+
+from oracles import mask_of, scatter
 
 
 def _gen(stream=0, seed=808):
@@ -15,13 +17,13 @@ def _gen(stream=0, seed=808):
 class TestActivity:
     def test_mean_active_count(self):
         cfg = NetworkConfig(50, 0.05, 1.0)
-        counts = sample_activity(cfg, _gen(1), 20_000).sum(axis=1)
+        counts = sample_activity(cfg, _gen(1), 20_000).counts
         se = np.sqrt(50 * 0.05 * 0.95 / counts.size)
         assert abs(counts.mean() - cfg.expected_active) <= 3 * se
 
     def test_always_active_boundary(self):
         cfg = NetworkConfig(7, 1.0, 1.0)
-        assert np.all(sample_activity(cfg, _gen(2), 1))
+        assert np.all(mask_of(sample_activity(cfg, _gen(2), 1)))
 
     def test_zero_activity_rejected(self):
         with pytest.raises(ConfigError):
@@ -29,7 +31,7 @@ class TestActivity:
 
     def test_lag_one_autocorrelation_is_null(self):
         cfg = NetworkConfig(10, 0.3, 1.0)
-        draws = sample_activity(cfg, _gen(3), 40_000).astype(float)
+        draws = mask_of(sample_activity(cfg, _gen(3), 40_000)).astype(float)
         x = draws[:-1, 0] - draws[:-1, 0].mean()
         y = draws[1:, 0] - draws[1:, 0].mean()
         corr = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))
@@ -37,7 +39,7 @@ class TestActivity:
 
     def test_poisson_regime_caps_at_n(self):
         cfg = NetworkConfig(6, 0.9, 1.0, activity="poisson")
-        counts = sample_activity(cfg, _gen(4), 5000).sum(axis=1)
+        counts = sample_activity(cfg, _gen(4), 5000).counts
         assert counts.max() <= 6
         assert counts.mean() < cfg.expected_active  # capping bites at high lambda
 
@@ -47,9 +49,13 @@ class TestActivity:
         cfg = NetworkConfig(9, 0.3, 1.0, activity=activity)
         block = sample_activity(cfg, _gen(17), 50)
         twin = _gen(17)
-        rows = np.concatenate([sample_activity(cfg, twin, 1) for _ in range(50)])
-        assert block.dtype == bool and block.shape == (50, 9)
-        np.testing.assert_array_equal(block, rows)
+        rows = np.concatenate([mask_of(sample_activity(cfg, twin, 1)) for _ in range(50)])
+        assert block.shape == (50, 9)
+        np.testing.assert_array_equal(mask_of(block), rows)
+        # the list runs row by row, nodes ascending, and its offsets delimit the rows
+        np.testing.assert_array_equal(block.batch_idx, np.nonzero(rows)[0])
+        np.testing.assert_array_equal(block.node_idx, np.nonzero(rows)[1])
+        np.testing.assert_array_equal(np.diff(block.offsets), rows.sum(axis=1))
 
 
 class TestReception:
@@ -60,30 +66,33 @@ class TestReception:
         active = np.zeros((1, 10), dtype=bool)
         active[0, [1, 4, 6, 9]] = True
         u = np.where(active, np.arange(1.0, 11.0), 0.0)
-        got = estimate_global_utility(u, active, 1.0, _gen(5))
+        got = scatter(ActiveSet.from_mask(active),
+                      estimate_global_utility(u[active], ActiveSet.from_mask(active), 1.0, _gen(5)))
         assert got[0, 4] == u.sum()
 
     def test_single_active_node_receives_nothing(self):
         active = np.zeros((200, 5), dtype=bool)
         active[:, 3] = True
-        u = np.where(active, 2.5, 0.0)
-        got = estimate_global_utility(u, active, 0.7, _gen(6))
+        live = ActiveSet.from_mask(active)
+        got = scatter(live, estimate_global_utility(np.full(live.size, 2.5), live, 0.7, _gen(6)))
         assert np.all(got[:, 3] == 2.5)
 
     def test_inactive_node_estimates_zero(self):
+        # only live entries get an estimate: one per entry of the list
         rng = _gen(7)
         active = rng.random((50, 6)) < 0.5
         u = np.where(active, rng.standard_normal((50, 6)), 0.0)
-        got = estimate_global_utility(u, active, 0.7, rng)
-        assert np.all(got[~active] == 0.0)
+        live = ActiveSet.from_mask(active)
+        got = scatter(live, estimate_global_utility(u[active], live, 0.7, rng))
+        assert got.shape == active.shape and np.all(got[~active] == 0.0)
 
     def test_pairwise_inclusion_frequency(self):
         # node 1 carries the only nonzero value, so node 0's estimate is
         # (1 / q_r) * [node 1's value arrived]
         trials = 100_000
-        active = np.ones((trials, 2), dtype=bool)
-        u = np.tile([0.0, 1.0], (trials, 1))
-        hits = estimate_global_utility(u, active, 0.5, _gen(8))[:, 0] * 0.5
+        live = ActiveSet.from_mask(np.ones((trials, 2), dtype=bool))
+        u = np.tile([0.0, 1.0], trials)
+        hits = estimate_global_utility(u, live, 0.5, _gen(8))[0::2] * 0.5
         se = np.sqrt(0.25 / trials)
         assert abs(hits.mean() - 0.5) <= 3 * se
 
@@ -93,10 +102,10 @@ class TestReception:
         q_r = 0.3
         trials = 60_000
         for n_active in (2, 8):
-            active = np.ones((trials, n_active), dtype=bool)
+            live = ActiveSet.from_mask(np.ones((trials, n_active), dtype=bool))
             u = np.zeros((trials, n_active))
             u[:, 1] = 1.0
-            hits = estimate_global_utility(u, active, q_r, rng)[:, 0] * q_r
+            hits = estimate_global_utility(u.ravel(), live, q_r, rng)[0::n_active] * q_r
             se = np.sqrt(q_r * (1 - q_r) / trials)
             assert abs(hits.mean() - q_r) <= 3.5 * se
 
@@ -107,7 +116,8 @@ class TestChannel:
 
     @staticmethod
     def _gains(spec, n_nodes, rows, rng):
-        env = PowerControlModel(n_nodes, spec).sample_env(np.ones((rows, n_nodes), bool), rng)
+        live = ActiveSet.from_mask(np.ones((rows, n_nodes), bool))
+        env = PowerControlModel(n_nodes, spec).sample_env(live, rng)
         direct = env.tx_flat == env.rx_flat
         return env, env.gains[direct], env.gains[~direct]
 
@@ -126,7 +136,7 @@ class TestChannel:
 
     def test_slots_are_independent(self):
         env, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
-        link = (env.node_idx[env.tx_flat] == 0) & (env.node_idx[env.rx_flat] == 1)
+        link = (env.live.node_idx[env.tx_flat] == 0) & (env.live.node_idx[env.rx_flat] == 1)
         draws = env.gains[link]  # the 0 -> 1 gain of every slot, in slot order
         x = draws[:-1] - draws[:-1].mean()
         y = draws[1:] - draws[1:].mean()

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dosp import NetworkConfig
-from dosp.core import ActionBounds, RngStream
+from dosp.core import ActionBounds, NumericError, RngStream
 from dosp.harness import eval_F_batch
-from dosp.network import ChannelSpec, sample_activity
+from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 
-from oracles import dense_channel, dense_gradient, dense_hessian, dense_utilities
+from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
+                     mask_of, scatter)
 
 
 def _gen(stream, seed=412):
@@ -18,43 +19,53 @@ def _gen(stream, seed=412):
 
 def _nonempty_activity(cfg, rng, rows):
     """``rows`` activity rows, each with at least one active node."""
-    active = sample_activity(cfg, rng, rows)
+    active = mask_of(sample_activity(cfg, rng, rows))
     active[~active.any(axis=1), 0] = True
-    return active
+    return ActiveSet.from_mask(active)
+
+
+def _live(mask):
+    return ActiveSet.from_mask(np.asarray(mask, dtype=bool))
+
+
+def _dense(m, method, a, live, env):
+    """A per-entry model method at the (B, N) actions ``a``, scattered to (B, N)."""
+    return scatter(live, getattr(m, method)(a[live.batch_idx, live.node_idx], live, env))
 
 
 def _pair_matrix(env, values, row):
     """Scatter one row's per-pair values into an (N, N) matrix."""
-    sel = env.batch_idx[env.tx_flat] == row
-    out = np.zeros((env.shape[1], env.shape[1]))
-    out[env.node_idx[env.tx_flat[sel]], env.node_idx[env.rx_flat[sel]]] = values[sel]
+    live = env.live
+    sel = live.batch_idx[env.tx_flat] == row
+    out = np.zeros((live.shape[1], live.shape[1]))
+    out[live.node_idx[env.tx_flat[sel]], live.node_idx[env.rx_flat[sel]]] = values[sel]
     return out
 
 
 class TestPowerUtility:
     def test_inactive_node_is_zero(self):
         m = PowerControlModel(3)
-        active = np.array([[True, False, True]])
-        env = m.sample_env(active, _gen(9))
-        assert m.local_utilities(np.zeros((1, 3)), active, env)[0, 1] == 0.0
+        live = _live([[True, False, True]])
+        env = m.sample_env(live, _gen(9))
+        assert _dense(m, "local_utilities", np.zeros((1, 3)), live, env)[0, 1] == 0.0
 
     def test_single_active_closed_form(self):
         # one active link, unit direct gain, noise floor 0.2: 20*ln(5) - 1
         m = PowerControlModel(4, ChannelSpec(noise_floor=0.2))
-        active = np.array([[False, False, True, False]])
-        env = m.sample_env(active, _gen(10))
+        live = _live([[False, False, True, False]])
+        env = m.sample_env(live, _gen(10))
         env.gains[:] = 1.0
-        value = m.local_utilities(np.zeros((1, 4)), active, env)[0, 2]
+        value = _dense(m, "local_utilities", np.zeros((1, 4)), live, env)[0, 2]
         assert value == pytest.approx(20.0 * math.log(5.0) - 1.0, rel=1e-12)
         assert value == pytest.approx(31.18875824868201, rel=1e-9)
 
     def test_interference_enters_denominator(self):
         m = PowerControlModel(2, ChannelSpec(noise_floor=0.2))
-        active = np.ones((1, 2), dtype=bool)
-        env = m.sample_env(active, _gen(11))
+        live = _live(np.ones((1, 2)))
+        env = m.sample_env(live, _gen(11))
         channel = np.array([[1.0, 0.3], [0.5, 1.0]])
-        env.gains = channel[env.node_idx[env.tx_flat], env.node_idx[env.rx_flat]]
-        u0 = m.local_utilities(np.zeros((1, 2)), active, env)[0, 0]
+        env.gains = channel[live.node_idx[env.tx_flat], live.node_idx[env.rx_flat]]
+        u0 = _dense(m, "local_utilities", np.zeros((1, 2)), live, env)[0, 0]
         expected = 20.0 * math.log(1.0 / (0.2 + 0.5)) - 1.0
         assert u0 == pytest.approx(expected, rel=1e-12)
 
@@ -65,17 +76,18 @@ class TestPowerUtility:
         active[0] = False
         active[0, 3] = True
         active[1] = False
-        env = m.sample_env(active, rng)
+        live = ActiveSet.from_mask(active)
+        env = m.sample_env(live, rng)
         # every row's world is a full dense channel; the batched path sees
         # only its active block
         channels = [dense_channel(9, m.channel, rng) for _ in range(6)]
-        pair_b = env.batch_idx[env.tx_flat]
-        tx, rx = env.node_idx[env.tx_flat], env.node_idx[env.rx_flat]
+        pair_b = live.batch_idx[env.tx_flat]
+        tx, rx = live.node_idx[env.tx_flat], live.node_idx[env.rx_flat]
         env.gains = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
         a_hat = rng.uniform(-2.0, 2.0, size=(6, 9))
-        u = m.local_utilities(a_hat, active, env)
-        g = m.global_gradient(a_hat, active, env)
-        h = m.global_hessian(a_hat, active, env)
+        u = _dense(m, "local_utilities", a_hat, live, env)
+        g = _dense(m, "global_gradient", a_hat, live, env)
+        h = m.global_hessian(a_hat[live.batch_idx, live.node_idx], live, env)
         for b in range(6):
             delta = active[b].astype(int)
             np.testing.assert_allclose(
@@ -91,44 +103,44 @@ class TestGradients:
     def test_power_matches_finite_differences(self):
         rng = _gen(1)
         m = PowerControlModel(8)
-        active = _nonempty_activity(NetworkConfig(8, 0.5, 1.0), rng, 20)
-        env = m.sample_env(active, rng)
+        live = _nonempty_activity(NetworkConfig(8, 0.5, 1.0), rng, 20)
+        env = m.sample_env(live, rng)
         a = rng.uniform(-2.0, 2.0, (20, 8))
-        grad = m.global_gradient(a, active, env)
+        grad = _dense(m, "global_gradient", a, live, env)
         h = 1e-6
         for i in range(8):
             e = np.zeros(8)
             e[i] = h
-            fd = (m.local_utilities(a + e, active, env).sum(axis=1)
-                  - m.local_utilities(a - e, active, env).sum(axis=1)) / (2 * h)
+            fd = (_dense(m, "local_utilities", a + e, live, env).sum(axis=1)
+                  - _dense(m, "local_utilities", a - e, live, env).sum(axis=1)) / (2 * h)
             assert grad[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_quadratic_closed_form(self):
         m = QuadraticModel(np.array([0.5, -0.5, 1.0]))
-        zeta = np.array([[0.8, 1.2, 1.0]])
+        zeta = np.array([0.8, 1.0])  # gains of the two live entries
         a = np.array([[0.0, 0.0, 2.0]])
-        active = np.array([[True, False, True]])
-        g = m.global_gradient(a, active, zeta)
+        live = _live([[True, False, True]])
+        g = _dense(m, "global_gradient", a, live, zeta)
         np.testing.assert_allclose(g, [[-2 * 0.8 * -0.5, 0.0, -2 * 1.0 * 1.0]])
 
     def test_all_inactive_gradient_is_zero(self):
         m = QuadraticModel(np.zeros(4))
-        g = m.global_gradient(np.ones((1, 4)), np.zeros((1, 4), dtype=bool),
-                              np.ones((1, 4)))
+        live = _live(np.zeros((1, 4)))
+        g = _dense(m, "global_gradient", np.ones((1, 4)), live, np.ones(0))
         assert np.all(g == 0.0)
 
     def test_power_hessian_matches_second_differences(self):
         rng = _gen(2)
         m = PowerControlModel(5)
-        active = np.array([[1, 1, 0, 1, 1], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-        env = m.sample_env(active, rng)
+        live = _live([[1, 1, 0, 1, 1], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]])
+        env = m.sample_env(live, rng)
         a = rng.uniform(-1.0, 1.0, (3, 5))
-        h = m.global_hessian(a, active, env)
+        h = m.global_hessian(a[live.batch_idx, live.node_idx], live, env)
         H = np.stack([_pair_matrix(env, h, b) for b in range(3)])
         step = 1e-4
 
         def total(x):
-            return m.local_utilities(x, active, env).sum(axis=1)
+            return _dense(m, "local_utilities", x, live, env).sum(axis=1)
 
         for i in range(5):
             for j in range(5):
@@ -144,17 +156,19 @@ class TestConcavity:
         # second differences of the summed utilities along each active action
         rng = _gen(3)
         m = PowerControlModel(6)
-        active = _nonempty_activity(NetworkConfig(6, 0.5, 1.0), rng, 10)
-        env = m.sample_env(active, rng)
+        live = _nonempty_activity(NetworkConfig(6, 0.5, 1.0), rng, 10)
+        env = m.sample_env(live, rng)
         a = rng.uniform(-2.0, 2.0, (10, 6))
         h = 1e-4
+
+        def total(x):
+            return _dense(m, "local_utilities", x, live, env).sum(axis=1)
+
         for i in range(6):
             e = np.zeros(6)
             e[i] = h
-            second = (m.local_utilities(a + e, active, env).sum(axis=1)
-                      - 2 * m.local_utilities(a, active, env).sum(axis=1)
-                      + m.local_utilities(a - e, active, env).sum(axis=1)) / h**2
-            assert np.all(second[active[:, i]] < 0)
+            second = (total(a + e) - 2 * total(a) + total(a - e)) / h**2
+            assert np.all(second[mask_of(live)[:, i]] < 0)
 
     def test_quadratic_strong_concavity_constant(self):
         q_a = 0.3
@@ -206,6 +220,16 @@ class TestExpectedUtility:
             other, err = eval_F_batch(m, (targets + rng.uniform(-1, 1, 8))[None, :],
                                       cfg, 20_000, rng)
             assert best[0] >= other[0] - 3 * (err[0] + err_best[0])
+
+    def test_non_finite_estimate_raises(self):
+        class NaNModel(QuadraticModel):
+            def local_utilities(self, a_hat, live, env):
+                return np.full(live.size, np.nan)
+
+        m = NaNModel(np.zeros(4))
+        cfg = NetworkConfig(4, 1.0, 1.0)
+        with pytest.raises(NumericError, match="action row 0"):
+            eval_F_batch(m, np.zeros((2, 4)), cfg, 10, _gen(12))
 
     def test_quadratic_mean_one_gain_required(self):
         with pytest.raises(Exception):

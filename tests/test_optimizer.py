@@ -12,7 +12,8 @@ from dosp import (
 )
 from dosp.core import RngStream, role_streams
 from dosp.harness import run_experiment
-from dosp.objectives import QuadraticModel
+from dosp.network import ActiveSet
+from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import (
     NodeStates,
     dosp_slot,
@@ -23,31 +24,37 @@ from dosp.optimizer import (
 )
 
 from conftest import power_config, quadratic_config
+from oracles import CountingGenerator, mask_of
+
+
+def _live(mask):
+    return ActiveSet.from_mask(np.atleast_2d(mask))
 
 
 class TestStepIndex:
     def test_first_slot_active_gets_one(self):
-        got = sample_step_index(1, 0.3, np.array([True, True]), "sampled",
+        got = sample_step_index(1, 0.3, _live([True, True]), "sampled",
                                 RngStream(0, 0).generator())
-        assert np.all(got == 1)
+        assert got.size == 2 and np.all(got == 1)
 
     def test_inactive_gets_zero(self):
-        got = sample_step_index(10, 0.3, np.array([False]), "sampled",
+        # inactive entries are not on the live list, so they get no index
+        got = sample_step_index(10, 0.3, _live([False]), "sampled",
                                 RngStream(0, 0).generator())
-        assert got[0] == 0
+        assert got.size == 0
 
     def test_sampled_mean(self):
         rng = RngStream(1, 0).generator()
-        got = sample_step_index(101, 0.05, np.ones(100_000, dtype=bool), "sampled", rng)
+        got = sample_step_index(101, 0.05, _live(np.ones(100_000, dtype=bool)), "sampled", rng)
         mean_tilde = (got - 1).mean()
         se = np.sqrt(100 * 0.05 * 0.95 / 100_000)
         assert abs(mean_tilde - 5.0) <= 3 * se
 
     def test_counted_uses_activation_history(self):
-        counts = np.array([0, 3, 7])
-        got = sample_step_index(9, 0.5, np.array([True, True, False]), "counted",
-                                RngStream(2, 0).generator(), activation_count=counts)
-        assert list(got) == [1, 4, 0]
+        counts = np.array([[0, 3, 7]])
+        got = sample_step_index(9, 0.5, _live([True, True, False]), "counted",
+                                RngStream(2, 0).generator(), activations=counts)
+        assert list(got) == [1, 4]
 
 
 class TestProjection:
@@ -56,21 +63,21 @@ class TestProjection:
 
     def test_interior_point_unchanged(self):
         a = np.array([0.3, 0.0, 1.1])
-        out = project(a, self.bounds, 1.0, np.zeros(3))
+        out = project(a, np.arange(3), self.bounds, 1.0, np.zeros(3))
         np.testing.assert_array_equal(out, a)
 
     def test_upper_clamp(self):
-        out = project(np.array([7.0, 0.0, 0.0]), self.bounds, 1.0,
+        out = project(np.array([7.0, 0.0, 0.0]), np.arange(3), self.bounds, 1.0,
                       np.array([0.5, 0.0, 0.0]))
         assert out[0] == pytest.approx(2.0 - 0.5, rel=1e-12)
 
     def test_zero_gamma_is_plain_clamp(self):
-        out = project(np.array([-9.0, 9.0, 0.5]), self.bounds, 1.0, np.zeros(3))
+        out = project(np.array([-9.0, 9.0, 0.5]), np.arange(3), self.bounds, 1.0, np.zeros(3))
         np.testing.assert_allclose(out, [-1.0, 2.0, 0.5], rtol=1e-15)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ConfigError):
-            project(np.zeros(3), self.bounds, 1.0, np.full(3, 5.0))
+            project(np.zeros(3), np.arange(3), self.bounds, 1.0, np.full(3, 5.0))
 
 
 def _tiny_setup(q_a=0.5, n=4, seed=77, q_r=1.0, gamma0=0.5):
@@ -91,9 +98,8 @@ class TestSlotSemantics:
         # the identity: the new action must be exactly a + beta * phi * f~
         states = NodeStates(
             actions=model.targets[None, :].copy(),
-            active=np.array([[True, False, True, True]]),
-            step_index=np.array([[1, 0, 1, 1]]),
-            activations=np.zeros((1, 4), dtype=int),
+            live=_live([True, False, True, True]),
+            step_index=np.array([1, 1, 1]),
         )
         before = states.actions.copy()
         new, records = dosp_slot(states, 1, model, netcfg, schedule, pert, 0.0,
@@ -105,21 +111,21 @@ class TestSlotSemantics:
             assert rec.a_hat == pytest.approx(rec.a + rec.gamma * rec.phi, rel=1e-12)
             assert rec.beta == schedule.beta(rec.ell)
             assert rec.gamma == schedule.gamma(rec.ell)
-        inactive = ~states.active[0]
+        inactive = ~mask_of(states.live)[0]
         assert np.array_equal(new.actions[0, inactive], before[0, inactive])
 
     def test_all_inactive_slot_keeps_state(self):
         model, netcfg, schedule, pert, bounds, rngs, _ = _tiny_setup()
         states = NodeStates(
             actions=np.array([[0.5, -0.25, 1.0, 2.0]]),
-            active=np.zeros((1, 4), dtype=bool),
-            step_index=np.zeros((1, 4), dtype=int),
-            activations=np.zeros((1, 4), dtype=int),
+            live=_live(np.zeros(4, dtype=bool)),
+            step_index=np.zeros(0, dtype=int),
         )
+        before = states.actions.copy()
         new, records = dosp_slot(states, 3, model, netcfg, schedule, pert, 0.0,
                                  bounds, rngs, collect_trace=True)
         assert records == []
-        np.testing.assert_array_equal(new.actions, states.actions)
+        np.testing.assert_array_equal(new.actions, before)
 
     def test_step_size_equivalence(self):
         # every traced step size equals the schedule at the node's drawn index
@@ -156,23 +162,26 @@ class TestSlotSemantics:
         b, n = 5, 7
         active = rng.random((b, n)) < 0.6
         u_tilde = np.where(active, rng.standard_normal((b, n)), 0.0)
-        got = estimate_global_utility(u_tilde, active, q_r, rng)
+        live = ActiveSet.from_mask(active)
+        got = estimate_global_utility(u_tilde[active], live, q_r, rng)
         twin.random((b, n))  # activity draws consumed above
         twin.standard_normal((b, n))
-        kappa = twin.random((b, n, n)) < q_r
+        # one uniform per ordered pair of a row's active nodes, receiver-major
+        entry = 0
         for row in range(b):
-            for i in range(n):
-                if not active[row, i]:
-                    assert got[row, i] == 0.0
-                    continue
+            nodes = np.flatnonzero(active[row])
+            kappa = twin.random((nodes.size, nodes.size)) < q_r  # [receiver, sender]
+            for r, i in enumerate(nodes):
                 received = [
                     UtilityObservation(int(j), float(u_tilde[row, j]))
-                    for j in range(n)
-                    if j != i and active[row, j] and kappa[row, i, j]
+                    for s, j in enumerate(nodes)
+                    if s != r and kappa[r, s]
                 ]
-                own = UtilityObservation(i, float(u_tilde[row, i]))
+                own = UtilityObservation(int(i), float(u_tilde[row, i]))
                 expected = scalar_global_utility(own, received, q_r)
-                assert got[row, i] == pytest.approx(expected, rel=1e-12)
+                assert got[entry] == pytest.approx(expected, rel=1e-12)
+                entry += 1
+        assert entry == got.size
 
     def test_perturbation_stream_drives_exploration(self):
         cfg = quadratic_config(n_nodes=6, q_activity=0.3, horizon=300,
@@ -194,6 +203,40 @@ class TestSlotSemantics:
         mean_expected = 1 + (k - 1) * 0.2
         se = np.sqrt((k - 1) * 0.2 * 0.8 / ells.size)
         assert abs(ells.mean() - mean_expected) <= 3.5 * se
+
+
+class TestDrawCounts:
+    """Every per-slot draw is made for the live entries only: a slot on a
+    wide, sparse network costs draws in proportion to its live entries."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "power"])
+    def test_draws_follow_live_entries(self, kind):
+        n, batch = 2000, 4
+        netcfg = NetworkConfig(n, 0.005, 0.5)
+        schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
+        pert = PerturbationSpec.rademacher()
+        bounds = ActionBounds.uniform(n, -5.0, 5.0)
+        model = (QuadraticModel(QuadraticModel.default_targets(n)) if kind == "quadratic"
+                 else PowerControlModel(n))
+        rngs = {role: CountingGenerator(g) for role, g in role_streams(11).items()}
+        states = initialize_states(bounds, schedule, pert, netcfg, batch, rngs)
+        live_total = 0
+        for k in range(1, 41):
+            for gen in rngs.values():
+                gen.counts.clear()
+            live = states.live
+            pairs = int(np.sum(live.counts ** 2))
+            states, _ = dosp_slot(states, k, model, netcfg, schedule, pert, 0.3,
+                                  bounds, rngs)
+            assert rngs["perturbation"].total() == live.size
+            assert rngs["noise"].total() == live.size
+            assert rngs["channel"].total() == (live.size if kind == "quadratic" else pairs)
+            assert rngs["reception"].total() == pairs
+            # the index is drawn for the next slot's live entries
+            assert rngs["index"].total() == states.live.size
+            assert rngs["activity"].total() == batch * n
+            live_total += live.size
+        assert live_total > 0
 
 
 class TestConvergence:
@@ -222,9 +265,8 @@ class TestIdealGradient:
         rngs = role_streams(3)
         states = NodeStates(
             actions=np.tile(targets, (1, 1)),
-            active=np.ones((1, n), dtype=bool),
-            step_index=np.ones((1, n), dtype=int),
-            activations=np.zeros((1, n), dtype=int),
+            live=_live(np.ones(n, dtype=bool)),
+            step_index=np.ones(n, dtype=int),
         )
         new = ideal_gradient_slot(states, 1, model, netcfg, schedule.beta,
                                   bounds, rngs)
@@ -240,9 +282,8 @@ class TestIdealGradient:
         rngs = role_streams(4)
         start = np.full((1, n), 0.8)
         states = NodeStates(actions=start.copy(),
-                            active=np.ones((1, n), dtype=bool),
-                            step_index=np.ones((1, n), dtype=int),
-                            activations=np.zeros((1, n), dtype=int))
+                            live=_live(np.ones(n, dtype=bool)),
+                            step_index=np.ones(n, dtype=int))
         new = ideal_gradient_slot(states, 1, model, netcfg, schedule.beta,
                                   bounds, rngs)
         assert np.all(np.abs(new.actions) < np.abs(start))
