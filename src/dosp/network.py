@@ -134,22 +134,35 @@ def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> 
     """Draw ``rows`` independent slots' activity as their live-entry list.
 
     Binomial rows come from one uniform block, which consumes the stream
-    exactly as ``rows`` single-row draws would.
+    exactly as ``rows`` single-row draws would.  Poisson rows draw all their
+    counts first and then all their nodes, so a block is not the
+    concatenation of single-row draws; the law of each row is the same.
     """
     n = cfg.n_nodes
     if cfg.activity == "binomial":
         return ActiveSet.from_mask(rng.random((rows, n)) < cfg.q_activity)
     # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
-    counts = np.zeros(rows, dtype=np.int64)
-    chosen = []
-    for row in range(rows):
-        size = min(int(rng.poisson(cfg.expected_active)), n)
-        if size:
-            counts[row] = size
-            chosen.append(rng.choice(n, size=size, replace=False) + row * n)
-    # flat (row, node) keys, sorted once into row-major, node-ascending order
-    keys = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.int64)
-    return ActiveSet((rows, n), keys // n, keys % n, _offsets(counts))
+    counts = np.minimum(rng.poisson(cfg.expected_active, rows), n)
+    # A row more than half full draws the nodes it leaves out, so no row
+    # draws more than N/2 nodes and each redraw below lands on a new node
+    # with probability at least 1/2.
+    flip = 2 * counts > n
+    drawn = np.where(flip, n - counts, counts)
+    # flat (row, node) keys; redraw the repeats within a row until every key
+    # is distinct.  Every node label is treated alike and each row ends with a
+    # fixed number of distinct nodes, so that set is uniform over its size.
+    keys = np.repeat(np.arange(rows, dtype=np.int64) * n, drawn) + rng.integers(0, n, drawn.sum())
+    while True:
+        keys.sort()  # row-major, nodes ascending
+        repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not repeats.size:
+            break
+        keys[repeats] += rng.integers(0, n, repeats.size) - keys[repeats] % n
+    if flip.any():
+        # a flipped row keeps the nodes it did not draw
+        full = (np.flatnonzero(flip)[:, None] * n + np.arange(n)).ravel()
+        keys = np.setxor1d(keys, full, assume_unique=True)
+    return ActiveSet((rows, n), *np.divmod(keys, n), _offsets(counts))
 
 
 def sample_obs_noise(sigma_eta: float, size, rng: np.random.Generator, kind: str = "gaussian") -> np.ndarray:

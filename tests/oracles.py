@@ -13,7 +13,7 @@ import numpy as np
 
 from dosp.analysis import averaged_steps
 from dosp.core import ROLES
-from dosp.network import ActiveSet, sample_activity
+from dosp.network import ActiveSet, _offsets, sample_activity
 from dosp.optimizer import NodeStates, learner_estimate, sample_step_index
 
 
@@ -27,6 +27,23 @@ def scatter(live: ActiveSet, values) -> np.ndarray:
 def mask_of(live: ActiveSet) -> np.ndarray:
     """The (B, N) activity mask of ``live``."""
     return scatter(live, np.ones(live.size, dtype=bool))
+
+
+def per_row_poisson_activity(cfg, rng: np.random.Generator, rows: int) -> ActiveSet:
+    """Poisson activity drawn one row at a time: a count, then that many
+    distinct uniform nodes.  The law reference for ``sample_activity``."""
+    n = cfg.n_nodes
+    # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
+    counts = np.zeros(rows, dtype=np.int64)
+    chosen = []
+    for row in range(rows):
+        size = min(int(rng.poisson(cfg.expected_active)), n)
+        if size:
+            counts[row] = size
+            chosen.append(rng.choice(n, size=size, replace=False) + row * n)
+    # flat (row, node) keys, sorted once into row-major, node-ascending order
+    keys = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.int64)
+    return ActiveSet((rows, n), keys // n, keys % n, _offsets(counts))
 
 
 class CountingGenerator:

@@ -7,7 +7,7 @@ from dosp.estimator import estimate_global_utility
 from dosp.network import ActiveSet, ChannelSpec, sample_activity, sample_obs_noise
 from dosp.objectives import PowerControlModel
 
-from oracles import mask_of, scatter
+from oracles import mask_of, per_row_poisson_activity, scatter
 
 
 def _gen(stream=0, seed=808):
@@ -43,7 +43,9 @@ class TestActivity:
         assert counts.max() <= 6
         assert counts.mean() < cfg.expected_active  # capping bites at high lambda
 
-    @pytest.mark.parametrize("activity", ["binomial", "poisson"])
+    # Poisson blocks draw every count before any node, so only the binomial
+    # stream matches single-row draws; the Poisson law is checked below
+    @pytest.mark.parametrize("activity", ["binomial"])
     def test_block_equals_single_row_draws(self, activity):
         # every caller draws its rows in one call; the stream must not notice
         cfg = NetworkConfig(9, 0.3, 1.0, activity=activity)
@@ -56,6 +58,49 @@ class TestActivity:
         np.testing.assert_array_equal(block.batch_idx, np.nonzero(rows)[0])
         np.testing.assert_array_equal(block.node_idx, np.nonzero(rows)[1])
         np.testing.assert_array_equal(np.diff(block.offsets), rows.sum(axis=1))
+
+    @pytest.mark.parametrize("n, lam, m", [(1000, 10.0, 10), (6, 5.4, 4)],
+                             ids=["sparse", "capped"])
+    def test_poisson_law_matches_per_row_oracle(self, n, lam, m):
+        cfg = NetworkConfig(n, lam / n, 1.0, activity="poisson")
+        rows = 40_000
+        block = sample_activity(cfg, _gen(18), rows)
+        oracle = per_row_poisson_activity(cfg, _gen(19), rows)
+        if lam > n / 2:  # capped: most rows draw the nodes they leave out
+            assert np.any(block.counts == n) and np.any(2 * block.counts > n)
+        for got, want in zip(_poisson_law(block, m), _poisson_law(oracle, m)):
+            _assert_same_law(got, want)
+
+
+def _poisson_law(live, m):
+    """(mean, standard error) per cell of three statistics of an activity
+    block: the count histogram, each node's inclusion frequency, and, over
+    the rows holding ``m`` nodes, the co-inclusion of node pairs (nodes
+    grouped into at most 10 blocks, pairs counted per block pair)."""
+    rows, n = live.shape
+
+    def freq(hits, cells):
+        p = np.bincount(hits, minlength=cells) / rows
+        return p, np.sqrt(p * (1 - p) / rows)
+
+    nodes = live.node_idx[live.counts[live.batch_idx] == m].reshape(-1, m)
+    first, second = np.triu_indices(m, 1)
+    groups = min(n, 10)
+    block = np.arange(n) * groups // n
+    cell = block[nodes[:, first]] * groups + block[nodes[:, second]]
+    per_row = np.zeros((len(nodes), groups**2))
+    np.add.at(per_row, (np.arange(len(nodes))[:, None], cell), 1)
+    pairs = per_row.mean(axis=0), per_row.std(axis=0, ddof=1) / np.sqrt(len(nodes))
+    return freq(live.counts, n + 1), freq(live.node_idx, n), pairs
+
+
+def _assert_same_law(got, want):
+    """Two samples' per-cell means agree: the squared z-scores of their
+    differences sum to within 4 standard errors of their chi-square mean."""
+    se = np.hypot(got[1], want[1])
+    seen = se > 0
+    z = (got[0] - want[0])[seen] / se[seen]
+    assert np.sum(z**2) <= z.size + 4 * np.sqrt(2 * z.size), np.abs(z).max()
 
 
 class TestReception:

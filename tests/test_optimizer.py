@@ -209,10 +209,12 @@ class TestDrawCounts:
     """Every per-slot draw is made for the live entries only: a slot on a
     wide, sparse network costs draws in proportion to its live entries."""
 
-    @pytest.mark.parametrize("kind", ["quadratic", "power"])
-    def test_draws_follow_live_entries(self, kind):
+    @pytest.mark.parametrize("kind, activity", [("quadratic", "binomial"), ("power", "binomial"),
+                                                ("quadratic", "poisson")],
+                             ids=["quadratic", "power", "poisson"])
+    def test_draws_follow_live_entries(self, kind, activity):
         n, batch = 2000, 4
-        netcfg = NetworkConfig(n, 0.005, 0.5)
+        netcfg = NetworkConfig(n, 0.005, 0.5, activity=activity)
         schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
         pert = PerturbationSpec.rademacher()
         bounds = ActionBounds.uniform(n, -5.0, 5.0)
@@ -234,7 +236,11 @@ class TestDrawCounts:
             assert rngs["reception"].total() == pairs
             # the index is drawn for the next slot's live entries
             assert rngs["index"].total() == states.live.size
-            assert rngs["activity"].total() == batch * n
+            if activity == "binomial":
+                assert rngs["activity"].total() == batch * n
+            else:
+                # B counts, then one node per next-slot live entry plus redraws
+                assert rngs["activity"].total() <= batch + 2 * states.live.size < batch * n
             live_total += live.size
         assert live_total > 0
 

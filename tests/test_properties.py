@@ -1,13 +1,17 @@
 """Property tests of the slot engine over small random configurations:
-performed actions stay in the box, and reruns are byte-identical."""
+performed actions stay in the box, reruns are byte-identical, and Poisson
+activity comes out as a well-formed live-entry list."""
 
 import filecmp
 import os
 import tempfile
+from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from dosp.harness import ExperimentConfig, emit_outputs, run_experiment
+from dosp.network import sample_activity
 
 BOUND = 2.0
 
@@ -57,3 +61,24 @@ def test_actions_feasible_and_reruns_byte_identical(cfg):
         assert [os.path.basename(p) for p in first] == [os.path.basename(p) for p in second]
         for a, b in zip(first, second):
             assert filecmp.cmp(a, b, shallow=False), os.path.basename(a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), load=st.floats(0.0, 1.5), rows=st.integers(1, 50),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, load=1.5, rows=50, seed=0)  # one node: every row is empty or full
+@example(n=40, load=1.5, rows=50, seed=0)  # lambda = 60: most rows hold all N nodes
+def test_poisson_active_set_is_well_formed(n, load, rows, seed):
+    # lambda = load * N; a config caps q_a, and so lambda, at N, while the
+    # sampler itself takes any lambda
+    cfg = SimpleNamespace(n_nodes=n, activity="poisson", expected_active=load * n)
+    live = sample_activity(cfg, np.random.default_rng(seed), rows)
+    counts = live.counts
+    assert live.shape == (rows, n)
+    assert live.offsets[0] == 0 and live.offsets[-1] == live.size
+    assert np.all(counts >= 0) and np.all(counts <= n)
+    np.testing.assert_array_equal(counts, np.bincount(live.batch_idx, minlength=rows))
+    assert np.all((live.node_idx >= 0) & (live.node_idx < n))
+    # row-major, nodes strictly ascending within a row: distinct nodes per row
+    keys = live.batch_idx * n + live.node_idx
+    assert np.all(np.diff(keys) > 0)
