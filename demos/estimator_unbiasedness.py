@@ -11,7 +11,7 @@ Run:  python3 demos/estimator_unbiasedness.py   (a few seconds)
 import numpy as np
 
 from dosp.core import RngStream
-from dosp.estimator import estimate_global_utility, mc_check_unbiasedness
+from dosp.estimator import estimate_global_utility, mc_check_unbiasedness, sample_reception
 from dosp.network import NetworkConfig, sample_activity
 from dosp.objectives import PowerControlModel
 
@@ -32,7 +32,7 @@ def main():
     print(f"{active.size} active nodes, true global utility f = {f_true:.3f}")
 
     # one slot's estimates: every active node sees a different reception set
-    f_tilde = estimate_global_utility(utilities, live, 0.5, rng)
+    f_tilde = estimate_global_utility(utilities, live, 0.5, sample_reception(live, 0.5, rng))
     print("one slot at q_r=0.5, per active node: "
           + " ".join(f"{f:.1f}" for f in f_tilde))
 

@@ -14,15 +14,18 @@ from .core import (
 )
 from .network import ActiveSet, ChannelSpec, NetworkConfig
 from .objectives import PowerControlModel, QuadraticModel
-from .estimator import estimate_global_utility, mc_check_unbiasedness
+from .estimator import estimate_global_utility, mc_check_unbiasedness, sample_reception
 from .optimizer import (
     NodeStates,
+    SlotBlock,
     SlotUpdateRecord,
     dosp_slot,
     ideal_gradient_slot,
     initialize_states,
     project,
+    run_slots,
     sample_step_index,
+    slot_block,
 )
 from .analysis import (
     AveragedSteps,

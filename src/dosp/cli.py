@@ -19,10 +19,13 @@ from . import analysis
 from .core import ConfigError, NumericError, RngStream
 from .harness import (
     BOUNDS_COLUMNS,
+    CONSTANTS_STREAM,
     ConvergenceError,
     ExperimentConfig,
     build_model,
+    constants_sample,
     emit_outputs,
+    estimate_alpha_G,
     load_optimum,
     run_experiment,
     save_optimum,
@@ -121,15 +124,11 @@ def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelCons
         )
     # power model: curvature and Lipschitz constants have no closed form,
     # estimate them from sampled configurations and flag the estimate
-    rng = RngStream(cfg.seed, 99).generator()
-    from .network import sample_activity
-
-    # rows with no active node carry no curvature and would force alpha_F <= 0
-    live = sample_activity(cfg.network, rng, 200).without_empty_rows()
-    env = model.sample_env(live, rng)
-    a = rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=live.shape)
+    alpha_G, _ = estimate_alpha_G(cfg, model)
+    # the draws alpha_G was estimated on, then the Lipschitz draws
+    rng = RngStream(cfg.seed, CONSTANTS_STREAM).generator()
+    live, env, a = constants_sample(cfg, model, rng)
     entries = (live.batch_idx, live.node_idx)
-    alpha_G = float(np.abs(model.global_hessian(a[entries], live, env)).max(initial=0.0))
     g = model.global_gradient(a[entries], live, env)
     d = a - a_star
     denom = (d * d).sum(axis=1)

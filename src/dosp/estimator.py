@@ -15,24 +15,42 @@ from .network import ActiveSet, sample_obs_noise
 _CHUNK_DRAWS = 1 << 20
 
 
+def sample_reception(live: ActiveSet, q_r: float,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
+    """The observations that arrive, as (receiver, sender) entry indices of
+    ``live``: each ordered pair of distinct entries in one row arrives with
+    probability q_r.  One uniform is drawn per pair of ``live.pairs``,
+    self-pairs included, sum_b n_b^2 in all; the arrived pairs keep that
+    order (by receiver, then sender).  With q_r = 1 every observation
+    arrives and nothing is drawn (``None``)."""
+    if q_r == 1.0:
+        return None
+    per_receiver = live.counts[live.batch_idx]
+    first_pair = np.cumsum(per_receiver) - per_receiver
+    # only the arrived pairs are listed, not all sum_b n_b^2 of them
+    arrived = np.flatnonzero(rng.random(int(per_receiver.sum())) < q_r)
+    receiver = np.searchsorted(first_pair, arrived, side="right") - 1
+    sender = arrived - first_pair[receiver] + live.offsets[live.batch_idx[receiver]]
+    distinct = receiver != sender
+    return receiver[distinct], sender[distinct]
+
+
 def estimate_global_utility(u_tilde: np.ndarray, live: ActiveSet, q_r: float,
-                            rng: np.random.Generator) -> np.ndarray:
+                            heard: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Reception-compensated global-utility estimates of every live entry.
 
-    ``u_tilde`` holds the (A,) noisy local observations of ``live``.  Every
-    live node i receives each other live node's value in its row
-    independently with probability q_r and estimates f~_i = u~_i + (1 / q_r)
-    * (sum of received values).  One uniform is drawn per ordered pair
-    (receiver i, sender j) of ``live.pairs``, sum_b n_b^2 in all.  Historical
-    observations are never reused: under i.i.d. environments only the
-    current slot's values say anything about the current global utility.
+    ``u_tilde`` holds the (A,) noisy local observations of ``live`` and
+    ``heard`` the arrived (receiver, sender) pairs of
+    :func:`sample_reception`.  Every live node i estimates f~_i = u~_i +
+    (1 / q_r) * (sum of the values it received).  Historical observations
+    are never reused: under i.i.d. environments only the current slot's
+    values say anything about the current global utility.
     """
-    if q_r == 1.0:
+    if heard is None:
         totals = np.bincount(live.batch_idx, weights=u_tilde, minlength=live.shape[0])
         return totals[live.batch_idx]
-    receiver, sender = live.pairs
-    heard = (rng.random(receiver.size) < q_r) & (receiver != sender)
-    received = np.bincount(receiver, weights=u_tilde[sender] * heard, minlength=live.size)
+    receiver, sender = heard
+    received = np.bincount(receiver, weights=u_tilde[sender], minlength=live.size)
     return u_tilde + received / q_r
 
 
@@ -79,7 +97,7 @@ def mc_check_unbiasedness(
         if trials is None or trials.shape[0] != rows:
             trials = ActiveSet.from_mask(np.ones((rows, n), dtype=bool))
         u_tilde = np.tile(u_act, rows) + sample_obs_noise(sigma_eta, rows * n, rng, noise)
-        f = estimate_global_utility(u_tilde, trials, q_r, rng)
+        f = estimate_global_utility(u_tilde, trials, q_r, sample_reception(trials, q_r, rng))
         estimates[start:start + rows] = f[col::n]
     bias = float(estimates.mean() - f_true)
     stderr = float(estimates.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

@@ -24,18 +24,13 @@ from .core import (
     ConfigError,
     NumericError,
     PerturbationSpec,
+    RngStream,
     StepSizeSchedule,
     role_streams,
 )
 from .network import ChannelSpec, NetworkConfig, sample_activity
 from .objectives import ObjectiveModel, PowerControlModel, QuadraticModel
-from .optimizer import (
-    INDEX_MODES,
-    SlotUpdateRecord,
-    dosp_slot,
-    ideal_gradient_slot,
-    initialize_states,
-)
+from .optimizer import INDEX_MODES, SlotUpdateRecord, initialize_states, run_slots
 from . import chart
 
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
@@ -210,6 +205,35 @@ def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
                           gain_high=p.get("gain_high", 1.5))
 
 
+# stream of the config's seed that the sampled model constants draw from
+CONSTANTS_STREAM = 99
+
+
+def constants_sample(cfg: ExperimentConfig, model, rng):
+    """The sample a model's constants are estimated on: 200 activity rows
+    less those with no live node (they carry no curvature), their
+    environment, and (rows, N) actions uniform in the bounds."""
+    live = sample_activity(cfg.network, rng, 200).without_empty_rows()
+    env = model.sample_env(live, rng)
+    return live, env, rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=live.shape)
+
+
+def estimate_alpha_G(cfg: ExperimentConfig, model) -> tuple[float, str]:
+    """The curvature constant alpha_G of the config's model and where it
+    comes from: the quadratic model's closed form, or the power model's
+    largest |global_hessian| entry over :func:`constants_sample` (drawn from
+    stream ``CONSTANTS_STREAM`` of the config's seed)."""
+    if isinstance(model, QuadraticModel):
+        return model.alpha_G, "closed form"
+    live, env, a = constants_sample(cfg, model,
+                                    RngStream(cfg.seed, CONSTANTS_STREAM).generator())
+    hessian = model.global_hessian(a[live.batch_idx, live.node_idx], live, env)
+    alpha_G = float(np.abs(hessian).max(initial=0.0))
+    if not alpha_G > 0:
+        raise ConfigError("no curvature in the sampled rows: alpha_G could not be estimated")
+    return alpha_G, "sampled max |global_hessian|"
+
+
 @dataclass
 class TrajectoryDataset:
     """Recorded metrics of one experiment (all replications)."""
@@ -308,7 +332,6 @@ def run_experiment(
                                cfg.network, cfg.replications, rngs,
                                index_mode=cfg.index_mode)
     ks = record_slots(cfg.horizon, cfg.metrics_stride)
-    record_at = set(int(k) for k in ks)
     n_rec = ks.size
     reps = cfg.replications
 
@@ -317,38 +340,32 @@ def run_experiment(
     f_hat = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
     f_stderr = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
     snapshots = np.zeros((reps, n_rec, cfg.network.n_nodes)) if keep_actions else None
-    traces: list[SlotUpdateRecord] = []
-    step_fn = baseline_step_fn(cfg)
+    traces: list[SlotUpdateRecord] | None = [] if trace else None
+    if cfg.algorithm == "dosp_s":
+        algorithm = dict(schedule=cfg.schedule, pert=cfg.perturbation,
+                         sigma_eta=cfg.sigma_eta, traces=traces)
+    else:
+        algorithm = dict(step_fn=baseline_step_fn(cfg))
 
-    rec_idx = 0
-    for k in range(1, cfg.horizon + 1):
-        if k in record_at:
-            n_active[:, rec_idx] = states.n_active
-            if d is not None:
-                diff = states.actions - a_star
-                d[:, rec_idx] = np.mean(diff * diff, axis=1)
-            if f_hat is not None:
-                est, err = eval_F_batch(model, states.actions, cfg.network,
-                                        cfg.f_mc_samples, rngs["utility_mc"])
-                f_hat[:, rec_idx] = est
-                f_stderr[:, rec_idx] = err
-            if snapshots is not None:
-                snapshots[:, rec_idx] = states.actions
-            rec_idx += 1
-        if cfg.algorithm == "dosp_s":
-            states, records = dosp_slot(
-                states, k, model, cfg.network, cfg.schedule, cfg.perturbation,
-                cfg.sigma_eta, cfg.bounds, rngs, collect_trace=trace)
-            if records:
-                traces.extend(records)
-        else:
-            states = ideal_gradient_slot(
-                states, k, model, cfg.network, step_fn, cfg.bounds, rngs)
+    slots = run_slots(states, cfg.horizon, model, cfg.network, cfg.bounds, rngs,
+                      set(ks.tolist()), **algorithm)
+    for rec_idx, (_, counts) in enumerate(slots):
+        n_active[:, rec_idx] = counts
+        if d is not None:
+            diff = states.actions - a_star
+            d[:, rec_idx] = np.mean(diff * diff, axis=1)
+        if f_hat is not None:
+            est, err = eval_F_batch(model, states.actions, cfg.network,
+                                    cfg.f_mc_samples, rngs["utility_mc"])
+            f_hat[:, rec_idx] = est
+            f_stderr[:, rec_idx] = err
+        if snapshots is not None:
+            snapshots[:, rec_idx] = states.actions
 
     return TrajectoryDataset(
         config=cfg, ks=ks, n_active=n_active, d=d, f_hat=f_hat,
         f_stderr=f_stderr, a_star=a_star, final_actions=states.actions,
-        actions=snapshots, traces=traces if trace else None,
+        actions=snapshots, traces=traces,
     )
 
 

@@ -1,7 +1,6 @@
-"""Per-slot network randomness: node activity and observation noise.  Channel
-gains are drawn by :meth:`dosp.objectives.PowerControlModel.sample_env` and
-utility reception by the estimator
-(:func:`dosp.estimator.estimate_global_utility`).
+"""Network randomness: node activity and observation noise.  Channel gains
+are drawn by :meth:`dosp.objectives.PowerControlModel.sample_env` and
+utility reception by :func:`dosp.estimator.sample_reception`.
 
 Activity comes out as an :class:`ActiveSet`, the flat list of live
 (replication, node) entries that every later per-slot stage runs on.
@@ -98,8 +97,10 @@ class ActiveSet:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
-        batch_idx, node_idx = np.nonzero(mask)
-        return cls(mask.shape, batch_idx, node_idx, _offsets(np.count_nonzero(mask, axis=1)))
+        rows, n = mask.shape
+        batch_idx, node_idx = np.divmod(np.flatnonzero(mask), n)
+        return cls(mask.shape, batch_idx, node_idx,
+                   _offsets(np.bincount(batch_idx, minlength=rows)))
 
     @property
     def size(self) -> int:
@@ -120,6 +121,19 @@ class ActiveSet:
         block = np.cumsum(per_entry) - per_entry  # first pair of each entry
         second = np.arange(first.size) - np.repeat(block - self.offsets[self.batch_idx], per_entry)
         return first, second
+
+    def rows(self, start: int, stop: int) -> "ActiveSet":
+        """Rows ``start:stop`` as their own list, renumbered from 0."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return ActiveSet((stop - start, self.shape[1]), self.batch_idx[lo:hi] - start,
+                         self.node_idx[lo:hi], self.offsets[start:stop + 1] - lo)
+
+    def stack(self, below: "ActiveSet") -> "ActiveSet":
+        """This list's rows followed by those of ``below``."""
+        return ActiveSet((self.shape[0] + below.shape[0], self.shape[1]),
+                         np.concatenate((self.batch_idx, below.batch_idx + self.shape[0])),
+                         np.concatenate((self.node_idx, below.node_idx)),
+                         np.concatenate((self.offsets[:-1], below.offsets + self.size)))
 
     def without_empty_rows(self) -> "ActiveSet":
         """The same entries with the rows that hold none dropped."""

@@ -38,6 +38,7 @@ class ObjectiveModel:
     """Shared behaviour for pluggable objective models."""
 
     n_nodes: int
+    pairwise_env = False  # sample_env draws per live pair, not per live entry
 
     @property
     def optimum_hint(self):
@@ -46,6 +47,11 @@ class ObjectiveModel:
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator):
         raise NotImplementedError
+
+    def env_rows(self, env, live: ActiveSet, entries: slice, pairs: slice):
+        """The part of a batch's ``env`` that belongs to ``live``, a run of
+        the batch's rows holding its entries ``entries`` and pairs ``pairs``."""
+        return env[entries]
 
     def local_utilities(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
         raise NotImplementedError
@@ -65,6 +71,8 @@ class PowerControlModel(ObjectiveModel):
     and u_i = 0 whenever the node is inactive.
     """
 
+    pairwise_env = True
+
     def __init__(self, n_nodes: int, channel: ChannelSpec | None = None,
                  omega1: float = 20.0, omega2: float = 1.0):
         if omega1 <= 0 or omega2 <= 0:
@@ -73,6 +81,10 @@ class PowerControlModel(ObjectiveModel):
         self.channel = channel or ChannelSpec()
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
+
+    def env_rows(self, env: FlatChannel, live, entries, pairs) -> FlatChannel:
+        # ``live.pairs`` index live's own entries: the batch's pairs renumbered
+        return FlatChannel(live, *live.pairs, env.gains[pairs])
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> FlatChannel:
         tx_flat, rx_flat = live.pairs

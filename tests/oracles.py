@@ -1,6 +1,6 @@
 """Scalar and dense reference implementations that the tests compare the
 batched library code against, and the Monte-Carlo gradient-bias oracle that
-runs the learner's own slot."""
+runs the slot engine's own estimate."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from dosp.analysis import averaged_steps
 from dosp.core import ROLES
 from dosp.network import ActiveSet, _offsets, sample_activity
-from dosp.optimizer import NodeStates, learner_estimate, sample_step_index
+from dosp.optimizer import learner_estimate, sample_step_index, slot_block
 
 
 def scatter(live: ActiveSet, values) -> np.ndarray:
@@ -160,8 +160,9 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     """Monte-Carlo estimate of one node's gradient-estimate bias at slot ``k``.
 
     Freezes the action vector, draws each sample's activity and indices with
-    the learner's samplers, and runs the learner's own estimate
-    (:func:`dosp.optimizer.learner_estimate`) with every randomness role on
+    the learner's samplers, and runs the slot engine's own estimate on a
+    one-slot block of samples (:func:`dosp.optimizer.slot_block`, then
+    :func:`dosp.optimizer.learner_estimate`) with every randomness role on
     ``rng``.  Averages the raw update g = beta~ * phi * f~ of ``node``,
     rescales by q_a / (sigma_phi^2 * bg_k), and subtracts the true
     averaged-utility gradient component.  Returns (bias estimate, standard
@@ -169,7 +170,6 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     quadratic model's closed form).
     """
     a = np.asarray(a, dtype=float)
-    n = netcfg.n_nodes
     q_a = netcfg.q_activity
     bg = averaged_steps(schedule, k, q_a).bg
     if grad_F is None:
@@ -185,13 +185,12 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     while done < n_samples:
         m = min(chunk, n_samples - done)
         live = sample_activity(netcfg, rng, m)
-        states = NodeStates(
-            actions=np.broadcast_to(a, (m, n)), live=live,
-            step_index=sample_step_index(k, q_a, live, "sampled", rng))
-        _, beta_t, _, phi, _, f_tilde = learner_estimate(
-            states, model, netcfg, schedule, pert, sigma_eta, rngs)
+        step_index = sample_step_index(k, q_a, live, "sampled", rng)
+        block = slot_block(live, step_index, m, model, netcfg, rngs, schedule=schedule,
+                           pert=pert, sigma_eta=sigma_eta)
+        _, f_tilde = learner_estimate(a[live.node_idx], block, block.slot(0))
         # samples where the node is inactive contribute g = 0
-        g = (beta_t * phi * f_tilde)[live.node_idx == node]
+        g = (block.beta * block.phi * f_tilde)[live.node_idx == node]
         total += float(g.sum())
         total_sq += float(np.dot(g, g))
         done += m

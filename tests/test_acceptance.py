@@ -32,7 +32,7 @@ from dosp.estimator import mc_check_unbiasedness
 from dosp.harness import build_model, emit_outputs, fit_loglog_slope, run_experiment
 from dosp.network import ActiveSet, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
-from dosp.optimizer import NodeStates, dosp_slot
+from dosp.optimizer import dosp_slot, slot_block
 from dosp.core import role_streams
 
 from conftest import power_config, quadratic_config, reference_schedule
@@ -121,17 +121,17 @@ def test_criterion_04_feasibility_invariant():
     ds = run_experiment(cfg, trace=True)
     performed = np.array([rec.a_hat for rec in ds.traces])
     in_bounds = performed.min() >= -2.05 and performed.max() <= 2.05
-    # the engine must hard-fail if a state were ever pushed outside:
-    # 2.7 +- gamma(1) = 2.7 +- 0.5 lies beyond 2.05 for either perturbation sign
-    bad = NodeStates(actions=np.array([[2.7, 0.0]]),
-                     live=ActiveSet.from_mask(np.array([[True, False]])),
-                     step_index=np.array([1]))
+    # the engine must hard-fail if a state were ever pushed outside: the
+    # learner's step on slot-start action 2.7 performs 2.7 +- gamma(1) =
+    # 2.7 +- 0.5, beyond 2.05 for either perturbation sign
     small = quadratic_config(n_nodes=2, q_activity=0.5, gamma0=0.5, bound=2.05,
                              horizon=10, replications=1)
     model = build_model(small)
+    block = slot_block(ActiveSet.from_mask(np.array([[True, False]])), np.array([1]), 1,
+                       model, small.network, role_streams(1), small.bounds,
+                       schedule=small.schedule, pert=small.perturbation)
     with pytest.raises(FeasibilityError):
-        dosp_slot(bad, 1, model, small.network, small.schedule,
-                  small.perturbation, 0.0, small.bounds, role_streams(1))
+        dosp_slot(np.array([2.7]), block, block.slot(0))
     _check("04", in_bounds,
            f"{performed.size} performed actions, all inside the bounds; "
            "out-of-interval state trips the hard assert")

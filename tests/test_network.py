@@ -3,7 +3,7 @@ import pytest
 
 from dosp import ConfigError, NetworkConfig
 from dosp.core import RngStream
-from dosp.estimator import estimate_global_utility
+from dosp.estimator import estimate_global_utility, sample_reception
 from dosp.network import ActiveSet, ChannelSpec, sample_activity, sample_obs_noise
 from dosp.objectives import PowerControlModel
 
@@ -103,6 +103,10 @@ def _assert_same_law(got, want):
     assert np.sum(z**2) <= z.size + 4 * np.sqrt(2 * z.size), np.abs(z).max()
 
 
+def _estimate(u_tilde, live, q_r, rng):
+    return estimate_global_utility(u_tilde, live, q_r, sample_reception(live, q_r, rng))
+
+
 class TestReception:
     """Reception as the estimator draws it: node i's estimate carries (1 / q_r)
     times each other active node's value that reached it."""
@@ -112,14 +116,14 @@ class TestReception:
         active[0, [1, 4, 6, 9]] = True
         u = np.where(active, np.arange(1.0, 11.0), 0.0)
         got = scatter(ActiveSet.from_mask(active),
-                      estimate_global_utility(u[active], ActiveSet.from_mask(active), 1.0, _gen(5)))
+                      _estimate(u[active], ActiveSet.from_mask(active), 1.0, _gen(5)))
         assert got[0, 4] == u.sum()
 
     def test_single_active_node_receives_nothing(self):
         active = np.zeros((200, 5), dtype=bool)
         active[:, 3] = True
         live = ActiveSet.from_mask(active)
-        got = scatter(live, estimate_global_utility(np.full(live.size, 2.5), live, 0.7, _gen(6)))
+        got = scatter(live, _estimate(np.full(live.size, 2.5), live, 0.7, _gen(6)))
         assert np.all(got[:, 3] == 2.5)
 
     def test_inactive_node_estimates_zero(self):
@@ -128,7 +132,7 @@ class TestReception:
         active = rng.random((50, 6)) < 0.5
         u = np.where(active, rng.standard_normal((50, 6)), 0.0)
         live = ActiveSet.from_mask(active)
-        got = scatter(live, estimate_global_utility(u[active], live, 0.7, rng))
+        got = scatter(live, _estimate(u[active], live, 0.7, rng))
         assert got.shape == active.shape and np.all(got[~active] == 0.0)
 
     def test_pairwise_inclusion_frequency(self):
@@ -137,7 +141,7 @@ class TestReception:
         trials = 100_000
         live = ActiveSet.from_mask(np.ones((trials, 2), dtype=bool))
         u = np.tile([0.0, 1.0], trials)
-        hits = estimate_global_utility(u, live, 0.5, _gen(8))[0::2] * 0.5
+        hits = _estimate(u, live, 0.5, _gen(8))[0::2] * 0.5
         se = np.sqrt(0.25 / trials)
         assert abs(hits.mean() - 0.5) <= 3 * se
 
@@ -150,7 +154,7 @@ class TestReception:
             live = ActiveSet.from_mask(np.ones((trials, n_active), dtype=bool))
             u = np.zeros((trials, n_active))
             u[:, 1] = 1.0
-            hits = estimate_global_utility(u.ravel(), live, q_r, rng)[0::n_active] * q_r
+            hits = _estimate(u.ravel(), live, q_r, rng)[0::n_active] * q_r
             se = np.sqrt(q_r * (1 - q_r) / trials)
             assert abs(hits.mean() - q_r) <= 3.5 * se
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,17 +11,19 @@ from dosp import (
     PerturbationSpec,
     StepSizeSchedule,
 )
-from dosp.core import RngStream, role_streams
-from dosp.harness import run_experiment
-from dosp.network import ActiveSet
+from dosp import optimizer
+from dosp.core import FeasibilityError, NumericError, RngStream, role_streams
+from dosp.harness import emit_outputs, run_experiment
+from dosp.network import ActiveSet, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import (
     NodeStates,
     dosp_slot,
-    ideal_gradient_slot,
     initialize_states,
     project,
+    run_slots,
     sample_step_index,
+    slot_block,
 )
 
 from conftest import power_config, quadratic_config
@@ -102,17 +105,18 @@ class TestSlotSemantics:
             step_index=np.array([1, 1, 1]),
         )
         before = states.actions.copy()
-        new, records = dosp_slot(states, 1, model, netcfg, schedule, pert, 0.0,
-                                 bounds, rngs, collect_trace=True)
+        inactive = ~mask_of(states.live)[0]
+        records = []
+        list(run_slots(states, 1, model, netcfg, bounds, rngs, schedule=schedule,
+                       pert=pert, traces=records))
         assert len(records) == 3
         for rec in records:
             expected = rec.a + rec.beta * rec.phi * rec.f_tilde
-            assert new.actions[0, rec.node] == pytest.approx(expected, rel=1e-12)
+            assert states.actions[0, rec.node] == pytest.approx(expected, rel=1e-12)
             assert rec.a_hat == pytest.approx(rec.a + rec.gamma * rec.phi, rel=1e-12)
             assert rec.beta == schedule.beta(rec.ell)
             assert rec.gamma == schedule.gamma(rec.ell)
-        inactive = ~mask_of(states.live)[0]
-        assert np.array_equal(new.actions[0, inactive], before[0, inactive])
+        assert np.array_equal(states.actions[0, inactive], before[0, inactive])
 
     def test_all_inactive_slot_keeps_state(self):
         model, netcfg, schedule, pert, bounds, rngs, _ = _tiny_setup()
@@ -122,10 +126,11 @@ class TestSlotSemantics:
             step_index=np.zeros(0, dtype=int),
         )
         before = states.actions.copy()
-        new, records = dosp_slot(states, 3, model, netcfg, schedule, pert, 0.0,
-                                 bounds, rngs, collect_trace=True)
+        records = []
+        list(run_slots(states, 1, model, netcfg, bounds, rngs, schedule=schedule,
+                       pert=pert, traces=records))
         assert records == []
-        np.testing.assert_array_equal(new.actions, before)
+        np.testing.assert_array_equal(states.actions, before)
 
     def test_step_size_equivalence(self):
         # every traced step size equals the schedule at the node's drawn index
@@ -153,7 +158,7 @@ class TestSlotSemantics:
     def test_vectorized_reception_matches_estimator_module(self):
         # dual route: replay the engine's reception draws and rebuild every
         # f~ with the scalar estimator
-        from dosp.estimator import estimate_global_utility
+        from dosp.estimator import estimate_global_utility, sample_reception
         from oracles import UtilityObservation, scalar_global_utility
 
         rng = RngStream(321, 0).generator()
@@ -163,7 +168,8 @@ class TestSlotSemantics:
         active = rng.random((b, n)) < 0.6
         u_tilde = np.where(active, rng.standard_normal((b, n)), 0.0)
         live = ActiveSet.from_mask(active)
-        got = estimate_global_utility(u_tilde[active], live, q_r, rng)
+        got = estimate_global_utility(u_tilde[active], live, q_r,
+                                      sample_reception(live, q_r, rng))
         twin.random((b, n))  # activity draws consumed above
         twin.standard_normal((b, n))
         # one uniform per ordered pair of a row's active nodes, receiver-major
@@ -206,14 +212,15 @@ class TestSlotSemantics:
 
 
 class TestDrawCounts:
-    """Every per-slot draw is made for the live entries only: a slot on a
-    wide, sparse network costs draws in proportion to its live entries."""
+    """Every draw is made for the live entries only: a run on a wide, sparse
+    network costs draws in proportion to its live entries.  A block draws each
+    role once for all its slots, so the counts are whole-run totals."""
 
     @pytest.mark.parametrize("kind, activity", [("quadratic", "binomial"), ("power", "binomial"),
                                                 ("quadratic", "poisson")],
                              ids=["quadratic", "power", "poisson"])
     def test_draws_follow_live_entries(self, kind, activity):
-        n, batch = 2000, 4
+        n, batch, horizon = 2000, 4, 40
         netcfg = NetworkConfig(n, 0.005, 0.5, activity=activity)
         schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
         pert = PerturbationSpec.rademacher()
@@ -222,27 +229,146 @@ class TestDrawCounts:
                  else PowerControlModel(n))
         rngs = {role: CountingGenerator(g) for role, g in role_streams(11).items()}
         states = initialize_states(bounds, schedule, pert, netcfg, batch, rngs)
-        live_total = 0
-        for k in range(1, 41):
-            for gen in rngs.values():
-                gen.counts.clear()
-            live = states.live
-            pairs = int(np.sum(live.counts ** 2))
-            states, _ = dosp_slot(states, k, model, netcfg, schedule, pert, 0.3,
-                                  bounds, rngs)
-            assert rngs["perturbation"].total() == live.size
-            assert rngs["noise"].total() == live.size
-            assert rngs["channel"].total() == (live.size if kind == "quadratic" else pairs)
-            assert rngs["reception"].total() == pairs
-            # the index is drawn for the next slot's live entries
-            assert rngs["index"].total() == states.live.size
-            if activity == "binomial":
-                assert rngs["activity"].total() == batch * n
-            else:
-                # B counts, then one node per next-slot live entry plus redraws
-                assert rngs["activity"].total() <= batch + 2 * states.live.size < batch * n
-            live_total += live.size
+        first_slot = states.live.size
+        for gen in rngs.values():
+            gen.counts.clear()
+        traces = []
+        list(run_slots(states, horizon, model, netcfg, bounds, rngs, schedule=schedule,
+                       pert=pert, sigma_eta=0.3, traces=traces))
+        live_total = len(traces)  # sum over slots of the live entries A
+        pairs = sum(c * c for c in Counter((r.replication, r.k) for r in traces).values())
+        assert rngs["perturbation"].total() == live_total
+        assert rngs["noise"].total() == live_total
+        assert rngs["channel"].total() == (live_total if kind == "quadratic" else pairs)
+        assert rngs["reception"].total() == pairs
+        # activity and indices are drawn for slots 2 .. horizon + 1
+        drawn = live_total - first_slot + states.live.size
+        assert rngs["index"].total() == drawn
+        if activity == "binomial":
+            assert rngs["activity"].total() == horizon * batch * n
+        else:
+            # B counts per slot, then one node per live entry plus redraws
+            assert rngs["activity"].total() <= horizon * batch + 2 * drawn < horizon * batch * n
         assert live_total > 0
+
+
+def _digest_run(cfg, out_dir):
+    """Final actions and every output file's bytes of one traced run."""
+    ds = run_experiment(cfg, trace=True)
+    files = {p.rsplit("/", 1)[-1]: open(p, "rb").read() for p in emit_outputs(ds, out_dir)}
+    return ds.final_actions, files
+
+
+BLOCK_CASES = {
+    "quadratic-counted": quadratic_config(n_nodes=7, q_activity=0.3, q_reception=0.5,
+                                          horizon=233, replications=3, seed=3,
+                                          metrics_stride=25, sigma_eta=0.7,
+                                          index_mode="counted"),
+    "power-sampled": power_config(n_nodes=8, q_activity=0.25, horizon=131, replications=2,
+                                  seed=8, metrics_stride=25, f_mc_samples=20),
+    "ideal-gradient": power_config(n_nodes=8, q_activity=0.25, horizon=131, replications=2,
+                                   seed=17, metrics_stride=25, f_mc_samples=20,
+                                   algorithm="ideal_gradient"),
+}
+
+
+class TestSlotBlocks:
+    """The block size is a memory budget, not a parameter of the run."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_outputs_do_not_depend_on_block_size(self, name, monkeypatch, tmp_path):
+        cfg = BLOCK_CASES[name]
+        # some record slot falls inside a 7-slot block, and the last block is partial
+        assert any((k - 1) % 7 for k in range(cfg.metrics_stride, cfg.horizon, cfg.metrics_stride))
+        assert cfg.horizon % 7
+        runs = [_digest_run(cfg, tmp_path / "default")]
+        for slots in (1, 7):
+            monkeypatch.setattr(optimizer, "block_slots", lambda *args, s=slots: s)
+            runs.append(_digest_run(cfg, tmp_path / str(slots)))
+        for actions, files in runs[1:]:
+            np.testing.assert_array_equal(actions, runs[0][0])
+            assert files == runs[0][1]
+        if cfg.algorithm == "dosp_s":
+            assert any(f.startswith("trace_rep") for f in runs[0][1])
+
+    @pytest.mark.parametrize("slots", [1, 7, None])
+    def test_poisson_blocks_are_well_formed_and_rerun_identically(self, slots, monkeypatch,
+                                                                  tmp_path):
+        cfg = quadratic_config(n_nodes=30, q_activity=0.1, horizon=60, replications=3,
+                               seed=4, metrics_stride=20)
+        cfg = dataclasses.replace(cfg, network=dataclasses.replace(cfg.network,
+                                                                   activity="poisson"))
+        if slots:
+            monkeypatch.setattr(optimizer, "block_slots", lambda *args: slots)
+        blocks = []
+        build = optimizer.slot_block
+
+        def checked(live, step_index, batch, *args, **kwargs):
+            blocks.append(live.shape[0] // batch)
+            assert live.shape == (blocks[-1] * batch, 30)
+            assert live.offsets[0] == 0 and live.offsets[-1] == live.size == step_index.size
+            np.testing.assert_array_equal(live.counts,
+                                          np.bincount(live.batch_idx, minlength=live.shape[0]))
+            # row-major, nodes strictly ascending within a row
+            assert np.all(np.diff(live.batch_idx * 30 + live.node_idx) > 0)
+            return build(live, step_index, batch, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "slot_block", checked)
+        first = _digest_run(cfg, tmp_path / "first")
+        second = _digest_run(cfg, tmp_path / "second")
+        assert sum(blocks) == 2 * cfg.horizon
+        assert blocks[0] == (slots or cfg.horizon)
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1] == second[1]
+
+
+class TestGuards:
+    """The hard checks name the slot and the (replication, node) of the first
+    bad entry, also in the middle of a block."""
+
+    def test_non_finite_utility_mid_block(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "block_slots", lambda *args: 16)
+        net = NetworkConfig(3, 1.0, 1.0)
+        schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
+        pert = PerturbationSpec.rademacher()
+        bounds = ActionBounds.uniform(3, -5.0, 5.0)
+
+        class Faulty(QuadraticModel):
+            calls = 0
+
+            def local_utilities(self, a_hat, live, env):
+                u = super().local_utilities(a_hat, live, env)
+                self.calls += 1
+                if self.calls == 5:  # slot 5 of the first 16-slot block
+                    u[live.offsets[1]] = np.nan  # replication 1's first entry
+                return u
+
+        model = Faulty(np.zeros(3))
+        rngs = role_streams(6)
+        states = initialize_states(bounds, schedule, pert, net, 2, rngs)
+        with pytest.raises(NumericError, match=r"^slot 5: non-finite utility estimate at "
+                                               r"\(replication, node\) = \(1, 0\)$"):
+            list(run_slots(states, 40, model, net, bounds, rngs, schedule=schedule, pert=pert))
+        assert model.calls == 5
+
+    def test_infeasible_action_mid_block(self):
+        net = NetworkConfig(4, 0.5, 0.5)
+        schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
+        pert = PerturbationSpec.rademacher()
+        bounds = ActionBounds.uniform(4, -2.0, 2.0)
+        model = QuadraticModel(np.zeros(4))
+        rngs = role_streams(7)
+        batch = 3
+        live = sample_activity(net, rngs["activity"], 16 * batch)
+        block = slot_block(live, np.ones(live.size, dtype=np.int64), batch, model, net, rngs,
+                           bounds, schedule=schedule, pert=pert)
+        slot = block.slot(5)
+        assert slot.k == 6 and slot.live.size > 0
+        # beyond the bound by more than gamma(1) = 0.5: every performed action leaves it
+        a = block.upper[slot.entries] + 0.6
+        first = (int(slot.live.batch_idx[0]), int(slot.live.node_idx[0]))
+        with pytest.raises(FeasibilityError, match=rf"^slot 6: .* = \({first[0]}, {first[1]}\)$"):
+            dosp_slot(a, block, slot)
 
 
 class TestConvergence:
@@ -274,9 +400,8 @@ class TestIdealGradient:
             live=_live(np.ones(n, dtype=bool)),
             step_index=np.ones(n, dtype=int),
         )
-        new = ideal_gradient_slot(states, 1, model, netcfg, schedule.beta,
-                                  bounds, rngs)
-        np.testing.assert_allclose(new.actions[0], targets, atol=1e-14)
+        list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta))
+        np.testing.assert_allclose(states.actions[0], targets, atol=1e-14)
 
     def test_single_step_contracts(self):
         n = 3
@@ -290,9 +415,8 @@ class TestIdealGradient:
         states = NodeStates(actions=start.copy(),
                             live=_live(np.ones(n, dtype=bool)),
                             step_index=np.ones(n, dtype=int))
-        new = ideal_gradient_slot(states, 1, model, netcfg, schedule.beta,
-                                  bounds, rngs)
-        assert np.all(np.abs(new.actions) < np.abs(start))
+        list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta))
+        assert np.all(np.abs(states.actions) < np.abs(start))
 
     def test_baseline_dominates_learner_on_power_model(self):
         # converged-baseline reference: same seeds, step beta*gamma

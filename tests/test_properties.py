@@ -1,8 +1,10 @@
 """Property tests of the slot engine over small random configurations:
-performed actions stay in the box, reruns are byte-identical, and Poisson
-activity comes out as a well-formed live-entry list."""
+performed actions stay in the box, reruns are byte-identical, Poisson
+activity comes out as a well-formed live-entry list, and configs round-trip
+through dicts and YAML bit for bit."""
 
 import filecmp
+import json
 import os
 import tempfile
 from types import SimpleNamespace
@@ -82,3 +84,77 @@ def test_poisson_active_set_is_well_formed(n, load, rows, seed):
     # row-major, nodes strictly ascending within a row: distinct nodes per row
     keys = live.batch_idx * n + live.node_idx
     assert np.all(np.diff(keys) > 0)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        model = {"kind": "quadratic"}
+        if draw(st.booleans()):
+            model["targets"] = draw(st.lists(_floats(-3.0, 3.0), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            spread = draw(_floats(0.0, 0.5))
+            model.update(gain_low=1.0 - spread, gain_high=1.0 + spread)
+    else:
+        model = {"kind": "power", "omega1": draw(_floats(0.1, 50.0)),
+                 "omega2": draw(_floats(0.1, 5.0))}
+        if draw(st.booleans()):
+            model["channel"] = {
+                "var_direct": draw(_floats(0.01, 5.0)), "var_cross": draw(_floats(0.01, 1.0)),
+                "noise_floor": draw(_floats(0.01, 1.0)),
+                "fading": draw(st.sampled_from(["real_gaussian", "complex_gaussian"]))}
+    if draw(st.booleans()):
+        bounds = {"lower": draw(_floats(-10.0, -0.5)), "upper": draw(_floats(0.5, 10.0))}
+    else:
+        bounds = {"lower": draw(st.lists(_floats(-10.0, -0.5), min_size=n, max_size=n)),
+                  "upper": draw(st.lists(_floats(0.5, 10.0), min_size=n, max_size=n))}
+    c1 = draw(_floats(0.51, 0.99))
+    return ExperimentConfig.from_dict({
+        "model": model,
+        "network": {
+            "n_nodes": n,
+            "q_activity": draw(_floats(0.0, 1.0, exclude_min=True)),
+            "q_reception": draw(_floats(0.0, 1.0, exclude_min=True)),
+            "activity": draw(st.sampled_from(["binomial", "poisson"])),
+            "noise": draw(st.sampled_from(["gaussian", "uniform"])),
+        },
+        "schedule": {"beta0": draw(_floats(1e-6, 10.0)), "gamma0": draw(_floats(1e-6, 10.0)),
+                     "c1": c1, "c2": draw(_floats(1e-3, 1.0 - c1))},
+        "perturbation": draw(st.sampled_from([
+            {"kind": "rademacher", "scale": 1.0},
+            {"kind": "scaled_symmetric", "scale": draw(_floats(0.01, 5.0))},
+        ])),
+        "bounds": bounds,
+        "run": {
+            "horizon": draw(st.integers(1, 10**7)),
+            "replications": draw(st.integers(1, 1000)),
+            "seed": draw(st.integers(0, 2**63 - 1)),
+            "metrics_stride": draw(st.integers(1, 10**5)),
+            "f_mc_samples": draw(st.sampled_from([0, 2, 2000])),
+            "sigma_eta": draw(_floats(0.0, 5.0)),
+            "algorithm": draw(st.sampled_from(["dosp_s", "ideal_gradient"])),
+            "baseline_step": draw(st.one_of(st.sampled_from(["beta", "beta_gamma"]),
+                                            _floats(1e-9, 10.0, exclude_min=True))),
+            "index_mode": draw(st.sampled_from(["sampled", "counted"])),
+            "divergence": draw(st.sampled_from(["auto", "require", "skip"])),
+        },
+    })
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(valid_configs())
+def test_config_round_trips_bit_for_bit(cfg):
+    # json.dumps tells 1 from 1.0 and 0.0 from -0.0, which == on dicts does not
+    as_dict = json.dumps(cfg.to_dict(), sort_keys=True)
+    again = ExperimentConfig.from_dict(cfg.to_dict())
+    assert again == cfg
+    assert json.dumps(again.to_dict(), sort_keys=True) == as_dict
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        cfg.to_yaml(path)
+        assert json.dumps(ExperimentConfig.from_yaml(path).to_dict(), sort_keys=True) == as_dict

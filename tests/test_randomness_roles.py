@@ -22,9 +22,9 @@ SAMPLERS = {
     ("core", "PerturbationSpec.sample"),
     ("objectives", "PowerControlModel.sample_env"),
     ("objectives", "QuadraticModel.sample_env"),
-    ("estimator", "estimate_global_utility"),
+    ("estimator", "sample_reception"),
     # the two constant-estimation action draws
-    ("cli", "_model_constants"),
+    ("harness", "constants_sample"),
     ("objectives", "PowerControlModel.estimate_lipschitz"),
 }
 
