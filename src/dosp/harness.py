@@ -540,11 +540,9 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(TRACE_COLUMNS)
-                for rec in recs:
-                    writer.writerow([rec.k, rec.node, rec.delta, rec.ell,
-                                     _fmt(rec.a), _fmt(rec.a_hat),
-                                     _fmt(rec.f_tilde), _fmt(rec.beta),
-                                     _fmt(rec.gamma), _fmt(rec.phi)])
+                for _, k, node, delta, ell, a, a_hat, f_tilde, beta, gamma, phi in recs:
+                    writer.writerow([k, node, delta, ell, _fmt(a), _fmt(a_hat), _fmt(f_tilde),
+                                     _fmt(beta), _fmt(gamma), _fmt(phi)])
             written.append(path)
 
     if svg:

@@ -10,17 +10,27 @@ Every random input of a slot is exogenous: activity, step index,
 perturbation, environment, observation noise and reception do not depend on
 the actions.  So :func:`run_slots` advances the batch in slot blocks.  For a
 block of S slots it draws each role with one call on one list of S * B rows
-(:class:`SlotBlock`), and then runs only the state-dependent step slot by
-slot, on that slot's contiguous run of entries.  For every role but Poisson
-activity one call consumes the role's stream exactly as S per-slot calls
-would, so outputs do not depend on the block size.  Node updates within a
-slot only read the slot-start state, so vectorizing them is faithful to the
-per-node protocol.
+(:class:`SlotBlock`).  For every role but Poisson activity one call consumes
+the role's stream exactly as S per-slot calls would, so outputs do not
+depend on the block size.
+
+Only the learner's step reads the state, and a slot's step reads and writes
+just the actions of its own live entries: each entry's arithmetic is
+elementwise, and its utility, estimate and gradient sum only over entries
+of its own row (replication and slot).  So consecutive slots in which no
+(replication, node) cell is live twice commute, and the step runs once per
+such run of slots, a *wave*, on the wave's contiguous run of entries.  Every
+per-row sum (``bincount``) adds its terms in the same order as the one-slot
+step does, so the results are bit-identical to running the slots one by one.
+Node updates within a slot only read the slot-start state, so vectorizing
+them is faithful to the per-node protocol.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -66,8 +76,7 @@ class NodeStates:
     activations: np.ndarray | None = None  # (B, N) int, counted mode only
 
 
-@dataclass(frozen=True)
-class SlotUpdateRecord:
+class SlotUpdateRecord(NamedTuple):
     """One active node's update, for trace output."""
 
     replication: int
@@ -222,9 +231,10 @@ def _advance(states: NodeStates, k0: int, slots: int, netcfg: NetworkConfig,
 
 
 class SlotView(NamedTuple):
-    """Slot ``k`` of a block: its live entries as their own list, their range
-    ``entries`` of the block's entries, and their environment and arrived
-    reception pairs, renumbered to match."""
+    """A run of consecutive slots of a block, from slot ``k`` on: its live
+    entries as their own list of rows (row r is replication r % B at slot
+    k + r // B), their range ``entries`` of the block's entries, and their
+    environment and arrived reception pairs, renumbered to match."""
 
     k: int
     live: ActiveSet
@@ -238,14 +248,14 @@ class SlotBlock:
     """Every exogenous draw of slots k0, k0 + 1, ... for B replications.
 
     Row s * B + b of ``live`` is replication b at slot k0 + s, so each
-    slot's entries are the contiguous run ``entry_at[s]:entry_at[s + 1]``.
-    Per-entry arrays follow ``live``; ``env`` is ``model``'s environment of
-    ``live``.  ``pairs`` (pairwise environments only) and the arrived
-    reception pairs ``heard`` number their entries from their slot's first
-    entry and run slot by slot from ``pair_at`` and ``heard_at``.  A
-    baseline block has ``step`` and no learner fields; ``lo``/``hi``
-    (projection interval) and ``lower``/``upper`` (bounds) are set when
-    bounds are given.
+    slot's entries are the contiguous run ``entry_at[s]:entry_at[s + 1]``,
+    and so are those of a run of consecutive slots.  Per-entry arrays follow
+    ``live``; ``env`` is ``model``'s environment of ``live``, and the
+    arrived reception pairs ``heard`` number the block's entries, sorted by
+    receiver.  :meth:`runs` cuts the block into runs of slots, each with its
+    own view.  A baseline block has ``step`` and no learner fields;
+    ``lo``/``hi`` (projection interval) and ``lower``/``upper`` (bounds) are
+    set when bounds are given.
     """
 
     k0: int
@@ -253,20 +263,18 @@ class SlotBlock:
     model: object
     live: ActiveSet
     step_index: np.ndarray
-    rep: np.ndarray  # replication of each entry
     cells: np.ndarray  # rep * N + node: the entry's cell of the raveled (B, N) actions
-    entry_at: list[int]
+    entry_at: np.ndarray  # (S + 1,) first entry of each slot
     env: object
-    pairs: tuple[np.ndarray, np.ndarray] | None = None
-    pair_at: list[int] | None = None
     step: np.ndarray | None = None  # baseline step size
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
     phi: np.ndarray | None = None
+    beta_phi: np.ndarray | None = None  # beta~ * phi, the update's gain on f~
+    gamma_phi: np.ndarray | None = None  # gamma~ * phi, the perturbation of the action
     noise: np.ndarray | None = None
     q_r: float = 1.0
     heard: tuple[np.ndarray, np.ndarray] | None = None
-    heard_at: list[int] | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     lower: np.ndarray | None = None
@@ -276,32 +284,55 @@ class SlotBlock:
     def slots(self) -> int:
         return len(self.entry_at) - 1
 
-    def slot(self, s: int) -> SlotView:
-        """The block's slot k0 + s."""
-        e0, e1 = self.entry_at[s], self.entry_at[s + 1]
+    def runs(self, bounds: list[int]) -> Iterator[SlotView]:
+        """The views of the runs of slots ``bounds[w]`` .. ``bounds[w + 1] - 1``,
+        in order; ``bounds`` ascends from 0 to :attr:`slots`.
+
+        Rows and pairs are renumbered from their run's start once for all
+        runs, so a view costs slices of the block's arrays and one
+        subtraction (its row offsets).
+        """
         b = self.batch
-        live = ActiveSet((b, self.live.shape[1]), self.rep[e0:e1], self.live.node_idx[e0:e1],
-                         self.live.offsets[s * b:(s + 1) * b + 1] - e0)
-        entries = slice(e0, e1)
-        pairs = None
-        if self.pairs is not None:
-            pairs = slice(self.pair_at[s], self.pair_at[s + 1])
-            live.pairs = (self.pairs[0][pairs], self.pairs[1][pairs])
-        heard = None
-        if self.heard is not None:
-            h0, h1 = self.heard_at[s], self.heard_at[s + 1]
-            heard = (self.heard[0][h0:h1], self.heard[1][h0:h1])
-        return SlotView(self.k0 + s, live, entries,
-                        self.model.env_rows(self.env, live, entries, pairs), heard)
+        live = self.live
+        pairwise, heard_on = self.model.pairwise_env, self.heard is not None
+        bounds = np.asarray(bounds)
+        first = self.entry_at[bounds]
+        rows = live.batch_idx - np.repeat(bounds[:-1] * b, first[1:] - first[:-1])
+        if pairwise:
+            pair_i, pair_j, pair_at = _per_run(live.pairs, first)
+        if heard_on:
+            receiver, sender, heard_at = _per_run(self.heard, first)
+        first, bounds = first.tolist(), bounds.tolist()
+        for w in range(len(bounds) - 1):
+            s0, s1 = bounds[w], bounds[w + 1]
+            e0, e1 = first[w], first[w + 1]
+            view = ActiveSet(((s1 - s0) * b, live.shape[1]), rows[e0:e1], live.node_idx[e0:e1],
+                             live.offsets[s0 * b:s1 * b + 1] - e0)
+            entries = slice(e0, e1)
+            pairs = heard = None
+            if pairwise:
+                pairs = slice(pair_at[w], pair_at[w + 1])
+                view.pairs = (pair_i[pairs], pair_j[pairs])
+            if heard_on:
+                h = slice(heard_at[w], heard_at[w + 1])
+                heard = (receiver[h], sender[h])
+            yield SlotView(self.k0 + s0, view, entries,
+                           self.model.env_rows(self.env, view, entries, pairs), heard)
+
+    def slot(self, s: int) -> SlotView:
+        """The block's slot k0 + s, as a run of one slot."""
+        views = self.runs(sorted({0, s, s + 1, self.slots}))
+        return next(view for view in views if view.k == self.k0 + s)
 
 
-def _per_slot(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
-    """A block's (i, j) entry pairs, sorted by i, renumbered from their
-    slot's first entry; and where each slot's run of pairs starts."""
+def _per_run(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
+    """A block's (i, j) entry pairs, sorted by i, renumbered from the first
+    entry of their run (runs start at ``entry_at``); and where each run's
+    pairs start."""
     first, second = pairs
     at = np.searchsorted(first, entry_at)
-    shift = np.repeat(entry_at[:-1], np.diff(at))
-    return (first - shift, second - shift), at.tolist()
+    shift = np.repeat(entry_at[:-1], at[1:] - at[:-1])
+    return first - shift, second - shift, at.tolist()
 
 
 def slot_block(
@@ -327,90 +358,87 @@ def slot_block(
     one call per role on the stream of that role; the baseline's block
     (``step_fn`` given) draws only the environment.
     """
-    entry_at = live.offsets[::batch]
-    rep = live.batch_idx % batch
-    fields = dict(k0=k0, batch=batch, model=model, live=live, step_index=step_index, rep=rep,
-                  cells=rep * live.shape[1] + live.node_idx, entry_at=entry_at.tolist())
+    fields = dict(k0=k0, batch=batch, model=model, live=live, step_index=step_index,
+                  cells=live.batch_idx % batch * live.shape[1] + live.node_idx,
+                  entry_at=live.offsets[::batch])
     if bounds is not None:
         fields.update(lower=bounds.lower[live.node_idx], upper=bounds.upper[live.node_idx])
     if pert is None:
         fields.update(env=model.sample_env(live, rngs["channel"]), step=step_fn(step_index))
     else:
-        gamma = schedule.gamma(step_index)
+        beta, gamma = schedule.beta(step_index), schedule.gamma(step_index)
         phi = pert.sample(rngs["perturbation"], size=live.size)
         fields.update(
-            beta=schedule.beta(step_index), gamma=gamma, phi=phi,
+            beta=beta, gamma=gamma, phi=phi, beta_phi=beta * phi, gamma_phi=gamma * phi,
             env=model.sample_env(live, rngs["channel"]),
             noise=sample_obs_noise(sigma_eta, live.size, rngs["noise"], netcfg.noise),
-            q_r=netcfg.q_reception)
-        heard = sample_reception(live, netcfg.q_reception, rngs["reception"])
-        if heard is not None:
-            fields["heard"], fields["heard_at"] = _per_slot(heard, entry_at)
+            q_r=netcfg.q_reception,
+            heard=sample_reception(live, netcfg.q_reception, rngs["reception"]))
         if bounds is not None:
             fields["lo"], fields["hi"] = _shrunk_interval(bounds, live.node_idx,
                                                           pert.alpha_phi, gamma)
-    if model.pairwise_env:
-        fields["pairs"], fields["pair_at"] = _per_slot(live.pairs, entry_at)
     return SlotBlock(**fields)
 
 
 def learner_estimate(a: np.ndarray, block: SlotBlock,
                      slot: SlotView) -> tuple[np.ndarray, np.ndarray]:
-    """One slot's perturb -> act -> observe -> exchange for its live entries.
+    """The perturb -> act -> observe -> exchange step of a run of slots, for
+    its live entries.
 
     ``a`` holds the slot-start actions of ``slot.live``.  Returns the
     performed actions a + gamma~ * phi and the estimates f~.
     """
     e = slot.entries
-    a_hat = a + block.gamma[e] * block.phi[e]
+    a_hat = a + block.gamma_phi[e]
     u_tilde = block.model.local_utilities(a_hat, slot.live, slot.env) + block.noise[e]
     return a_hat, estimate_global_utility(u_tilde, slot.live, block.q_r, slot.heard)
 
 
-def _first(live: ActiveSet, bad: np.ndarray) -> tuple[int, int]:
-    """(replication, node) of the first flagged entry."""
+def _flagged(slot: SlotView, batch: int, bad: np.ndarray, what: str) -> tuple[int, str]:
+    """The slot of the first flagged entry of a run, and a message naming
+    that slot and the entry's (replication, node)."""
     j = int(np.flatnonzero(bad)[0])
-    return int(live.batch_idx[j]), int(live.node_idx[j])
+    s, rep = divmod(int(slot.live.batch_idx[j]), batch)
+    return slot.k + s, (f"slot {slot.k + s}: {what} at (replication, node) = "
+                        f"{(rep, int(slot.live.node_idx[j]))}")
 
 
 def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView,
               collect_trace: bool = False) -> tuple[np.ndarray, list[SlotUpdateRecord] | None]:
-    """The learner's step on one slot of ``block``, from slot-start actions ``a``.
+    """The learner's step on a run of slots of ``block``, from slot-start actions ``a``.
 
     Estimates (:func:`learner_estimate`), checks that every performed
     action lies in its bounds and every estimate is finite, and returns the
-    updated actions, clamped to the bounds, and the slot's update records
-    when ``collect_trace``.
+    updated actions, clamped to the bounds, and the run's update records
+    when ``collect_trace``.  A failed check names the run's earliest slot
+    with a flagged entry, as the slots run one by one would.
     """
     a_hat, f_tilde = learner_estimate(a, block, slot)
     e = slot.entries
     lower, upper = block.lower[e], block.upper[e]
     outside = (a_hat < lower) | (a_hat > upper)
-    if outside.any():
-        raise FeasibilityError(
-            f"slot {slot.k}: performed action left its interval at (replication, node) = "
-            f"{_first(slot.live, outside)}")
     finite = np.isfinite(f_tilde)
-    if not finite.all():
-        raise NumericError(
-            f"slot {slot.k}: non-finite utility estimate at (replication, node) = "
-            f"{_first(slot.live, ~finite)}")
-    beta, phi = block.beta[e], block.phi[e]
+    if outside.any() or not finite.all():
+        # the earliest flagged slot fails; within a slot the action check comes
+        # first, and min keeps the first of a tie
+        flags = [_flagged(slot, block.batch, bad, what) + (error,) for bad, what, error in (
+            (outside, "performed action left its interval", FeasibilityError),
+            (~finite, "non-finite utility estimate", NumericError)) if bad.any()]
+        _, message, error = min(flags, key=lambda flag: flag[0])
+        raise error(message)
     records = None
     if collect_trace:
-        records = [
-            SlotUpdateRecord(replication=b, k=slot.k, node=i, delta=1, ell=ell, a=x,
-                             a_hat=xh, f_tilde=f, beta=bt, gamma=gm, phi=p)
-            for b, i, ell, x, xh, f, bt, gm, p in zip(
-                slot.live.batch_idx.tolist(), slot.live.node_idx.tolist(),
-                block.step_index[e].tolist(), a.tolist(), a_hat.tolist(), f_tilde.tolist(),
-                beta.tolist(), block.gamma[e].tolist(), phi.tolist())
-        ]
-    return np.minimum(np.maximum(a + beta * phi * f_tilde, lower), upper), records
+        s, rep = np.divmod(slot.live.batch_idx, block.batch)
+        records = list(map(SlotUpdateRecord._make, zip(
+            rep.tolist(), (s + slot.k).tolist(), slot.live.node_idx.tolist(), repeat(1),
+            block.step_index[e].tolist(), a.tolist(), a_hat.tolist(), f_tilde.tolist(),
+            block.beta[e].tolist(), block.gamma[e].tolist(), block.phi[e].tolist())))
+    return np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, lower), upper), records
 
 
 def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """Reference baseline: live entries ascend the exact per-slot gradient.
+    """Reference baseline: live entries of a run of slots ascend the exact
+    per-slot gradient.
 
     The step sizes are the block's ``step`` (the beta sequence by default in
     the harness).  No perturbation is applied, so the projection is a plain
@@ -419,32 +447,61 @@ def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.n
     grad = block.model.global_gradient(a, slot.live, slot.env)
     finite = np.isfinite(grad)
     if not finite.all():
-        raise NumericError(
-            f"slot {slot.k}: non-finite gradient at (replication, node) = "
-            f"{_first(slot.live, ~finite)}")
+        raise NumericError(_flagged(slot, block.batch, ~finite, "non-finite gradient")[1])
     e = slot.entries
     return np.minimum(np.maximum(a + block.step[e] * grad, block.lower[e]), block.upper[e])
 
 
+def _waves(block: SlotBlock, record_at) -> list[int]:
+    """Slot boundaries of the waves of ``block``: the maximal runs of
+    consecutive slots in which no cell is live twice, with a new wave at
+    every slot in ``record_at``.
+
+    Slot s joins the open wave unless the latest earlier entry of one of its
+    cells lies in the wave.  One stable sort of the cells lists each cell's
+    entries in slot order, and so gives every entry that latest earlier
+    entry.
+    """
+    cells = block.cells
+    # 16-bit keys sort by radix
+    keys = cells.astype(np.uint16) if block.batch * block.live.shape[1] <= 1 << 16 else cells
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    again = np.flatnonzero(ranked[1:] == ranked[:-1])
+    previous = np.full(cells.size + 1, -1)  # -1 past the last entry keeps reduceat in range
+    previous[order[again + 1]] = order[again]
+    latest = np.maximum.reduceat(previous, block.entry_at[:-1]).tolist()  # junk if slot empty
+    entry_at = block.entry_at.tolist()
+    bounds = [0]
+    for s in range(1, block.slots):
+        if (latest[s] >= entry_at[bounds[-1]] and entry_at[s] < entry_at[s + 1]
+                or block.k0 + s in record_at):
+            bounds.append(s)
+    bounds.append(block.slots)
+    return bounds
+
+
 def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
-    """Run the state-dependent step of every slot of ``block`` on the raveled
+    """Run the state-dependent step of ``block`` wave by wave on the raveled
     actions ``acts``; see :func:`run_slots`."""
     learner = block.beta is not None
-    for s in range(block.slots):
-        slot = block.slot(s)
-        cells = block.cells[slot.entries]
+    for wave in block.runs(_waves(block, record_at)):
+        e = wave.entries
+        cells = block.cells[e]
         a = acts[cells]
         if learner:
-            a = np.minimum(np.maximum(a, block.lo[slot.entries]), block.hi[slot.entries])
-        if slot.k in record_at:
-            acts[cells] = a
-            yield slot.k, slot.live.counts
+            a = np.minimum(np.maximum(a, block.lo[e]), block.hi[e])
+        if wave.k in record_at:
+            # the record slot opens its wave: only its own entries are projected yet
+            own = int(wave.live.offsets[block.batch])
+            acts[cells[:own]] = a[:own]
+            yield wave.k, wave.live.counts[:block.batch]
         if learner:
-            acts[cells], records = dosp_slot(a, block, slot, collect_trace=traces is not None)
+            acts[cells], records = dosp_slot(a, block, wave, collect_trace=traces is not None)
             if records:
                 traces.extend(records)
         else:
-            acts[cells] = ideal_gradient_slot(a, block, slot)
+            acts[cells] = ideal_gradient_slot(a, block, wave)
 
 
 def run_slots(

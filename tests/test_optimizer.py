@@ -370,6 +370,40 @@ class TestGuards:
         with pytest.raises(FeasibilityError, match=rf"^slot 6: .* = \({first[0]}, {first[1]}\)$"):
             dosp_slot(a, block, slot)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_non_finite_utility_inside_a_wave(self, batch):
+        # sparse activity: most waves hold several slots, and the NaN goes to
+        # the first entry of a wave that is not in the wave's first slot
+        net = NetworkConfig(20, 0.05, 1.0)
+        schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
+        pert = PerturbationSpec.rademacher()
+        bounds = ActionBounds.uniform(20, -5.0, 5.0)
+
+        class Faulty(QuadraticModel):
+            slots_run = 0  # slots of the waves before this call
+            planted = None  # (slot, replication, node) of the NaN
+
+            def local_utilities(self, a_hat, live, env):
+                u = super().local_utilities(a_hat, live, env)
+                later = np.flatnonzero(live.batch_idx >= batch)
+                if self.planted is None and later.size:
+                    j = later[0]
+                    u[j] = np.nan
+                    s, rep = divmod(int(live.batch_idx[j]), batch)
+                    self.planted = (self.slots_run + 1 + s, rep, int(live.node_idx[j]))
+                self.slots_run += live.shape[0] // batch
+                return u
+
+        model = Faulty(np.zeros(20))
+        rngs = role_streams(8)
+        states = initialize_states(bounds, schedule, pert, net, batch, rngs)
+        with pytest.raises(NumericError) as failure:
+            list(run_slots(states, 200, model, net, bounds, rngs, schedule=schedule, pert=pert))
+        k, rep, node = model.planted
+        assert k > 1
+        assert str(failure.value) == (f"slot {k}: non-finite utility estimate at "
+                                      f"(replication, node) = ({rep}, {node})")
+
 
 class TestConvergence:
     @pytest.mark.parametrize("index_mode", ["sampled", "counted"])

@@ -1,26 +1,32 @@
 """Property tests of the slot engine over small random configurations:
-performed actions stay in the box, reruns are byte-identical, Poisson
-activity comes out as a well-formed live-entry list, and configs round-trip
-through dicts and YAML bit for bit."""
+performed actions stay in the box, reruns are byte-identical, waves of slots
+give the same bytes as slots run one by one, the estimate f~ is unbiased,
+Poisson activity comes out as a well-formed live-entry list, and configs
+round-trip through dicts and YAML bit for bit."""
 
 import filecmp
 import json
 import os
 import tempfile
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from dosp import optimizer
+from dosp.estimator import estimate_global_utility, sample_reception
 from dosp.harness import ExperimentConfig, emit_outputs, run_experiment
-from dosp.network import sample_activity
+from dosp.network import ActiveSet, sample_activity
 
 BOUND = 2.0
 
 
 @st.composite
-def small_configs(draw):
-    n = draw(st.integers(2, 6))
+def small_configs(draw, n_nodes=st.integers(2, 6), q_activity=st.floats(0.1, 1.0),
+                  horizon=st.just(60), metrics_stride=st.just(20),
+                  algorithm=st.just("dosp_s")):
+    n = draw(n_nodes)
     kind = draw(st.sampled_from(["quadratic", "power"]))
     pert = draw(st.sampled_from([
         {"kind": "rademacher", "scale": 1.0},
@@ -30,7 +36,7 @@ def small_configs(draw):
         "model": {"kind": kind},
         "network": {
             "n_nodes": n,
-            "q_activity": draw(st.floats(0.1, 1.0)),
+            "q_activity": draw(q_activity),
             "q_reception": draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
             "activity": draw(st.sampled_from(["binomial", "poisson"])),
             "noise": draw(st.sampled_from(["gaussian", "uniform"])),
@@ -40,13 +46,14 @@ def small_configs(draw):
         "perturbation": pert,
         "bounds": {"lower": -BOUND, "upper": BOUND},
         "run": {
-            "horizon": 60,
+            "horizon": draw(horizon),
             "replications": draw(st.integers(1, 3)),
             "seed": draw(st.integers(0, 2**31 - 1)),
-            "metrics_stride": 20,
+            "metrics_stride": draw(metrics_stride),
             "f_mc_samples": 20 if kind == "power" else 0,
             "sigma_eta": 0.5,
             "index_mode": draw(st.sampled_from(["sampled", "counted"])),
+            "algorithm": draw(algorithm),
         },
     })
 
@@ -63,6 +70,82 @@ def test_actions_feasible_and_reruns_byte_identical(cfg):
         assert [os.path.basename(p) for p in first] == [os.path.basename(p) for p in second]
         for a, b in zip(first, second):
             assert filecmp.cmp(a, b, shallow=False), os.path.basename(a)
+
+
+def _outputs(cfg, out_dir):
+    ds = run_experiment(cfg, trace=True)
+    files = {os.path.basename(p): open(p, "rb").read() for p in emit_outputs(ds, out_dir)}
+    return ds.final_actions, files
+
+
+def _one_slot_waves(block, record_at):
+    return list(range(block.slots + 1))
+
+
+# sparse activity and short record strides: long waves, cut by record slots
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_configs(n_nodes=st.integers(3, 12), q_activity=st.floats(0.02, 0.3),
+                     horizon=st.integers(20, 90), metrics_stride=st.integers(2, 9),
+                     algorithm=st.sampled_from(["dosp_s", "ideal_gradient"])))
+def test_waves_match_slots_run_one_by_one(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [_outputs(cfg, os.path.join(tmp, "waves"))]
+        # the same blocks, each slot its own run
+        with mock.patch.object(optimizer, "_waves", _one_slot_waves):
+            runs.append(_outputs(cfg, os.path.join(tmp, "one-slot-waves")))
+        if cfg.network.activity == "binomial":
+            # blocks of one slot draw the same activity as any blocks
+            with mock.patch.object(optimizer, "block_slots", lambda *args: 1):
+                runs.append(_outputs(cfg, os.path.join(tmp, "one-slot-blocks")))
+    actions, files = runs[0]
+    for other_actions, other_files in runs[1:]:
+        np.testing.assert_array_equal(other_actions, actions)
+        assert other_files == files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(slots=st.integers(1, 40), batch=st.integers(1, 3), n=st.integers(1, 8),
+       q=st.floats(0.0, 0.6), first=st.integers(1, 30), stride=st.integers(1, 12),
+       spread=st.sampled_from([1, 2**14]), seed=st.integers(0, 2**32 - 1))
+def test_waves_are_the_greedy_runs_of_disjoint_slots(slots, batch, n, q, first, stride,
+                                                      spread, seed):
+    # spread 2**14 leaves the node labels sparse in N = n * spread, so that
+    # B * N mostly exceeds 16 bits, and cells 4 * 2**14 apart agree in their
+    # low 16 bits
+    mask = np.random.default_rng(seed).random((slots * batch, n)) < q
+    dense = ActiveSet.from_mask(mask)
+    live = ActiveSet((slots * batch, n * spread), dense.batch_idx, dense.node_idx * spread,
+                     dense.offsets)
+    cells = live.batch_idx % batch * live.shape[1] + live.node_idx
+    block = SimpleNamespace(k0=first, batch=batch, live=live, slots=slots, cells=cells,
+                            entry_at=live.offsets[::batch])
+    record_at = set(range(stride, first + slots, stride))
+    # the greedy cut that keeps each wave's cells distinct, on sets
+    bounds, seen = [0], set()
+    for s in range(slots):
+        own = set(cells[block.entry_at[s]:block.entry_at[s + 1]].tolist())
+        if s and (own & seen or first + s in record_at):
+            bounds.append(s)
+            seen = set()
+        seen |= own
+    bounds.append(slots)
+    assert optimizer._waves(block, record_at) == bounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       q_r=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_estimate_is_unbiased_over_reception_draws(u, q_r, seed):
+    # one row of live nodes with fixed observations u, redrawn reception
+    trials, n = 4000, len(u)
+    u = np.array(u)
+    rows = ActiveSet.from_mask(np.ones((trials, n), dtype=bool))
+    heard = sample_reception(rows, q_r, np.random.default_rng(seed))
+    f = estimate_global_utility(np.tile(u, trials), rows, q_r, heard).reshape(trials, n)
+    mean = f.mean(axis=0)
+    stderr = f.std(axis=0, ddof=1) / np.sqrt(trials)
+    total = u.sum()
+    assert np.all(np.abs(mean - total) <= 4 * stderr + 1e-9 * (1 + np.abs(u).sum()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
