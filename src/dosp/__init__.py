@@ -18,7 +18,6 @@ from .estimator import estimate_global_utility, mc_check_unbiasedness, sample_re
 from .optimizer import (
     NodeStates,
     SlotBlock,
-    SlotUpdateRecord,
     dosp_slot,
     ideal_gradient_slot,
     initialize_states,

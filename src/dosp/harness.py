@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -30,12 +31,13 @@ from .core import (
 )
 from .network import ChannelSpec, NetworkConfig, sample_activity
 from .objectives import ObjectiveModel, PowerControlModel, QuadraticModel
-from .optimizer import INDEX_MODES, SlotUpdateRecord, initialize_states, run_slots
+from .optimizer import INDEX_MODES, TRACE_COLUMNS, initialize_states, run_slots
 from . import chart
 
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
-TRACE_COLUMNS = ("k", "node", "delta", "ell", "a", "a_hat", "f_tilde", "beta",
-                 "gamma", "phi")
+# a replication's trace file: the trace columns after replication, and delta = 1
+TRACE_HEADER = (*TRACE_COLUMNS[1:3], "delta", *TRACE_COLUMNS[3:])
+_TRACE_CHUNK = 4096  # rows converted to Python objects at once while writing
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
                   "envelope_th3_b", "envelope_th4", "w_bound", "omega", "status")
 
@@ -75,6 +77,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.algorithm not in ("dosp_s", "ideal_gradient"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if isinstance(self.baseline_step, str):
@@ -145,6 +149,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _check_numbers(d)
         try:
             model = dict(d["model"])
             kind = model.pop("kind")
@@ -182,6 +187,22 @@ class ExperimentConfig:
         if not isinstance(other, ExperimentConfig):
             return NotImplemented
         return self.to_dict() == other.to_dict()
+
+
+def _check_numbers(tree, path: str = "") -> None:
+    """Reject a bool or a non-finite float anywhere in a config mapping: no
+    config field is a flag, so a bool is a mistyped number, and every number
+    must be finite."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            _check_numbers(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            _check_numbers(value, f"{path}[{i}]")
+    elif isinstance(tree, bool):
+        raise ConfigError(f"{path} must not be a bool, got {tree}")
+    elif isinstance(tree, float) and not math.isfinite(tree):
+        raise ConfigError(f"{path} must be finite, got {tree}")
 
 
 def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
@@ -247,7 +268,7 @@ class TrajectoryDataset:
     a_star: np.ndarray | None
     final_actions: np.ndarray  # (R, N)
     actions: np.ndarray | None = None  # (R, T, N) snapshots, if requested
-    traces: list[SlotUpdateRecord] | None = None
+    traces: dict[str, np.ndarray] | None = None  # learner's trace, by optimizer.TRACE_COLUMNS
 
     @property
     def D(self) -> np.ndarray | None:
@@ -340,7 +361,7 @@ def run_experiment(
     f_hat = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
     f_stderr = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
     snapshots = np.zeros((reps, n_rec, cfg.network.n_nodes)) if keep_actions else None
-    traces: list[SlotUpdateRecord] | None = [] if trace else None
+    traces: dict[str, np.ndarray] | None = {} if trace else None
     if cfg.algorithm == "dosp_s":
         algorithm = dict(schedule=cfg.schedule, pert=cfg.perturbation,
                          sigma_eta=cfg.sigma_eta, traces=traces)
@@ -531,18 +552,19 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
                                  _fmt(err[j]) if err is not None else ""])
         written.append(mean_path)
 
-    if dataset.traces is not None:
-        by_rep: dict[int, list[SlotUpdateRecord]] = {}
-        for rec in dataset.traces:
-            by_rep.setdefault(rec.replication, []).append(rec)
-        for r, recs in sorted(by_rep.items()):
+    if dataset.traces:
+        reps = dataset.traces["replication"]
+        columns = [dataset.traces[name] for name in TRACE_COLUMNS[1:]]
+        for r in np.unique(reps).tolist():  # the replications with a live entry
+            rows = np.flatnonzero(reps == r)  # in slot order
             path = os.path.join(out_dir, f"trace_rep{r:03d}.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(TRACE_COLUMNS)
-                for _, k, node, delta, ell, a, a_hat, f_tilde, beta, gamma, phi in recs:
-                    writer.writerow([k, node, delta, ell, _fmt(a), _fmt(a_hat), _fmt(f_tilde),
-                                     _fmt(beta), _fmt(gamma), _fmt(phi)])
+                writer.writerow(TRACE_HEADER)
+                for lo in range(0, rows.size, _TRACE_CHUNK):
+                    # ints print as ints, floats by repr, as _fmt does
+                    k, node, *rest = (c[rows[lo:lo + _TRACE_CHUNK]].tolist() for c in columns)
+                    writer.writerows(zip(k, node, repeat(1), *rest))
             written.append(path)
 
     if svg:

@@ -14,31 +14,17 @@ order, and callers scatter or sum by row or node where they need to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ActionBounds, ConfigError
 from .network import ActiveSet, ChannelSpec, NetworkConfig, sample_activity
 
 
-@dataclass
-class FlatChannel:
-    """Channel gains drawn only for the ordered pairs of live entries
-    (``live.pairs``), so a whole batch of slots is evaluated with a handful
-    of array ops, regardless of how sparse the activity is."""
-
-    live: ActiveSet
-    tx_flat: np.ndarray  # (P,) transmitter, as index into the live list
-    rx_flat: np.ndarray  # (P,) receiver, as index into the live list
-    gains: np.ndarray  # (P,) power gains s_{tx -> rx}
-
-
 class ObjectiveModel:
     """Shared behaviour for pluggable objective models."""
 
     n_nodes: int
-    pairwise_env = False  # sample_env draws per live pair, not per live entry
+    pairwise_env = False  # env holds one value per pair of live.pairs, not per live entry
 
     @property
     def optimum_hint(self):
@@ -47,11 +33,6 @@ class ObjectiveModel:
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator):
         raise NotImplementedError
-
-    def env_rows(self, env, live: ActiveSet, entries: slice, pairs: slice):
-        """The part of a batch's ``env`` that belongs to ``live``, a run of
-        the batch's rows holding its entries ``entries`` and pairs ``pairs``."""
-        return env[entries]
 
     def local_utilities(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
         raise NotImplementedError
@@ -68,7 +49,8 @@ class PowerControlModel(ObjectiveModel):
         u_i = omega1 * log(s_ii * e^{a_i} / (sigma^2 + sum_{j != i} delta_j s_ji e^{a_j}))
               - omega2 * e^{a_i},
 
-    and u_i = 0 whenever the node is inactive.
+    and u_i = 0 whenever the node is inactive.  The environment is the gains
+    s_{tx -> rx} of the ordered pairs of ``live.pairs``: live entries only.
     """
 
     pairwise_env = True
@@ -82,16 +64,13 @@ class PowerControlModel(ObjectiveModel):
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
 
-    def env_rows(self, env: FlatChannel, live, entries, pairs) -> FlatChannel:
-        # ``live.pairs`` index live's own entries: the batch's pairs renumbered
-        return FlatChannel(live, *live.pairs, env.gains[pairs])
-
-    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> FlatChannel:
-        tx_flat, rx_flat = live.pairs
-        diag = tx_flat == rx_flat
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> np.ndarray:
+        """Power gains of the pairs of ``live.pairs``, in their order."""
+        tx, rx = live.pairs
+        diag = tx == rx
         var = np.where(diag, self.channel.var_direct, self.channel.var_cross)
         if self.channel.fading == "real_gaussian":
-            h = rng.standard_normal(tx_flat.size)
+            h = rng.standard_normal(tx.size)
             gains = var * h * h
         else:
             gains = rng.exponential(var)
@@ -102,39 +81,38 @@ class PowerControlModel(ObjectiveModel):
                 break
             h = rng.standard_normal(zero.size)
             gains[zero] = var[zero] * h * h
-        return FlatChannel(live=live, tx_flat=tx_flat, rx_flat=rx_flat, gains=gains)
+        return gains
 
-    def _interference(self, env: FlatChannel, power: np.ndarray) -> np.ndarray:
+    def _interference(self, live, gains, power) -> np.ndarray:
         """sigma^2 plus received cross power at every live entry."""
-        offdiag = env.tx_flat != env.rx_flat
-        cross = np.bincount(
-            env.rx_flat[offdiag],
-            weights=env.gains[offdiag] * power[env.tx_flat[offdiag]],
-            minlength=env.live.size,
-        )
+        tx, rx = live.pairs
+        offdiag = tx != rx
+        cross = np.bincount(rx[offdiag], weights=gains[offdiag] * power[tx[offdiag]],
+                            minlength=live.size)
         return self.channel.noise_floor + cross
 
-    def local_utilities(self, a_hat, live, env: FlatChannel):
+    def local_utilities(self, a_hat, live, env):
+        tx, rx = live.pairs
         power = np.exp(a_hat)
-        interf = self._interference(env, power)
-        s_direct = env.gains[env.tx_flat == env.rx_flat]
+        interf = self._interference(live, env, power)
+        s_direct = env[tx == rx]
         return self.omega1 * (np.log(s_direct) + a_hat - np.log(interf)) - self.omega2 * power
 
-    def _leakage(self, env: FlatChannel, power: np.ndarray):
+    def _leakage(self, live, gains, power):
         """Per-pair w = s_kn / I_n (0 on the diagonal) and its sum over receivers n."""
-        interf = self._interference(env, power)
-        offdiag = env.tx_flat != env.rx_flat
-        w = np.where(offdiag, env.gains / interf[env.rx_flat], 0.0)
-        leak = np.bincount(env.tx_flat, weights=w, minlength=env.live.size)
+        tx, rx = live.pairs
+        interf = self._interference(live, gains, power)
+        w = np.where(tx != rx, gains / interf[rx], 0.0)
+        leak = np.bincount(tx, weights=w, minlength=live.size)
         return w, leak
 
-    def global_gradient(self, a_hat, live, env: FlatChannel):
+    def global_gradient(self, a_hat, live, env):
         power = np.exp(a_hat)
-        _, leak = self._leakage(env, power)
+        _, leak = self._leakage(live, env, power)
         return self.omega1 - self.omega2 * power - self.omega1 * power * leak
 
-    def global_hessian(self, a_hat, live, env: FlatChannel) -> np.ndarray:
-        """d^2 U / (da_tx da_rx) of the summed utilities for every pair of ``env``.
+    def global_hessian(self, a_hat, live, env) -> np.ndarray:
+        """d^2 U / (da_tx da_rx) of the summed utilities for every pair in ``live.pairs``.
 
         Off the diagonal this is omega1 p_k p_m sum_n w_kn w_mn over the row's
         live n; the diagonal adds -omega2 p_k - omega1 p_k leak_k.  The sum
@@ -142,19 +120,20 @@ class PowerControlModel(ObjectiveModel):
         to the busiest row: B * max(n_b)^2 memory, where listing every
         (k, m, n) triple would take sum(n_b^3).
         """
+        tx, rx = live.pairs
         power = np.exp(a_hat)
-        w, leak = self._leakage(env, power)
-        pair_b = live.batch_idx[env.tx_flat]
-        k = env.tx_flat - live.offsets[pair_b]
-        m = env.rx_flat - live.offsets[pair_b]
+        w, leak = self._leakage(live, env, power)
+        pair_b = live.batch_idx[tx]
+        k = tx - live.offsets[pair_b]
+        m = rx - live.offsets[pair_b]
         width = int(live.counts.max(initial=0))
         block = np.zeros((live.shape[0], width, width))
         block[pair_b, k, m] = w
         wwt = np.matmul(block, block.transpose(0, 2, 1))[pair_b, k, m]
-        p_tx, p_rx = power[env.tx_flat], power[env.rx_flat]
+        p_tx, p_rx = power[tx], power[rx]
         h = self.omega1 * p_tx * p_rx * wwt
-        diag = env.tx_flat == env.rx_flat
-        h[diag] -= (self.omega2 + self.omega1 * leak[env.tx_flat[diag]]) * p_tx[diag]
+        diag = tx == rx
+        h[diag] -= (self.omega2 + self.omega1 * leak[tx[diag]]) * p_tx[diag]
         return h
 
     def estimate_lipschitz(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -74,22 +73,6 @@ class NodeStates:
     step_index: np.ndarray  # (A,) int
     index_mode: str = "sampled"
     activations: np.ndarray | None = None  # (B, N) int, counted mode only
-
-
-class SlotUpdateRecord(NamedTuple):
-    """One active node's update, for trace output."""
-
-    replication: int
-    k: int
-    node: int
-    delta: int
-    ell: int
-    a: float
-    a_hat: float
-    f_tilde: float
-    beta: float
-    gamma: float
-    phi: float
 
 
 def validate_schedule_fits_bounds(schedule: StepSizeSchedule, pert: PerturbationSpec,
@@ -239,7 +222,7 @@ class SlotView(NamedTuple):
     k: int
     live: ActiveSet
     entries: slice
-    env: object
+    env: np.ndarray
     heard: tuple[np.ndarray, np.ndarray] | None
 
 
@@ -250,10 +233,10 @@ class SlotBlock:
     Row s * B + b of ``live`` is replication b at slot k0 + s, so each
     slot's entries are the contiguous run ``entry_at[s]:entry_at[s + 1]``,
     and so are those of a run of consecutive slots.  Per-entry arrays follow
-    ``live``; ``env`` is ``model``'s environment of ``live``, and the
-    arrived reception pairs ``heard`` number the block's entries, sorted by
-    receiver.  :meth:`runs` cuts the block into runs of slots, each with its
-    own view.  A baseline block has ``step`` and no learner fields;
+    ``live``; ``env`` is ``model``'s environment of ``live``, one value per
+    pair of ``live.pairs`` or per entry, and the arrived reception pairs
+    ``heard`` number the block's entries, sorted by receiver.  :meth:`runs`
+    cuts the block into runs of slots, each with its own view.  A baseline block has ``step`` and no learner fields;
     ``lo``/``hi`` (projection interval) and ``lower``/``upper`` (bounds) are
     set when bounds are given.
     """
@@ -265,7 +248,7 @@ class SlotBlock:
     step_index: np.ndarray
     cells: np.ndarray  # rep * N + node: the entry's cell of the raveled (B, N) actions
     entry_at: np.ndarray  # (S + 1,) first entry of each slot
-    env: object
+    env: np.ndarray  # per live pair (model.pairwise_env) or per live entry
     step: np.ndarray | None = None  # baseline step size
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
@@ -309,7 +292,7 @@ class SlotBlock:
             view = ActiveSet(((s1 - s0) * b, live.shape[1]), rows[e0:e1], live.node_idx[e0:e1],
                              live.offsets[s0 * b:s1 * b + 1] - e0)
             entries = slice(e0, e1)
-            pairs = heard = None
+            heard = None
             if pairwise:
                 pairs = slice(pair_at[w], pair_at[w + 1])
                 view.pairs = (pair_i[pairs], pair_j[pairs])
@@ -317,7 +300,7 @@ class SlotBlock:
                 h = slice(heard_at[w], heard_at[w + 1])
                 heard = (receiver[h], sender[h])
             yield SlotView(self.k0 + s0, view, entries,
-                           self.model.env_rows(self.env, view, entries, pairs), heard)
+                           self.env[pairs if pairwise else entries], heard)
 
     def slot(self, s: int) -> SlotView:
         """The block's slot k0 + s, as a run of one slot."""
@@ -404,12 +387,12 @@ def _flagged(slot: SlotView, batch: int, bad: np.ndarray, what: str) -> tuple[in
 
 
 def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView,
-              collect_trace: bool = False) -> tuple[np.ndarray, list[SlotUpdateRecord] | None]:
+              collect_trace: bool = False) -> tuple[np.ndarray, list[float] | None]:
     """The learner's step on a run of slots of ``block``, from slot-start actions ``a``.
 
     Estimates (:func:`learner_estimate`), checks that every performed
     action lies in its bounds and every estimate is finite, and returns the
-    updated actions, clamped to the bounds, and the run's update records
+    updated actions, clamped to the bounds, and the estimates f~ as a list
     when ``collect_trace``.  A failed check names the run's earliest slot
     with a flagged entry, as the slots run one by one would.
     """
@@ -426,14 +409,8 @@ def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView,
             (~finite, "non-finite utility estimate", NumericError)) if bad.any()]
         _, message, error = min(flags, key=lambda flag: flag[0])
         raise error(message)
-    records = None
-    if collect_trace:
-        s, rep = np.divmod(slot.live.batch_idx, block.batch)
-        records = list(map(SlotUpdateRecord._make, zip(
-            rep.tolist(), (s + slot.k).tolist(), slot.live.node_idx.tolist(), repeat(1),
-            block.step_index[e].tolist(), a.tolist(), a_hat.tolist(), f_tilde.tolist(),
-            block.beta[e].tolist(), block.gamma[e].tolist(), block.phi[e].tolist())))
-    return np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, lower), upper), records
+    new = np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, lower), upper)
+    return new, f_tilde.tolist() if collect_trace else None
 
 
 def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
@@ -481,10 +458,22 @@ def _waves(block: SlotBlock, record_at) -> list[int]:
     return bounds
 
 
+# The learner's trace: one row per live entry of every slot, in slot,
+# replication and node order.  Every column but the slot-start action a and
+# the estimate f~ is one of the block's own arrays; a_hat = a + gamma~ * phi is
+# the step's own sum.  delta is 1 on every row, so it is not stored.
+TRACE_COLUMNS = ("replication", "k", "node", "ell", "a", "a_hat", "f_tilde", "beta",
+                 "gamma", "phi")
+
+
 def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
     """Run the state-dependent step of ``block`` wave by wave on the raveled
-    actions ``acts``; see :func:`run_slots`."""
+    actions ``acts``, and append the block's trace columns to ``traces`` when
+    it is a list; see :func:`run_slots`."""
     learner = block.beta is not None
+    traced = traces is not None
+    if traced:
+        start, f_tilde = np.empty(block.live.size), np.empty(block.live.size)
     for wave in block.runs(_waves(block, record_at)):
         e = wave.entries
         cells = block.cells[e]
@@ -497,11 +486,15 @@ def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
             acts[cells[:own]] = a[:own]
             yield wave.k, wave.live.counts[:block.batch]
         if learner:
-            acts[cells], records = dosp_slot(a, block, wave, collect_trace=traces is not None)
-            if records:
-                traces.extend(records)
+            acts[cells], estimates = dosp_slot(a, block, wave, collect_trace=traced)
+            if traced:
+                start[e], f_tilde[e] = a, estimates
         else:
             acts[cells] = ideal_gradient_slot(a, block, wave)
+    if traced:
+        s, rep = np.divmod(block.live.batch_idx, block.batch)
+        traces.append((rep, block.k0 + s, block.live.node_idx, block.step_index, start,
+                       start + block.gamma_phi, f_tilde, block.beta, block.gamma, block.phi))
 
 
 def run_slots(
@@ -517,7 +510,7 @@ def run_slots(
     pert: PerturbationSpec | None = None,
     sigma_eta: float = 0.0,
     step_fn=None,
-    traces: list[SlotUpdateRecord] | None = None,
+    traces: dict[str, np.ndarray] | None = None,
 ):
     """Advance ``states`` through slots 1 .. ``horizon`` in slot blocks.
 
@@ -528,12 +521,14 @@ def run_slots(
     baseline with step sizes ``step_fn`` otherwise.  The learner projects a
     slot's live entries onto their shrunk interval at the start of the slot,
     and after the last slot those of the next one.  ``traces``, when a
-    list, collects the learner's update records.
+    dict, receives the learner's trace once the last slot has run: one array
+    per :data:`TRACE_COLUMNS` name.
     """
     batch = states.actions.shape[0]
     states.actions = np.ascontiguousarray(states.actions)
     acts = states.actions.reshape(-1)
     learner = pert is not None
+    blocks = [] if learner and traces is not None else None
     size = block_slots(netcfg, batch, model.pairwise_env or (learner and netcfg.q_reception < 1))
     k0 = 1
     while k0 <= horizon:
@@ -543,10 +538,12 @@ def run_slots(
             slot_block(*_advance(states, k0, slots, netcfg, rngs), batch, model, netcfg, rngs,
                        bounds, k0=k0, schedule=schedule, pert=pert, sigma_eta=sigma_eta,
                        step_fn=step_fn),
-            acts, record_at, traces)
+            acts, record_at, blocks)
         k0 += slots
     if learner:
         nxt = states.live
         entries = (nxt.batch_idx, nxt.node_idx)
         states.actions[entries] = project(states.actions[entries], nxt.node_idx, bounds,
                                           pert.alpha_phi, schedule.gamma(states.step_index))
+    if blocks:
+        traces.update(zip(TRACE_COLUMNS, map(np.concatenate, zip(*blocks))))

@@ -119,7 +119,7 @@ def test_criterion_04_feasibility_invariant():
                            bound=2.05, horizon=4000, replications=3, seed=404,
                            metrics_stride=1000, sigma_eta=1.0)
     ds = run_experiment(cfg, trace=True)
-    performed = np.array([rec.a_hat for rec in ds.traces])
+    performed = ds.traces["a_hat"]
     in_bounds = performed.min() >= -2.05 and performed.max() <= 2.05
     # the engine must hard-fail if a state were ever pushed outside: the
     # learner's step on slot-start action 2.7 performs 2.7 +- gamma(1) =

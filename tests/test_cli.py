@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import os
 
 import pytest
@@ -75,6 +76,26 @@ def test_bad_run_value_is_config_error(tmp_path, capsys, key, value):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "seed", -1),
+    ("run", "replications", True),
+    ("run", "baseline_step", math.inf),
+    ("schedule", "beta0", math.inf),
+    ("bounds", "upper", math.inf),
+    ("model", "targets", [math.nan] * 5),
+])
+def test_negative_seed_bool_or_non_finite_is_config_error(tmp_path, capsys, section, key,
+                                                          value):
+    d = _small_cfg().to_dict()
+    d[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,6 +18,7 @@ from dosp.harness import (
     save_optimum,
     solve_optimum,
 )
+from dosp import optimizer
 from dosp.optimizer import initialize_states
 
 from conftest import power_config, quadratic_config
@@ -155,6 +157,74 @@ class TestOutputs:
             rows = list(csv.DictReader(fh))
         assert rows and set(rows[0]) == {"k", "node", "delta", "ell", "a",
                                          "a_hat", "f_tilde", "beta", "gamma", "phi"}
+
+
+def _trace_files(paths) -> dict[str, list[dict]]:
+    """The rows of every trace file among ``paths``, by file name."""
+    files = {}
+    for path in paths:
+        if "trace_rep" in path:
+            with open(path, newline="") as fh:
+                files[os.path.basename(path)] = list(csv.DictReader(fh))
+    return files
+
+
+class TestTraceFiles:
+    def test_only_replications_with_a_live_entry_get_a_file(self, tmp_path):
+        # every slot is recorded, so n_active counts every live entry
+        cfg = quadratic_config(n_nodes=4, q_activity=0.01, horizon=20, replications=20,
+                               seed=3, metrics_stride=1)
+        ds = run_experiment(cfg, trace=True)
+        live = ds.n_active.sum(axis=1)
+        assert 0 < np.count_nonzero(live) < cfg.replications
+        files = _trace_files(emit_outputs(ds, tmp_path))
+        assert set(files) == {f"trace_rep{r:03d}.csv" for r in np.flatnonzero(live)}
+        for r in np.flatnonzero(live):
+            assert len(files[f"trace_rep{r:03d}.csv"]) == live[r]
+
+    def test_rows_run_in_slot_and_node_order_with_delta_one(self, tmp_path):
+        cfg = power_config(n_nodes=6, q_activity=0.4, horizon=90, replications=3, seed=5,
+                           metrics_stride=7)
+        files = _trace_files(emit_outputs(run_experiment(cfg, trace=True), tmp_path))
+        assert len(files) == 3
+        for rows in files.values():
+            keys = [(int(row["k"]), int(row["node"])) for row in rows]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            assert {row["delta"] for row in rows} == {"1"}
+
+    def test_ideal_gradient_writes_no_trace(self, tmp_path):
+        cfg = power_config(n_nodes=6, q_activity=0.4, horizon=30, replications=2, seed=5,
+                           metrics_stride=10, algorithm="ideal_gradient")
+        paths = emit_outputs(run_experiment(cfg, trace=True), tmp_path)
+        assert not _trace_files(paths)
+        assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
+
+    @pytest.mark.parametrize("cfg", [
+        quadratic_config(n_nodes=8, q_activity=0.2, q_reception=0.5, horizon=150,
+                         replications=2, seed=6, metrics_stride=40),
+        power_config(n_nodes=10, q_activity=0.1, horizon=300, replications=1, seed=7,
+                     metrics_stride=50),
+    ], ids=["quadratic-B2", "power-B1"])
+    def test_step_results_count_the_rows_written(self, cfg, tmp_path, monkeypatch):
+        """perfbench/tracer.py::_count_trace_records counts trace rows from
+        ``dosp_slot``'s second result: it truth-tests the value and takes its
+        len(), so the result must be None or a list with one item per live
+        entry of the wave; an array there would stop every traced benchmark
+        run."""
+        seen = []
+        step = optimizer.dosp_slot
+
+        def counted(a, block, slot, *args, **kwargs):
+            new, estimates = step(a, block, slot, *args, **kwargs)
+            assert estimates is None or (type(estimates) is list
+                                         and len(estimates) == slot.live.size)
+            seen.append(len(estimates) if estimates else 0)
+            return new, estimates
+
+        monkeypatch.setattr(optimizer, "dosp_slot", counted)
+        files = _trace_files(emit_outputs(run_experiment(cfg, trace=True), tmp_path))
+        assert len(seen) > 1
+        assert sum(seen) == sum(len(rows) for rows in files.values()) > 0
 
 
 class TestSlopeFit:

@@ -166,27 +166,28 @@ class TestChannel:
     @staticmethod
     def _gains(spec, n_nodes, rows, rng):
         live = ActiveSet.from_mask(np.ones((rows, n_nodes), bool))
-        env = PowerControlModel(n_nodes, spec).sample_env(live, rng)
-        direct = env.tx_flat == env.rx_flat
-        return env, env.gains[direct], env.gains[~direct]
+        gains = PowerControlModel(n_nodes, spec).sample_env(live, rng)  # in live.pairs order
+        direct = live.pairs[0] == live.pairs[1]
+        return live, gains, gains[direct], gains[~direct]
 
     def test_direct_and_cross_means(self):
         spec = ChannelSpec(var_direct=1.0, var_cross=0.1, noise_floor=0.2)
-        env, diag, off = self._gains(spec, 12, 4000, _gen(10))
+        _, gains, diag, off = self._gains(spec, 12, 4000, _gen(10))
         # E|h|^2 equals the amplitude variance for a zero-mean channel
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
         assert abs(off.mean() - 0.1) <= 3 * off.std() / np.sqrt(off.size)
-        assert np.all(env.gains >= 0)
+        assert np.all(gains >= 0)
 
     def test_complex_gaussian_variant(self):
         spec = ChannelSpec(fading="complex_gaussian")
-        _, diag, _ = self._gains(spec, 8, 4000, _gen(11))
+        _, _, diag, _ = self._gains(spec, 8, 4000, _gen(11))
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
 
     def test_slots_are_independent(self):
-        env, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
-        link = (env.live.node_idx[env.tx_flat] == 0) & (env.live.node_idx[env.rx_flat] == 1)
-        draws = env.gains[link]  # the 0 -> 1 gain of every slot, in slot order
+        live, gains, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
+        tx, rx = live.pairs
+        link = (live.node_idx[tx] == 0) & (live.node_idx[rx] == 1)
+        draws = gains[link]  # the 0 -> 1 gain of every slot, in slot order
         x = draws[:-1] - draws[:-1].mean()
         y = draws[1:] - draws[1:].mean()
         corr = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))

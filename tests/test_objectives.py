@@ -33,12 +33,12 @@ def _dense(m, method, a, live, env):
     return scatter(live, getattr(m, method)(a[live.batch_idx, live.node_idx], live, env))
 
 
-def _pair_matrix(env, values, row):
-    """Scatter one row's per-pair values into an (N, N) matrix."""
-    live = env.live
-    sel = live.batch_idx[env.tx_flat] == row
+def _pair_matrix(live, values, row):
+    """Scatter one row's per-pair values (``live.pairs`` order) into an (N, N) matrix."""
+    tx, rx = live.pairs
+    sel = live.batch_idx[tx] == row
     out = np.zeros((live.shape[1], live.shape[1]))
-    out[live.node_idx[env.tx_flat[sel]], live.node_idx[env.rx_flat[sel]]] = values[sel]
+    out[live.node_idx[tx[sel]], live.node_idx[rx[sel]]] = values[sel]
     return out
 
 
@@ -54,7 +54,7 @@ class TestPowerUtility:
         m = PowerControlModel(4, ChannelSpec(noise_floor=0.2))
         live = _live([[False, False, True, False]])
         env = m.sample_env(live, _gen(10))
-        env.gains[:] = 1.0
+        env[:] = 1.0
         value = _dense(m, "local_utilities", np.zeros((1, 4)), live, env)[0, 2]
         assert value == pytest.approx(20.0 * math.log(5.0) - 1.0, rel=1e-12)
         assert value == pytest.approx(31.18875824868201, rel=1e-9)
@@ -62,9 +62,9 @@ class TestPowerUtility:
     def test_interference_enters_denominator(self):
         m = PowerControlModel(2, ChannelSpec(noise_floor=0.2))
         live = _live(np.ones((1, 2)))
-        env = m.sample_env(live, _gen(11))
+        tx, rx = live.pairs
         channel = np.array([[1.0, 0.3], [0.5, 1.0]])
-        env.gains = channel[live.node_idx[env.tx_flat], live.node_idx[env.rx_flat]]
+        env = channel[live.node_idx[tx], live.node_idx[rx]]
         u0 = _dense(m, "local_utilities", np.zeros((1, 2)), live, env)[0, 0]
         expected = 20.0 * math.log(1.0 / (0.2 + 0.5)) - 1.0
         assert u0 == pytest.approx(expected, rel=1e-12)
@@ -77,13 +77,13 @@ class TestPowerUtility:
         active[0, 3] = True
         active[1] = False
         live = ActiveSet.from_mask(active)
-        env = m.sample_env(live, rng)
+        m.sample_env(live, rng)  # keeps the draws of the dense channels below
         # every row's world is a full dense channel; the batched path sees
         # only its active block
         channels = [dense_channel(9, m.channel, rng) for _ in range(6)]
-        pair_b = live.batch_idx[env.tx_flat]
-        tx, rx = live.node_idx[env.tx_flat], live.node_idx[env.rx_flat]
-        env.gains = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
+        pair_b = live.batch_idx[live.pairs[0]]
+        tx, rx = live.node_idx[live.pairs[0]], live.node_idx[live.pairs[1]]
+        env = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
         a_hat = rng.uniform(-2.0, 2.0, size=(6, 9))
         u = _dense(m, "local_utilities", a_hat, live, env)
         g = _dense(m, "global_gradient", a_hat, live, env)
@@ -95,7 +95,7 @@ class TestPowerUtility:
             np.testing.assert_allclose(
                 g[b], dense_gradient(m, a_hat[b], delta, channels[b]), rtol=1e-12)
             np.testing.assert_allclose(
-                _pair_matrix(env, h, b), dense_hessian(m, a_hat[b], delta, channels[b]),
+                _pair_matrix(live, h, b), dense_hessian(m, a_hat[b], delta, channels[b]),
                 rtol=1e-12)
 
 
@@ -136,7 +136,7 @@ class TestGradients:
         env = m.sample_env(live, rng)
         a = rng.uniform(-1.0, 1.0, (3, 5))
         h = m.global_hessian(a[live.batch_idx, live.node_idx], live, env)
-        H = np.stack([_pair_matrix(env, h, b) for b in range(3)])
+        H = np.stack([_pair_matrix(live, h, b) for b in range(3)])
         step = 1e-4
 
         def total(x):

@@ -17,6 +17,7 @@ from dosp.harness import emit_outputs, run_experiment
 from dosp.network import ActiveSet, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import (
+    TRACE_COLUMNS,
     NodeStates,
     dosp_slot,
     initialize_states,
@@ -32,6 +33,11 @@ from oracles import CountingGenerator, mask_of
 
 def _live(mask):
     return ActiveSet.from_mask(np.atleast_2d(mask))
+
+
+def _rows(trace, *names):
+    """The named trace columns, row by row, as Python numbers."""
+    return zip(*(trace[name].tolist() for name in names))
 
 
 class TestStepIndex:
@@ -106,16 +112,18 @@ class TestSlotSemantics:
         )
         before = states.actions.copy()
         inactive = ~mask_of(states.live)[0]
-        records = []
+        trace = {}
         list(run_slots(states, 1, model, netcfg, bounds, rngs, schedule=schedule,
-                       pert=pert, traces=records))
-        assert len(records) == 3
-        for rec in records:
-            expected = rec.a + rec.beta * rec.phi * rec.f_tilde
-            assert states.actions[0, rec.node] == pytest.approx(expected, rel=1e-12)
-            assert rec.a_hat == pytest.approx(rec.a + rec.gamma * rec.phi, rel=1e-12)
-            assert rec.beta == schedule.beta(rec.ell)
-            assert rec.gamma == schedule.gamma(rec.ell)
+                       pert=pert, traces=trace))
+        assert set(trace) == set(TRACE_COLUMNS)
+        assert trace["node"].size == 3
+        for node, ell, a, a_hat, f_tilde, beta, gamma, phi in _rows(
+                trace, "node", "ell", "a", "a_hat", "f_tilde", "beta", "gamma", "phi"):
+            expected = a + beta * phi * f_tilde
+            assert states.actions[0, node] == pytest.approx(expected, rel=1e-12)
+            assert a_hat == pytest.approx(a + gamma * phi, rel=1e-12)
+            assert beta == schedule.beta(ell)
+            assert gamma == schedule.gamma(ell)
         assert np.array_equal(states.actions[0, inactive], before[0, inactive])
 
     def test_all_inactive_slot_keeps_state(self):
@@ -126,10 +134,11 @@ class TestSlotSemantics:
             step_index=np.zeros(0, dtype=int),
         )
         before = states.actions.copy()
-        records = []
+        trace = {}
         list(run_slots(states, 1, model, netcfg, bounds, rngs, schedule=schedule,
-                       pert=pert, traces=records))
-        assert records == []
+                       pert=pert, traces=trace))
+        assert set(trace) == set(TRACE_COLUMNS)
+        assert all(column.size == 0 for column in trace.values())
         np.testing.assert_array_equal(states.actions, before)
 
     def test_step_size_equivalence(self):
@@ -138,11 +147,11 @@ class TestSlotSemantics:
                                replications=1, seed=5, metrics_stride=50,
                                sigma_eta=0.2)
         ds = run_experiment(cfg, trace=True)
-        assert ds.traces, "expected active nodes in 200 slots"
-        for rec in ds.traces:
-            assert rec.delta == 1
-            assert rec.beta == cfg.schedule.beta(rec.ell)
-            assert rec.gamma == cfg.schedule.gamma(rec.ell)
+        assert ds.traces["k"].size, "expected active nodes in 200 slots"
+        # delta is 1 on every row: the files write it, see test_harness
+        for ell, beta, gamma in _rows(ds.traces, "ell", "beta", "gamma"):
+            assert beta == cfg.schedule.beta(ell)
+            assert gamma == cfg.schedule.gamma(ell)
 
     def test_performed_actions_always_feasible(self):
         # stress the boundary: the shrunk interval is only 0.1 wide at the start
@@ -151,7 +160,7 @@ class TestSlotSemantics:
                                metrics_stride=500, sigma_eta=1.0)
         ds = run_experiment(cfg, trace=True)
         lo, hi = -2.05, 2.05
-        performed = np.array([rec.a_hat for rec in ds.traces])
+        performed = ds.traces["a_hat"]
         assert performed.size > 1000
         assert performed.min() >= lo and performed.max() <= hi
 
@@ -204,7 +213,7 @@ class TestSlotSemantics:
                                index_mode="counted")
         ds = run_experiment(cfg, trace=True)
         k = 301
-        ells = np.array([rec.ell for rec in ds.traces if rec.k == k])
+        ells = ds.traces["ell"][ds.traces["k"] == k]
         assert ells.size > 150
         mean_expected = 1 + (k - 1) * 0.2
         se = np.sqrt((k - 1) * 0.2 * 0.8 / ells.size)
@@ -232,11 +241,12 @@ class TestDrawCounts:
         first_slot = states.live.size
         for gen in rngs.values():
             gen.counts.clear()
-        traces = []
+        trace = {}
         list(run_slots(states, horizon, model, netcfg, bounds, rngs, schedule=schedule,
-                       pert=pert, sigma_eta=0.3, traces=traces))
-        live_total = len(traces)  # sum over slots of the live entries A
-        pairs = sum(c * c for c in Counter((r.replication, r.k) for r in traces).values())
+                       pert=pert, sigma_eta=0.3, traces=trace))
+        live_total = trace["k"].size  # sum over slots of the live entries A
+        per_row = Counter(_rows(trace, "replication", "k"))  # live entries of each row
+        pairs = sum(c * c for c in per_row.values())
         assert rngs["perturbation"].total() == live_total
         assert rngs["noise"].total() == live_total
         assert rngs["channel"].total() == (live_total if kind == "quadratic" else pairs)

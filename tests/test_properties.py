@@ -1,20 +1,24 @@
 """Property tests of the slot engine over small random configurations:
 performed actions stay in the box, reruns are byte-identical, waves of slots
 give the same bytes as slots run one by one, the estimate f~ is unbiased,
-Poisson activity comes out as a well-formed live-entry list, and configs
-round-trip through dicts and YAML bit for bit."""
+Poisson activity comes out as a well-formed live-entry list, configs
+round-trip through dicts and YAML bit for bit, and a bool or a non-finite
+value in a numeric field is a config error."""
 
+import copy
 import filecmp
 import json
+import math
 import os
 import tempfile
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dosp import optimizer
+from dosp import ConfigError, optimizer
 from dosp.estimator import estimate_global_utility, sample_reception
 from dosp.harness import ExperimentConfig, emit_outputs, run_experiment
 from dosp.network import ActiveSet, sample_activity
@@ -62,7 +66,8 @@ def small_configs(draw, n_nodes=st.integers(2, 6), q_activity=st.floats(0.1, 1.0
 @given(small_configs())
 def test_actions_feasible_and_reruns_byte_identical(cfg):
     ds = run_experiment(cfg, trace=True)
-    assert all(-BOUND <= rec.a_hat <= BOUND for rec in ds.traces)
+    performed = ds.traces["a_hat"]
+    assert ((-BOUND <= performed) & (performed <= BOUND)).all()
     assert ((-BOUND <= ds.final_actions) & (ds.final_actions <= BOUND)).all()
     with tempfile.TemporaryDirectory() as tmp:
         first = emit_outputs(ds, os.path.join(tmp, "first"))
@@ -241,3 +246,28 @@ def test_config_round_trips_bit_for_bit(cfg):
         path = os.path.join(tmp, "cfg.yaml")
         cfg.to_yaml(path)
         assert json.dumps(ExperimentConfig.from_yaml(path).to_dict(), sort_keys=True) == as_dict
+
+
+def _numeric_leaves(tree, path=()):
+    """Paths to every int or float leaf of a config dict."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(valid_configs(), st.data())
+def test_bool_or_non_finite_number_is_a_config_error(cfg, data):
+    d = copy.deepcopy(cfg.to_dict())
+    *parents, last = data.draw(st.sampled_from(list(_numeric_leaves(d))))
+    node = d
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(st.sampled_from([True, False, math.nan, math.inf, -math.inf]))
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
