@@ -14,10 +14,10 @@ import numpy as np
 
 from dosp import NetworkConfig, PerturbationSpec, StepSizeSchedule
 from dosp.analysis import (
-    averaged_steps,
     bias_diagnostics,
     chernoff_step_bound,
     mc_step_average,
+    step_moments,
 )
 from dosp.core import RngStream
 
@@ -29,8 +29,8 @@ def main():
 
     print("closed-form averaged product E[beta~ gamma~] vs 1e6-draw simulation:")
     print(f"{'k':>6} {'closed form':>14} {'simulated':>14} {'sigmas off':>11}")
-    for k in (10, 100, 1000, 10_000):
-        closed = averaged_steps(sched, k, q_a).bg
+    ks = (10, 100, 1000, 10_000)
+    for k, closed in zip(ks, step_moments(sched, ks, q_a)["bg"]):
         est, err = mc_step_average(lambda l: sched.beta(l) * sched.gamma(l),
                                    k, q_a, 1_000_000, rng)
         print(f"{k:>6} {closed:>14.6g} {est:>14.6g} {abs(est - closed) / err:>11.2f}")

@@ -27,18 +27,17 @@ from .optimizer import (
     slot_block,
 )
 from .analysis import (
-    AveragedSteps,
     BiasDiagnostics,
     ModelConstants,
     RateBoundParams,
-    averaged_steps,
     bias_diagnostics,
-    binomial_average,
+    binomial_averages,
     chernoff_step_bound,
     compute_K0,
     rate_envelope,
     rate_params,
     recurrence_envelope,
+    step_moments,
     verify_asymptotic_bounds,
     verify_lemma4,
 )

@@ -13,93 +13,90 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import ActionBounds, ConfigError, PerturbationSpec, StepSizeSchedule
 from .network import NetworkConfig, sample_activity
 from .optimizer import sample_step_index
 
-MAX_AVERAGE_K = 1_000_000
+# Largest slot index an average is taken at.  The cost grows as k^1.5: on a
+# 2-vCPU VM, `dosp bounds --kmax` (q_a = 0.1) took 13.5 s at 1e5, 53 s at 3e5.
+MAX_AVERAGE_K = 300_000
 MIN_RATE_K = 4  # smallest k_max that rate_params accepts
-_FULL_RANGE_K = 2048
+_CHUNK_WEIGHTS = 2**11  # binomial weights evaluated per chunk of slots
 
 
-def binomial_weights(k: int, q_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index grid and weights of the averaged-step operator at slot ``k``.
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log(m!) for m = 0..n_max (scipy is imported here, on first use only)."""
+    from scipy.special import gammaln
 
-    Returns (ell, w) with w_ell = C(k-1, ell-1) * q_a^ell * (1-q_a)^(k-ell);
-    the weights sum to q_a (the inactive-slot mass sits at step size zero).
-    For large k only a +-12-sigma window of the binomial is materialized.
+    return gammaln(np.arange(1, n_max + 2))
+
+
+def binomial_averages(x, ks, q_a: float) -> np.ndarray:
+    """E[delta * x_ell] at every slot in ``ks``, under the slot's activity/index law.
+
+    A node is active (delta = 1) with probability q_a and then sits at index
+    ell = 1 + Bin(k-1, q_a), so the weight of ell is C(k-1, ell-1) *
+    q_a^ell * (1-q_a)^(k-ell) and the weights sum to q_a.  Only a window of
+    mean +- (12 sigma + 40) activation counts is summed; the weights left out
+    are below e^-70 of the largest.  ``x`` is a vectorized evaluator on
+    integer index arrays and may return several columns, shape (m, c); the
+    result then has shape (len(ks), c).  The slots are evaluated in chunks of
+    consecutive slots holding about ``_CHUNK_WEIGHTS`` weights, so the weights
+    held at once do not grow with max(ks).
     """
-    if k < 1:
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if ks.size and ks.min() < 1:
         raise ValueError("slot index starts at 1")
-    if k > MAX_AVERAGE_K:
-        raise ValueError(f"k = {k} exceeds the cost guard {MAX_AVERAGE_K}")
-    if q_a == 1.0:
-        return np.array([k]), np.array([1.0])
-    n = k - 1
-    if n <= _FULL_RANGE_K:
-        t = np.arange(0, n + 1)
-    else:
-        mean = n * q_a
-        sd = math.sqrt(n * q_a * (1.0 - q_a))
-        lo = max(0, int(mean - 12.0 * sd - 40.0))
-        hi = min(n, int(mean + 12.0 * sd + 40.0))
-        t = np.arange(lo, hi + 1)
-    logw = (
-        gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
-        + (t + 1) * math.log(q_a) + (n - t) * math.log1p(-q_a)
-    )
-    return t + 1, np.exp(logw)
-
-
-def binomial_average(x, k: int, q_a: float) -> float:
-    """Average of the sequence ``x`` under the slot-k activity/index law.
-
-    ``x`` is a vectorized evaluator defined on integer indices 1..k.
-    """
-    ell, w = binomial_weights(k, q_a)
-    return float(np.dot(np.asarray(x(ell), dtype=float), w))
-
-
-@dataclass(frozen=True)
-class AveragedSteps:
-    """The six averaged step-size moments at one slot."""
-
-    k: int
-    bg: float  # E[beta~ * gamma~]
-    b: float  # E[beta~]
-    g: float  # E[gamma~]
-    b2: float  # E[beta~^2]
-    g2: float  # E[gamma~^2]
-    bg2: float  # E[beta~ * gamma~^2]
-
-
-def averaged_steps(schedule: StepSizeSchedule, k: int, q_a: float) -> AveragedSteps:
-    """All six averaged step sizes at slot ``k`` from one weight evaluation."""
-    ell, w = binomial_weights(k, q_a)
-    beta = schedule.beta(ell)
-    gamma = schedule.gamma(ell)
-    return AveragedSteps(
-        k=k,
-        bg=float(np.dot(beta * gamma, w)),
-        b=float(np.dot(beta, w)),
-        g=float(np.dot(gamma, w)),
-        b2=float(np.dot(beta * beta, w)),
-        g2=float(np.dot(gamma * gamma, w)),
-        bg2=float(np.dot(beta * gamma * gamma, w)),
-    )
-
-
-def averaged_steps_grid(schedule: StepSizeSchedule, ks, q_a: float) -> dict[str, np.ndarray]:
-    """Vectorized ``averaged_steps`` over a slot grid; returns arrays keyed by moment."""
-    ks = np.asarray(ks, dtype=int)
-    out = {name: np.empty(ks.size) for name in ("bg", "b", "g", "b2", "g2", "bg2")}
-    for j, k in enumerate(ks):
-        s = averaged_steps(schedule, int(k), q_a)
-        for name in out:
-            out[name][j] = getattr(s, name)
+    if ks.size and ks.max() > MAX_AVERAGE_K:
+        raise ValueError(f"k = {ks.max()} exceeds the cost guard {MAX_AVERAGE_K}")
+    if q_a == 1.0 or ks.size == 0:
+        return np.asarray(x(ks), dtype=float)
+    n = ks - 1
+    mean = n * q_a
+    sd = np.sqrt(n * q_a * (1.0 - q_a))
+    lo = np.maximum(0, (mean - 12.0 * sd - 40.0).astype(np.int64))
+    hi = np.minimum(n, (mean + 12.0 * sd + 40.0).astype(np.int64))
+    sizes = hi - lo + 1
+    ends = np.cumsum(sizes)
+    log_fact = _log_factorials(int(n.max()))
+    log_q, log_1mq = math.log(q_a), math.log1p(-q_a)
+    out = None
+    first = 0
+    while first < ks.size:
+        # the slots whose windows fit in one chunk from here, and at least one
+        base = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + _CHUNK_WEIGHTS, side="right")))
+        starts = ends[first:last] - sizes[first:last] - base
+        # trial count n and activation count t of every weight in the chunk
+        nc = np.repeat(n[first:last], sizes[first:last])
+        t = np.arange(nc.size) + np.repeat(lo[first:last] - starts, sizes[first:last])
+        # rate_params' eps1 amplifies a weight's rounding about 1.2e4-fold, so
+        # other arithmetic here (a pmf recurrence, math.lgamma) moves it ~1e-7
+        w = np.exp(log_fact[nc] - log_fact[t] - log_fact[nc - t]
+                   + (t + 1) * log_q + (nc - t) * log_1mq)
+        vals = np.asarray(x(t + 1), dtype=float)
+        if out is None:
+            out = np.empty((ks.size,) + vals.shape[1:])
+        out[first:last] = np.add.reduceat((vals.T * w).T, starts, axis=0)
+        first = last
     return out
+
+
+def step_moments(schedule: StepSizeSchedule, ks, q_a: float) -> dict[str, np.ndarray]:
+    """The six averaged step-size moments at every slot in ``ks``, keyed by name.
+
+    bg = E[beta~ gamma~], b = E[beta~], g = E[gamma~], b2 = E[beta~^2],
+    g2 = E[gamma~^2] and bg2 = E[beta~ gamma~^2], from one call of
+    :func:`binomial_averages`.
+    """
+    def columns(ell):
+        beta, gamma = schedule.beta(ell), schedule.gamma(ell)
+        bg = beta * gamma
+        return np.array([bg, beta, gamma, beta * beta, gamma * gamma, bg * gamma]).T
+
+    table = binomial_averages(columns, ks, q_a)
+    return {name: table[:, j] for j, name in enumerate(("bg", "b", "g", "b2", "g2", "bg2"))}
 
 
 def mc_step_average(x, k: int, q_a: float, n_draws: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -142,7 +139,7 @@ def verify_lemma4(x, q_a: float, horizon: int) -> Lemma4Report:
     """
     ks = np.arange(1, horizon + 1)
     raw_terms = np.asarray(x(ks), dtype=float)
-    avg_terms = np.array([binomial_average(x, int(k), q_a) for k in ks])
+    avg_terms = binomial_averages(x, ks, q_a)
     # identical accumulation on both sides, so the degenerate q_a = 1 case
     # (term-by-term equality) yields a gap of exactly zero
     return Lemma4Report(horizon=horizon, sum_raw=float(np.sum(raw_terms)),
@@ -181,6 +178,12 @@ def _psi(averages: dict[str, np.ndarray], n_nodes: int) -> np.ndarray:
     )
 
 
+def _rate_sequences(schedule: StepSizeSchedule, netcfg: NetworkConfig, ks):
+    """theta, upsilon and psi of the rate recurrence at the slots ``ks``."""
+    averages = step_moments(schedule, ks, netcfg.q_activity)
+    return averages["bg"] / netcfg.q_activity, averages["b2"], _psi(averages, netcfg.n_nodes)
+
+
 def bias_diagnostics(
     schedule: StepSizeSchedule,
     netcfg: NetworkConfig,
@@ -203,7 +206,7 @@ def bias_diagnostics(
     q_a = netcfg.q_activity
     lam = netcfg.expected_active
     n = netcfg.n_nodes
-    averages = averaged_steps_grid(schedule, ks, q_a)
+    averages = step_moments(schedule, ks, q_a)
     psi = _psi(averages, n)
     w_bound = q_a * psi / averages["bg"]
 
@@ -364,10 +367,7 @@ def rate_params(
     K0 = compute_K0(schedule, pert, bounds, a_star)
 
     ks = np.arange(1, k_max + 1)
-    averages = averaged_steps_grid(schedule, ks, q_a)
-    theta = averages["bg"] / q_a
-    upsilon = averages["b2"]
-    psi = _psi(averages, netcfg.n_nodes)
+    theta, upsilon, psi = _rate_sequences(schedule, netcfg, ks)
 
     # projection-mismatch constant: impossible when K0 <= 1, else searched with
     # the exponential activity-count bound against the squared-step average
@@ -597,11 +597,7 @@ def verify_asymptotic_bounds(
     if xi_prime <= 0:
         raise ValueError("xi_prime must be positive")
     ks = np.asarray(k_grid, dtype=int)
-    q_a = netcfg.q_activity
-    averages = averaged_steps_grid(schedule, ks, q_a)
-    theta = averages["bg"] / q_a
-    upsilon = averages["b2"]
-    psi = _psi(averages, netcfg.n_nodes)
+    theta, upsilon, psi = _rate_sequences(schedule, netcfg, ks)
     ratios = {
         "upsilon_over_theta": upsilon / theta,
         "psi2_over_theta2": psi**2 / theta**2,

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
-from dosp.analysis import averaged_steps
-from dosp.core import ROLES
+from dosp.analysis import MAX_AVERAGE_K, step_moments
+from dosp.core import ROLES, StepSizeSchedule
 from dosp.network import ActiveSet, _offsets, sample_activity
 from dosp.optimizer import learner_estimate, sample_step_index, slot_block
 
@@ -96,6 +97,91 @@ def scalar_global_utility(
     return own.value + sum(obs.value for obs in received) / q_r
 
 
+# -- per-slot binomial step averages -------------------------------------------
+# One binomial window per slot, evaluated in a Python loop over slots: the
+# reference for ``dosp.analysis.binomial_averages`` and ``step_moments``.
+
+_FULL_RANGE_K = 2048
+
+
+def binomial_weights(k: int, q_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index grid and weights of the averaged-step operator at slot ``k``.
+
+    Returns (ell, w) with w_ell = C(k-1, ell-1) * q_a^ell * (1-q_a)^(k-ell);
+    the weights sum to q_a (the inactive-slot mass sits at step size zero).
+    For large k only a +-12-sigma window of the binomial is materialized.
+    """
+    if k < 1:
+        raise ValueError("slot index starts at 1")
+    if k > MAX_AVERAGE_K:
+        raise ValueError(f"k = {k} exceeds the cost guard {MAX_AVERAGE_K}")
+    if q_a == 1.0:
+        return np.array([k]), np.array([1.0])
+    n = k - 1
+    if n <= _FULL_RANGE_K:
+        t = np.arange(0, n + 1)
+    else:
+        mean = n * q_a
+        sd = math.sqrt(n * q_a * (1.0 - q_a))
+        lo = max(0, int(mean - 12.0 * sd - 40.0))
+        hi = min(n, int(mean + 12.0 * sd + 40.0))
+        t = np.arange(lo, hi + 1)
+    logw = (
+        gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
+        + (t + 1) * math.log(q_a) + (n - t) * math.log1p(-q_a)
+    )
+    return t + 1, np.exp(logw)
+
+
+def binomial_average(x, k: int, q_a: float) -> float:
+    """Average of the sequence ``x`` under the slot-k activity/index law.
+
+    ``x`` is a vectorized evaluator defined on integer indices 1..k.
+    """
+    ell, w = binomial_weights(k, q_a)
+    return float(np.dot(np.asarray(x(ell), dtype=float), w))
+
+
+@dataclass(frozen=True)
+class AveragedSteps:
+    """The six averaged step-size moments at one slot."""
+
+    k: int
+    bg: float  # E[beta~ * gamma~]
+    b: float  # E[beta~]
+    g: float  # E[gamma~]
+    b2: float  # E[beta~^2]
+    g2: float  # E[gamma~^2]
+    bg2: float  # E[beta~ * gamma~^2]
+
+
+def averaged_steps(schedule: StepSizeSchedule, k: int, q_a: float) -> AveragedSteps:
+    """All six averaged step sizes at slot ``k`` from one weight evaluation."""
+    ell, w = binomial_weights(k, q_a)
+    beta = schedule.beta(ell)
+    gamma = schedule.gamma(ell)
+    return AveragedSteps(
+        k=k,
+        bg=float(np.dot(beta * gamma, w)),
+        b=float(np.dot(beta, w)),
+        g=float(np.dot(gamma, w)),
+        b2=float(np.dot(beta * beta, w)),
+        g2=float(np.dot(gamma * gamma, w)),
+        bg2=float(np.dot(beta * gamma * gamma, w)),
+    )
+
+
+def averaged_steps_grid(schedule: StepSizeSchedule, ks, q_a: float) -> dict[str, np.ndarray]:
+    """Vectorized ``averaged_steps`` over a slot grid; returns arrays keyed by moment."""
+    ks = np.asarray(ks, dtype=int)
+    out = {name: np.empty(ks.size) for name in ("bg", "b", "g", "b2", "g2", "bg2")}
+    for j, k in enumerate(ks):
+        s = averaged_steps(schedule, int(k), q_a)
+        for name in out:
+            out[name][j] = getattr(s, name)
+    return out
+
+
 # -- dense single-configuration power-control model ---------------------------
 # ``channel`` is a full (N, N) gain matrix, entry (i, j) transmitter i ->
 # receiver j; ``delta`` is one activity row.  Only the active block is read.
@@ -171,7 +257,7 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     """
     a = np.asarray(a, dtype=float)
     q_a = netcfg.q_activity
-    bg = averaged_steps(schedule, k, q_a).bg
+    bg = float(step_moments(schedule, [k], q_a)["bg"][0])
     if grad_F is None:
         if not hasattr(model, "targets"):
             raise ValueError("pass grad_F explicitly for models without a closed form")

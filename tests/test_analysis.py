@@ -5,53 +5,76 @@ from scipy import stats
 from dosp import NetworkConfig, PerturbationSpec, StepSizeSchedule
 from dosp.core import ActionBounds, RngStream
 from dosp.analysis import (
+    MAX_AVERAGE_K,
     ModelConstants,
     asymptotic_exponent,
-    averaged_steps,
     bias_diagnostics,
-    binomial_average,
-    binomial_weights,
+    binomial_averages,
     chernoff_step_bound,
     compute_K0,
     mc_step_average,
     rate_envelope,
     rate_params,
     recurrence_envelope,
+    step_moments,
     verify_asymptotic_bounds,
     verify_lemma4,
 )
 from dosp.objectives import QuadraticModel
 
 from conftest import reference_schedule
-from oracles import mc_gradient_bias
+from oracles import (
+    averaged_steps,
+    averaged_steps_grid,
+    binomial_average,
+    binomial_weights,
+    mc_gradient_bias,
+)
 
 
 def _gen(stream, seed=2718):
     return RngStream(seed, stream).generator()
 
 
+def _average(x, k, q_a):
+    return float(binomial_averages(x, [k], q_a)[0])
+
+
+def _moments(schedule, k, q_a):
+    return {name: float(v[0]) for name, v in step_moments(schedule, [k], q_a).items()}
+
+
 class TestBinomialAverage:
     def test_single_slot(self):
         x = lambda l: 3.0 * np.asarray(l, dtype=float)
-        assert binomial_average(x, 1, 0.3) == pytest.approx(0.3 * 3.0, rel=1e-14)
+        assert _average(x, 1, 0.3) == pytest.approx(0.3 * 3.0, rel=1e-14)
 
     def test_two_slot_expansion(self):
         q = 0.3
         x = lambda l: np.asarray(l, dtype=float) ** 2
         expected = q * (1 - q) * 1.0 + q * q * 4.0
-        assert binomial_average(x, 2, q) == pytest.approx(expected, rel=1e-14)
+        assert _average(x, 2, q) == pytest.approx(expected, rel=1e-14)
 
     def test_weights_match_binomial_pmf(self):
-        # independent oracle: scipy's binomial pmf, scaled by q_a
+        # independent oracle: scipy's binomial pmf, scaled by q_a.  The weight
+        # of index ell is the average of the indicator column of ell; indices
+        # outside the summed window read 0 and carry negligible pmf mass.
         for k, q in ((7, 0.3), (500, 0.05), (5000, 0.6)):
-            ell, w = binomial_weights(k, q)
+            cols = np.arange(1, k + 1)
+            weights = binomial_averages(lambda l: (l[:, None] == cols).astype(float),
+                                        [k], q)[0]
+            window = weights > 0
+            ell, w = cols[window], weights[window]
             ref = q * stats.binom.pmf(ell - 1, k - 1, q)
             np.testing.assert_allclose(w, ref, rtol=1e-10)
             assert w.sum() == pytest.approx(q, rel=1e-10)
+            assert q * stats.binom.pmf(cols[~window] - 1, k - 1, q).sum() < 1e-25 * q
 
     def test_cost_guard(self):
         with pytest.raises(ValueError):
-            binomial_average(lambda l: l, 2_000_000, 0.5)
+            binomial_averages(lambda l: l, [2_000_000], 0.5)
+        with pytest.raises(ValueError):
+            binomial_averages(lambda l: l, [MAX_AVERAGE_K + 1], 0.5)
 
     def test_partial_sum_tracks_transport_oracle(self):
         # sum_{k<=K} of the averaged sequence equals sum_l x_l * P(l-th
@@ -61,7 +84,7 @@ class TestBinomialAverage:
         q = 0.05
         K = 2000
         x = lambda l: s.beta(l) * s.gamma(l)
-        avg_sum = sum(binomial_average(x, k, q) for k in range(1, K + 1))
+        avg_sum = float(np.sum(binomial_averages(x, np.arange(1, K + 1), q)))
         l = np.arange(1, K + 1)
         transported = stats.nbinom.cdf(K - l, l, q)
         oracle = float(np.sum(x(l) * transported))
@@ -72,24 +95,24 @@ class TestBinomialAverage:
 class TestAveragedSteps:
     def test_first_slot_closed_form(self):
         s = reference_schedule()
-        got = averaged_steps(s, 1, 0.05)
-        assert got.bg == pytest.approx(0.05 * 0.025 * 10.0, rel=1e-14)
-        assert got.b == pytest.approx(0.05 * 0.025, rel=1e-14)
-        assert got.g2 == pytest.approx(0.05 * 100.0, rel=1e-14)
+        got = _moments(s, 1, 0.05)
+        assert got["bg"] == pytest.approx(0.05 * 0.025 * 10.0, rel=1e-14)
+        assert got["b"] == pytest.approx(0.05 * 0.025, rel=1e-14)
+        assert got["g2"] == pytest.approx(0.05 * 100.0, rel=1e-14)
 
     @pytest.mark.parametrize("k", [10, 100, 1000])
     def test_jensen_lower_bound(self, k):
         s = reference_schedule()
         q = 0.05
-        got = averaged_steps(s, k, q)
+        got = _moments(s, k, q)
         k_mean = 1.0 + q * (k - 1)
-        assert got.bg >= q * s.beta(k_mean) * s.gamma(k_mean)
+        assert got["bg"] >= q * s.beta(k_mean) * s.gamma(k_mean)
 
     @pytest.mark.parametrize("k", [10, 100, 1000])
     def test_all_moments_match_simulation(self, k):
         s = reference_schedule()
         q = 0.05
-        got = averaged_steps(s, k, q)
+        got = _moments(s, k, q)
         rng = _gen(1)
         for name, fn in [
             ("bg", lambda l: s.beta(l) * s.gamma(l)),
@@ -100,22 +123,22 @@ class TestAveragedSteps:
             ("bg2", lambda l: s.beta(l) * s.gamma(l) ** 2),
         ]:
             est, err = mc_step_average(fn, k, q, 400_000, rng)
-            assert abs(est - getattr(got, name)) <= 3 * err, (name, k)
+            assert abs(est - got[name]) <= 3 * err, (name, k)
 
     def test_monte_carlo_cross_check_large(self):
         s = reference_schedule()
-        got = averaged_steps(s, 200, 0.05)
+        got = _moments(s, 200, 0.05)
         est, err = mc_step_average(lambda l: s.beta(l) * s.gamma(l), 200, 0.05,
                                    1_000_000, _gen(2))
-        assert abs(est - got.bg) <= 3 * err
+        assert abs(est - got["bg"]) <= 3 * err
 
     def test_sum_inheritance(self):
         # the bg partial sums keep growing while the b2 sums go Cauchy
         s = reference_schedule()
         q = 0.05
         ks = np.arange(1, 8001)
-        bg = np.array([averaged_steps(s, int(k), q).bg for k in ks])
-        b2 = np.array([averaged_steps(s, int(k), q).b2 for k in ks])
+        moments = step_moments(s, ks, q)
+        bg, b2 = moments["bg"], moments["b2"]
         bg_sum = np.cumsum(bg)
         b2_sum = np.cumsum(b2)
         bg_blocks = (bg_sum[3999] - bg_sum[1999], bg_sum[7999] - bg_sum[3999])
@@ -125,6 +148,63 @@ class TestAveragedSteps:
         assert b2_blocks[1] < 0.75 * b2_blocks[0]
         # while the product sums keep adding near-constant log-style blocks
         assert bg_blocks[1] > 0.9 * bg_blocks[0]
+
+
+class TestAveragesTable:
+    """The one table of averages against the per-slot reference in ``oracles``.
+
+    The two sum the same weights in a different order, so they agree to
+    float64 summation noise (1e-13 relative), and exactly at q_a = 1.
+    """
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.6])
+    def test_step_moments_match_per_slot_reference(self, q):
+        s = reference_schedule()
+        ks = np.arange(1, 6001)
+        got = step_moments(s, ks, q)
+        ref = averaged_steps_grid(s, ks, q)
+        for name in ref:
+            np.testing.assert_allclose(got[name], ref[name], rtol=1e-13, atol=0,
+                                       err_msg=name)
+
+    def test_columns_match_per_slot_reference(self):
+        q = 0.3
+        ks = np.arange(1, 6001)
+        fns = (lambda l: np.asarray(l, dtype=float) ** -0.3, lambda l: np.log(l) + 1.0)
+        got = binomial_averages(lambda l: np.stack([f(l) for f in fns], axis=-1), ks, q)
+        assert got.shape == (ks.size, 2)
+        for j, f in enumerate(fns):
+            ref = np.array([binomial_average(f, int(k), q) for k in ks])
+            np.testing.assert_allclose(got[:, j], ref, rtol=1e-13, atol=0)
+
+    def test_sparse_unsorted_grid_matches_per_slot_reference(self):
+        # windows wider than one chunk, out-of-order and repeated slots
+        s = reference_schedule()
+        ks = np.array([100_000, 1, 2049, 7, 50_000, 2050, 7, 30_000])
+        got = step_moments(s, ks, 0.5)
+        ref = averaged_steps_grid(s, ks, 0.5)
+        for name in ref:
+            np.testing.assert_allclose(got[name], ref[name], rtol=1e-13, atol=0,
+                                       err_msg=name)
+
+    def test_weights_bit_identical_to_per_slot_reference(self):
+        # where both sum the same window (k - 1 > 2048), an indicator
+        # column's average is its weight, bit for bit
+        for k, q in ((2100, 0.3), (5000, 0.6), (20_000, 0.1)):
+            ell, w = binomial_weights(k, q)
+            got = binomial_averages(lambda l: (l[:, None] == ell).astype(float), [k], q)[0]
+            np.testing.assert_array_equal(got, w)
+
+    def test_degenerate_activity_is_exact(self):
+        s = reference_schedule()
+        ks = np.arange(1, 3001)
+        got = step_moments(s, ks, 1.0)
+        ref = averaged_steps_grid(s, ks, 1.0)
+        for name in ref:
+            np.testing.assert_array_equal(got[name], ref[name], err_msg=name)
+
+    def test_empty_grid(self):
+        assert binomial_averages(lambda l: np.asarray(l, dtype=float), [], 0.3).shape == (0,)
 
 
 class TestLemma4:
@@ -325,6 +405,39 @@ class TestRateParams:
         ratio = table.envelope / table.asymptotic
         assert np.all(np.isfinite(ratio))
         assert ratio.max() / ratio.min() < 3.0
+
+
+def test_divergence_rate_constants_match_benchmark_reference():
+    """Tier-1 copy of the divergence-rate gate in ``perfbench/gates.py``.
+
+    The workload's rate constants at k_max = 6000 (N=20, q_a=0.1, q_r=0.1,
+    beta0=0.5, gamma0=2, c1=0.75, c2=0.25, bounds +-4): A, B, C and K0-K2
+    exactly, eps1-eps4 within that file's ``EPS_RTOL``.  A change to the
+    binomial weights' arithmetic fails here before it fails a benchmark run.
+    """
+    from dosp.harness import build_model
+
+    from conftest import quadratic_config
+
+    reference = {
+        "A": 0.4, "B": 2.0, "C": 518385.0, "K0": 1, "K1": 1, "K2": 1,
+        "eps1": 0.04993441747296856, "eps2": 0.0004579331185050908,
+        "eps3": 0.05596335232806027, "eps4": 2702.7360000000012,
+    }
+    eps_rtol = 1e-9
+    cfg = quadratic_config(q_reception=0.1, horizon=6000)
+    model = build_model(cfg)
+    consts = ModelConstants(
+        alpha_F=model.alpha_F(cfg.network.q_activity), alpha_G=model.alpha_G,
+        lipschitz=model.lipschitz(cfg.bounds), sigma_eta=cfg.sigma_eta,
+        sigma_a_sq=cfg.bounds.sigma_a_sq)
+    params = rate_params(cfg.schedule, cfg.network, consts, cfg.perturbation,
+                         cfg.horizon, bounds=cfg.bounds, a_star=model.optimum_hint)
+    for key in ("A", "B", "C", "K0", "K1", "K2"):
+        assert getattr(params, key) == reference[key], key
+    for key in ("eps1", "eps2", "eps3", "eps4"):
+        assert getattr(params, key) == pytest.approx(reference[key], rel=eps_rtol, abs=0), key
+    assert params.status == "applicable"
 
 
 class TestRecurrenceEnvelope:

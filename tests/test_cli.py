@@ -3,10 +3,14 @@ import dataclasses
 import math
 import os
 
+import subprocess
+import sys
+
 import pytest
 import yaml
 
 from dosp import ConfigError, StepSizeSchedule
+from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
 from dosp.harness import ExperimentConfig
 
@@ -177,12 +181,13 @@ def test_verify_uses_the_power_models_sampled_curvature(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--kmax", "3"],
+    ["bounds", "--kmax", str(MAX_AVERAGE_K + 1)],
     ["bounds", "--kmax", "2000000"],
     ["bounds", "--points", "0"],
     ["verify", "--kmax", "0"],
     ["verify", "--kmax", "3000000"],
-], ids=["bounds-kmax-3", "bounds-kmax-2e6", "bounds-points-0", "verify-kmax-0",
-        "verify-kmax-3e6"])
+], ids=["bounds-kmax-3", "bounds-kmax-above-cap", "bounds-kmax-2e6", "bounds-points-0",
+        "verify-kmax-0", "verify-kmax-3e6"])
 def test_out_of_range_horizon_is_config_error(tmp_path, capsys, argv):
     path = _write_config(tmp_path, _small_cfg(q_activity=0.2))
     out = tmp_path / "bounds"
@@ -191,6 +196,19 @@ def test_out_of_range_horizon_is_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: --") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only when a table of binomial averages is built
+    import dosp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dosp.__file__)))
+    code = ("import sys, dosp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bounds_emits_table(tmp_path, capsys):
