@@ -25,11 +25,32 @@ MIN_RATE_K = 4  # smallest k_max that rate_params accepts
 _CHUNK_WEIGHTS = 2**11  # binomial weights evaluated per chunk of slots
 
 
-def _log_factorials(n_max: int) -> np.ndarray:
-    """log(m!) for m = 0..n_max (scipy is imported here, on first use only)."""
-    from scipy.special import gammaln
+# Cephes lgam's Stirling-series constants: log(sqrt(2 pi)) and the
+# coefficients of its correction polynomial in 1/x^2 for x < 1000.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
 
-    return gammaln(np.arange(1, n_max + 2))
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log(m!) for m = 0..n_max, equal bit for bit to scipy's ``gammaln(m + 1)``.
+
+    This is Cephes ``lgam`` (Moshier 1989) on integers: the exact product
+    up to 11!, a Stirling series from 12! on.  Every log is libm's, through
+    ``math.log``; ``np.log`` differs from it in the last bit on some integers.
+    """
+    small = [math.log(math.factorial(m)) for m in range(min(n_max, 11) + 1)]
+    x = np.arange(13, n_max + 2, dtype=float)  # x = m + 1 for m >= 12
+    log_x = np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    far = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+           + 0.0833333333333333333333)
+    return np.concatenate([small, q + np.where(x < 1000.0, poly, far) / x])
 
 
 def binomial_averages(x, ks, q_a: float) -> np.ndarray:
@@ -72,7 +93,8 @@ def binomial_averages(x, ks, q_a: float) -> np.ndarray:
         nc = np.repeat(n[first:last], sizes[first:last])
         t = np.arange(nc.size) + np.repeat(lo[first:last] - starts, sizes[first:last])
         # rate_params' eps1 amplifies a weight's rounding about 1.2e4-fold, so
-        # other arithmetic here (a pmf recurrence, math.lgamma) moves it ~1e-7
+        # log_fact must match Cephes' gammaln bit for bit; other arithmetic here
+        # (a pmf recurrence, math.lgamma) moves eps1 ~1e-7
         w = np.exp(log_fact[nc] - log_fact[t] - log_fact[nc - t]
                    + (t + 1) * log_q + (nc - t) * log_1mq)
         vals = np.asarray(x(t + 1), dtype=float)
@@ -494,6 +516,12 @@ class EnvelopeTable:
     asymptotic: np.ndarray  # fitted Xi * q_r^-1 (q_a k)^-min(2c2, c1-c2)
     status: list[str]
     xi_fit: float | None
+
+
+def log_grid(k_max: int, n: int) -> np.ndarray:
+    """The distinct integer parts of ``n`` log-spaced points from 1 to ``k_max``, ascending."""
+    grid = np.geomspace(1, k_max, n).astype(int)  # already sorted
+    return grid[np.diff(grid, prepend=0) > 0]
 
 
 def rate_envelope(params: RateBoundParams, k_grid) -> EnvelopeTable:

@@ -7,7 +7,6 @@ given dataset, which keeps rerun outputs identical.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -16,6 +15,11 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+
+
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``>`` and ``<`` escaped."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -94,10 +98,10 @@ def write_line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>',
-        f'<text x="{_W / 2:.1f}" y="{_H - 10}" text-anchor="middle">{escape(xlabel)}</text>',
+        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="15">{_escape(title)}</text>',
+        f'<text x="{_W / 2:.1f}" y="{_H - 10}" text-anchor="middle">{_escape(xlabel)}</text>',
         f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_H / 2:.1f})">{escape(ylabel)}</text>',
+        f'transform="rotate(-90 18 {_H / 2:.1f})">{_escape(ylabel)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#333"/>',
     ]
@@ -109,7 +113,7 @@ def write_line_chart(
         parts.append(f'<line x1="{x:.1f}" y1="{_MT}" x2="{x:.1f}" y2="{_H - _MB}" '
                      'stroke="#ddd"/>')
         parts.append(f'<text x="{x:.1f}" y="{_H - _MB + 16}" text-anchor="middle">'
-                     f'{escape(label)}</text>')
+                     f'{_escape(label)}</text>')
     for t in _ticks(ylo, yhi, loglog):
         if not ylo <= t <= yhi:
             continue
@@ -118,7 +122,7 @@ def write_line_chart(
         parts.append(f'<line x1="{_ML}" y1="{y:.1f}" x2="{_W - _MR}" y2="{y:.1f}" '
                      'stroke="#ddd"/>')
         parts.append(f'<text x="{_ML - 6}" y="{y + 4:.1f}" text-anchor="end">'
-                     f'{escape(label)}</text>')
+                     f'{_escape(label)}</text>')
     for idx, ((name, _, _), (px, py)) in enumerate(zip(series, pts)):
         color = _COLORS[idx % len(_COLORS)]
         if px.size:
@@ -128,7 +132,7 @@ def write_line_chart(
         ly = _MT + 16 + 16 * idx
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 125}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W - _MR - 118}" y="{ly + 4}">{escape(name)}</text>')
+        parts.append(f'<text x="{_W - _MR - 118}" y="{ly + 4}">{_escape(name)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

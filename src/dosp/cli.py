@@ -162,7 +162,7 @@ def _cmd_bounds(args) -> int:
     params = analysis.rate_params(
         cfg.schedule, cfg.network, consts, cfg.perturbation, args.kmax,
         bounds=cfg.bounds, a_star=a_star)
-    grid = np.unique(np.geomspace(1, args.kmax, args.points).astype(int))
+    grid = analysis.log_grid(args.kmax, args.points)
     table = analysis.rate_envelope(params, grid)
     diag = analysis.bias_diagnostics(cfg.schedule, cfg.network, cfg.perturbation,
                                      consts.alpha_G, grid)

@@ -555,7 +555,7 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
     if dataset.traces:
         reps = dataset.traces["replication"]
         columns = [dataset.traces[name] for name in TRACE_COLUMNS[1:]]
-        for r in np.unique(reps).tolist():  # the replications with a live entry
+        for r in np.flatnonzero(np.bincount(reps)).tolist():  # the replications with a live entry
             rows = np.flatnonzero(reps == r)  # in slot order
             path = os.path.join(out_dir, f"trace_rep{r:03d}.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:

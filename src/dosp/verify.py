@@ -14,6 +14,7 @@ import numpy as np
 from .analysis import (
     bias_diagnostics,
     chernoff_step_bound,
+    log_grid,
     mc_step_average,
     step_moments,
     verify_asymptotic_bounds,
@@ -28,10 +29,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-def _log_grid(k_max: int, n: int = 60) -> np.ndarray:
-    return np.unique(np.geomspace(1, k_max, n).astype(int))
 
 
 def verification_suite(cfg: ExperimentConfig, k_max: int = 20_000,
@@ -63,7 +60,7 @@ def verification_suite(cfg: ExperimentConfig, k_max: int = 20_000,
     results.append(CheckResult("step-bound", ok, "; ".join(details)))
 
     # 3. rate-ratio dominators engage on the grid
-    grid = _log_grid(k_max)
+    grid = log_grid(k_max, 60)
     checks = verify_asymptotic_bounds(sched, net, xi=0.5, xi_prime=0.5,
                                       k_grid=grid)
     ok = all(c.ok for c in checks)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from dosp import NetworkConfig, PerturbationSpec, StepSizeSchedule
 from dosp.core import ActionBounds, RngStream
 from dosp.analysis import (
     MAX_AVERAGE_K,
     ModelConstants,
+    _log_factorials,
     asymptotic_exponent,
     bias_diagnostics,
     binomial_averages,
@@ -205,6 +207,16 @@ class TestAveragesTable:
 
     def test_empty_grid(self):
         assert binomial_averages(lambda l: np.asarray(l, dtype=float), [], 0.3).shape == (0,)
+
+    @pytest.mark.parametrize("n", [0, 11, 12, 13, 998, 999, 1000, 1001, MAX_AVERAGE_K + 1])
+    def test_log_factorials_match_gammaln_bit_for_bit(self, n):
+        # eps1 amplifies a weight's last-bit change ~1.2e4-fold, so the table
+        # must be scipy's (Cephes lgam) exactly; n spans the product/series
+        # switch at 12! and the series' switch at x = m + 1 = 1000
+        got = _log_factorials(n)
+        ref = gammaln(np.arange(1, n + 2))
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestLemma4:

@@ -198,17 +198,37 @@ def test_out_of_range_horizon_is_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only when a table of binomial averages is built
+# modules no dosp command needs: scipy (the log-factorials are computed in
+# analysis), numpy.ma (np.unique loads it) and what xml.sax.saxutils pulls in
+HEAVY_MODULES = ("scipy", "numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email")
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     import dosp
 
+    path = _write_config(tmp_path, _small_cfg(q_activity=0.2, beta0=0.25,
+                                              gamma0=2.0, bound=3.0))
+    out = str(tmp_path)
+    commands = [["run", "--svg", "--trace", "--out", out + "/run"],
+                ["bounds", "--kmax", "2000", "--out", out + "/bounds"],
+                ["verify", "--kmax", "2000"]]
+    code = ("import sys; from dosp.cli import main; "
+            f"print([main(a + ['--config', {path!r}]) for a in {commands!r}], file=sys.stderr); "
+            "print(*sys.modules, file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dosp.__file__)))
-    code = ("import sys, dosp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+
+    def stderr_lines(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stderr.splitlines()
+
+    # what a bare interpreter loads (site hooks, .pth files) does not count
+    bare = set(stderr_lines("import sys; print(*sys.modules, file=sys.stderr)")[-1].split())
+    *_, rcs, loaded = stderr_lines(code)
+    assert rcs == "[0, 0, 0]"
+    heavy = sorted(m for m in set(loaded.split()) - bare
+                   if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES))
+    assert heavy == []
 
 
 def test_bounds_emits_table(tmp_path, capsys):
