@@ -26,7 +26,7 @@ _CHUNK_WEIGHTS = 2**11  # binomial weights evaluated per chunk of slots
 
 
 # Cephes lgam's Stirling-series constants: log(sqrt(2 pi)) and the
-# coefficients of its correction polynomial in 1/x^2 for x < 1000.
+# coefficients of its correction polynomial in 1/x^2.
 _LS2PI = 0.91893853320467274178
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
            7.93650340457716943945e-4, -2.77777777730099687205e-3,
@@ -48,9 +48,9 @@ def _log_factorials(n_max: int) -> np.ndarray:
     poly = _LGAM_A[0]
     for c in _LGAM_A[1:]:
         poly = poly * p + c
-    far = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-           + 0.0833333333333333333333)
-    return np.concatenate([small, q + np.where(x < 1000.0, poly, far) / x])
+    # up to x = MAX_AVERAGE_K + 2, Cephes' shorter series for x >= 1000 rounds
+    # to the same bits (test_log_factorials_match_gammaln_bit_for_bit)
+    return np.concatenate([small, q + poly / x])
 
 
 def binomial_averages(x, ks, q_a: float) -> np.ndarray:

@@ -212,7 +212,8 @@ class TestAveragesTable:
     def test_log_factorials_match_gammaln_bit_for_bit(self, n):
         # eps1 amplifies a weight's last-bit change ~1.2e4-fold, so the table
         # must be scipy's (Cephes lgam) exactly; n spans the product/series
-        # switch at 12! and the series' switch at x = m + 1 = 1000
+        # switch at 12!, Cephes' series switch at x = m + 1 = 1000 (one
+        # polynomial here) and the cost guard
         got = _log_factorials(n)
         ref = gammaln(np.arange(1, n + 2))
         assert got.shape == ref.shape
