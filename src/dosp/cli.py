@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import os
 import sys
 
@@ -27,9 +26,11 @@ from .harness import (
     emit_outputs,
     estimate_alpha_G,
     load_optimum,
+    parse_yaml,
     run_experiment,
     save_optimum,
     solve_optimum,
+    write_csv,
 )
 from .verify import verification_suite
 
@@ -68,7 +69,7 @@ def _set_by_path(d: dict, dotted: str, value):
     if keys[-1] not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
     try:
-        node[keys[-1]] = yaml.safe_load(value)
+        node[keys[-1]] = parse_yaml(value)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {dotted}={value!r}") from exc
 
@@ -169,17 +170,9 @@ def _cmd_bounds(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bounds.csv")
     theta, upsilon, psi = params.at(grid)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUNDS_COLUMNS)
-        for j, k in enumerate(grid):
-            writer.writerow([
-                int(k), repr(float(theta[j])), repr(float(upsilon[j])),
-                repr(float(psi[j])), repr(float(table.envelope_a[j])),
-                repr(float(table.envelope_b[j])), repr(float(table.asymptotic[j])),
-                repr(float(diag.w_bound[j])), repr(float(diag.omega[j])),
-                table.status[j],
-            ])
+    write_csv(path, BOUNDS_COLUMNS, [
+        grid, theta, upsilon, psi, table.envelope_a, table.envelope_b, table.asymptotic,
+        diag.w_bound, diag.omega, table.status])
     print(path)
     print(f"A={params.A:.6g} B={params.B:.6g} C={params.C:.6g} "
           f"K0={params.K0} K1={params.K1} K2={params.K2}")

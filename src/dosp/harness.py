@@ -8,14 +8,13 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import numbers
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 import yaml
@@ -37,7 +36,9 @@ from . import chart
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
 # a replication's trace file: the trace columns after replication, and delta = 1
 TRACE_HEADER = (*TRACE_COLUMNS[1:3], "delta", *TRACE_COLUMNS[3:])
-_TRACE_CHUNK = 4096  # rows converted to Python objects at once while writing
+_CSV_CHUNK = 1024  # rows formatted, and written, at once
+# PyYAML's safe loader, on libyaml when PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
                   "envelope_th3_b", "envelope_th4", "w_bound", "omega", "status")
 
@@ -178,7 +179,7 @@ class ExperimentConfig:
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                d = yaml.safe_load(fh)
+                d = parse_yaml(fh)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"malformed YAML in {path}: {exc}".replace("\n", " ")) from exc
         return cls.from_dict(d)
@@ -187,6 +188,12 @@ class ExperimentConfig:
         if not isinstance(other, ExperimentConfig):
             return NotImplemented
         return self.to_dict() == other.to_dict()
+
+
+def parse_yaml(source):
+    """The data of one YAML document (a string or a text file), as
+    ``yaml.safe_load`` reads it."""
+    return yaml.load(source, Loader=_YAML_LOADER)
 
 
 def _check_numbers(tree, path: str = "") -> None:
@@ -510,10 +517,61 @@ def load_optimum(directory, cfg: ExperimentConfig) -> np.ndarray:
 
 # -- output emission ---------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _quote(field: str) -> str:
+    """``field`` as csv's QUOTE_MINIMAL writes it."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _csv_fields(column) -> list[str]:
+    """The CSV fields of one column, as csv.writer writes them: ``str`` of an
+    int, ``repr`` of a float, a string quoted.  A numeric column calls
+    ``str`` once per distinct bit pattern, found by one stable sort."""
+    if not isinstance(column, np.ndarray):
+        quoted = {s: _quote(s) for s in set(column)}
+        return list(map(quoted.__getitem__, column))
+    column = column.astype(np.float64 if column.dtype.kind == "f" else np.int64, copy=False)
+    bits = column.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.empty(bits.size, dtype=bool)  # where a new bit pattern starts in the sort
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # str of a Python float is its repr
+    distinct = np.array(list(map(str, column[order[first]].tolist())), dtype=object)
+    fields = np.empty(bits.size, dtype=object)
+    fields[order] = distinct[np.cumsum(first) - 1]
+    return fields.tolist()
+
+
+def _csv_lines(columns, order=None):
+    """The CSV lines of the rows of ``columns`` (arrays, or sequences of
+    strings), or of the rows ``order`` picks, in its order; each
+    ``_CSV_CHUNK`` rows are formatted column by column at once."""
+    n = len(columns[0]) if order is None else order.size
+    for lo in range(0, n, _CSV_CHUNK):
+        rows = slice(lo, lo + _CSV_CHUNK) if order is None else order[lo:lo + _CSV_CHUNK]
+        fields = [_csv_fields(c[rows]) for c in columns]
+        if len(fields) == 1:  # csv.writer quotes a lone empty field
+            fields = [[f or '""' for f in fields[0]]]
+        yield from map(",".join, zip(*fields))
+
+
+def _write_lines(path, header, lines, n: int) -> None:
+    """Write the CSV ``header`` and the next ``n`` of ``lines`` to ``path``,
+    ``_CSV_CHUNK`` lines to a write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for lo in range(0, n, _CSV_CHUNK):
+            fh.write("\r\n".join(islice(lines, min(_CSV_CHUNK, n - lo))) + "\r\n")
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``columns`` under ``header`` to ``path`` byte for byte as
+    csv.writer would: each column is an int or float array, or a sequence of
+    strings (``""`` for an absent metric), all of one length."""
+    _write_lines(path, header, _csv_lines(columns), len(columns[0]))
 
 
 def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
@@ -525,47 +583,36 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
+    reps, n_rec = dataset.n_active.shape
+
+    def metric(values, rows=reps * n_rec):
+        """A metric's column: its values, or "" on every row if it was not recorded."""
+        return [""] * rows if values is None else values.ravel()
+
     traj_path = os.path.join(out_dir, "trajectory.csv")
-    with open(traj_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for r in range(dataset.n_active.shape[0]):
-            for j, k in enumerate(dataset.ks):
-                writer.writerow([
-                    r,
-                    int(k),
-                    _fmt(dataset.d[r, j]) if dataset.d is not None else "",
-                    _fmt(dataset.f_hat[r, j]) if dataset.f_hat is not None else "",
-                    _fmt(dataset.f_stderr[r, j]) if dataset.f_stderr is not None else "",
-                    int(dataset.n_active[r, j]),
-                ])
+    write_csv(traj_path, TRAJECTORY_COLUMNS, [
+        np.arange(reps).repeat(n_rec), np.tile(dataset.ks, reps), metric(dataset.d),
+        metric(dataset.f_hat), metric(dataset.f_stderr), dataset.n_active.ravel()])
     written.append(traj_path)
 
     if dataset.d is not None:
         mean_path = os.path.join(out_dir, "divergence_mean.csv")
-        with open(mean_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "D_k", "D_stderr"])
-            err = dataset.D_stderr
-            for j, k in enumerate(dataset.ks):
-                writer.writerow([int(k), _fmt(dataset.D[j]),
-                                 _fmt(err[j]) if err is not None else ""])
+        write_csv(mean_path, ("k", "D_k", "D_stderr"),
+                  [dataset.ks, dataset.D, metric(dataset.D_stderr, n_rec)])
         written.append(mean_path)
 
     if dataset.traces:
-        reps = dataset.traces["replication"]
+        rep = dataset.traces["replication"]
         columns = [dataset.traces[name] for name in TRACE_COLUMNS[1:]]
-        for r in np.flatnonzero(np.bincount(reps)).tolist():  # the replications with a live entry
-            rows = np.flatnonzero(reps == r)  # in slot order
-            path = os.path.join(out_dir, f"trace_rep{r:03d}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_HEADER)
-                for lo in range(0, rows.size, _TRACE_CHUNK):
-                    # ints print as ints, floats by repr, as _fmt does
-                    k, node, *rest = (c[rows[lo:lo + _TRACE_CHUNK]].tolist() for c in columns)
-                    writer.writerows(zip(k, node, repeat(1), *rest))
-            written.append(path)
+        columns.insert(2, np.ones(rep.size, dtype=np.int64))  # delta
+        # one pass over the rows sorted by replication, each in slot order; each
+        # replication's file takes the next lines
+        lines = _csv_lines(columns, np.argsort(rep, kind="stable"))
+        for r, n in enumerate(np.bincount(rep).tolist()):
+            if n:  # only the replications with a live entry get a file
+                path = os.path.join(out_dir, f"trace_rep{r:03d}.csv")
+                _write_lines(path, TRACE_HEADER, lines, n)
+                written.append(path)
 
     if svg:
         if dataset.d is not None:

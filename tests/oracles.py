@@ -1,12 +1,16 @@
 """Scalar and dense reference implementations that the tests compare the
-batched library code against, and the Monte-Carlo gradient-bias oracle that
-runs the slot engine's own estimate."""
+batched library code against, the Monte-Carlo gradient-bias oracle that
+runs the slot engine's own estimate, and the row-by-row csv.writer loops
+that the columnar CSV writer must match byte for byte."""
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +18,7 @@ from scipy.special import gammaln
 
 from dosp.analysis import MAX_AVERAGE_K, step_moments
 from dosp.core import ROLES, StepSizeSchedule
+from dosp.harness import BOUNDS_COLUMNS, TRACE_COLUMNS, TRACE_HEADER, TRAJECTORY_COLUMNS
 from dosp.network import ActiveSet, _offsets, sample_activity
 from dosp.optimizer import learner_estimate, sample_step_index, slot_block
 
@@ -287,3 +292,95 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     bias = scale * mean_g - target_grad
     stderr = scale * math.sqrt(var_g / n_samples)
     return bias, stderr
+
+
+# -- row-by-row CSV emission ---------------------------------------------------
+# csv.writer fed one row of Python objects at a time: the reference for
+# ``dosp.harness.write_csv`` and the files ``emit_outputs`` and ``dosp bounds``
+# write through it.
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value))
+
+
+def reference_csv(path, header, columns) -> None:
+    """``columns`` written row by row through csv.writer: ``int`` of an int
+    array's entries, ``repr(float)`` of a float array's, strings as given."""
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            return [_fmt(v) for v in column]
+        if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+            return [int(v) for v in column]
+        return list(column)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*map(cells, columns)))
+
+
+def reference_outputs(dataset, out_dir) -> list[str]:
+    """trajectory.csv, divergence_mean.csv and one trace_rep###.csv per
+    replication with a live entry, as ``emit_outputs`` writes them."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+
+    traj_path = os.path.join(out_dir, "trajectory.csv")
+    with open(traj_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for r in range(dataset.n_active.shape[0]):
+            for j, k in enumerate(dataset.ks):
+                writer.writerow([
+                    r,
+                    int(k),
+                    _fmt(dataset.d[r, j]) if dataset.d is not None else "",
+                    _fmt(dataset.f_hat[r, j]) if dataset.f_hat is not None else "",
+                    _fmt(dataset.f_stderr[r, j]) if dataset.f_stderr is not None else "",
+                    int(dataset.n_active[r, j]),
+                ])
+    written.append(traj_path)
+
+    if dataset.d is not None:
+        mean_path = os.path.join(out_dir, "divergence_mean.csv")
+        with open(mean_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "D_k", "D_stderr"])
+            err = dataset.D_stderr
+            for j, k in enumerate(dataset.ks):
+                writer.writerow([int(k), _fmt(dataset.D[j]),
+                                 _fmt(err[j]) if err is not None else ""])
+        written.append(mean_path)
+
+    if dataset.traces:
+        reps = dataset.traces["replication"]
+        columns = [dataset.traces[name] for name in TRACE_COLUMNS[1:]]
+        for r in np.flatnonzero(np.bincount(reps)).tolist():
+            rows = np.flatnonzero(reps == r)
+            path = os.path.join(out_dir, f"trace_rep{r:03d}.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(TRACE_HEADER)
+                k, node, *rest = (c[rows].tolist() for c in columns)
+                writer.writerows(zip(k, node, repeat(1), *rest))
+            written.append(path)
+    return written
+
+
+def reference_bounds_csv(path, grid, params, table, diag) -> None:
+    """bounds.csv of ``dosp bounds``: the rate parameters, envelopes and bias
+    diagnostics on ``grid``."""
+    theta, upsilon, psi = params.at(grid)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(BOUNDS_COLUMNS)
+        for j, k in enumerate(grid):
+            writer.writerow([
+                int(k), repr(float(theta[j])), repr(float(upsilon[j])),
+                repr(float(psi[j])), repr(float(table.envelope_a[j])),
+                repr(float(table.envelope_b[j])), repr(float(table.asymptotic[j])),
+                repr(float(diag.w_bound[j])), repr(float(diag.omega[j])),
+                table.status[j],
+            ])
