@@ -13,8 +13,9 @@ Run:  python3 demos/divergence_rate.py   (about a minute)
 import os
 
 from dosp import chart
-from dosp.analysis import ModelConstants, rate_envelope, rate_params, recurrence_envelope
-from dosp.harness import ExperimentConfig, build_model, fit_loglog_slope, run_experiment
+from dosp.analysis import rate_envelope, rate_params, recurrence_envelope
+from dosp.harness import (
+    ExperimentConfig, build_model, fit_loglog_slope, model_constants, run_experiment)
 
 HERE = os.path.dirname(__file__)
 OUT = os.path.join(HERE, "out")
@@ -34,15 +35,9 @@ def main():
           "(theory: -0.5 at these exponents)")
 
     model = build_model(cfg)
-    consts = ModelConstants(
-        alpha_F=model.alpha_F(cfg.network.q_activity),
-        alpha_G=model.alpha_G,
-        lipschitz=model.lipschitz(cfg.bounds),
-        sigma_eta=cfg.sigma_eta,
-        sigma_a_sq=cfg.bounds.sigma_a_sq,
-    )
-    params = rate_params(cfg.schedule, cfg.network, consts, cfg.perturbation,
-                         cfg.horizon, bounds=cfg.bounds, a_star=model.optimum_hint)
+    params = rate_params(cfg.schedule, cfg.network, model_constants(cfg, model),
+                         cfg.perturbation, cfg.horizon, bounds=cfg.bounds,
+                         a_star=model.optimum_hint)
     print(f"recurrence constants: A={params.A:.3g} B={params.B:.3g} C={params.C:.4g}; "
           f"K0={params.K0} K1={params.K1} K2={params.K2}; status: {params.status}")
 

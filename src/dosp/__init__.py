@@ -47,6 +47,7 @@ from .harness import (
     build_model,
     emit_outputs,
     fit_loglog_slope,
+    model_constants,
     run_experiment,
     solve_optimum,
 )

@@ -281,7 +281,7 @@ class ModelConstants:
     lipschitz: float
     sigma_eta: float
     sigma_a_sq: float
-    lipschitz_estimated: bool = False
+    sampled: bool = False  # the three are sample estimates, not closed forms
 
 
 @dataclass
@@ -636,12 +636,9 @@ def verify_asymptotic_bounds(
     checks = []
     for name, ratio in ratios.items():
         bound = np.asarray(bounds_fn[name](ks), dtype=float)
-        holds = ratio <= bound
-        k_prime = None
-        for j in range(ks.size):
-            if np.all(holds[j:]):
-                k_prime = int(ks[j])
-                break
+        failing = np.flatnonzero(~(ratio <= bound))  # a nan ratio fails
+        j = int(failing[-1]) + 1 if failing.size else 0  # the bound holds from j on
+        k_prime = int(ks[j]) if j < ks.size else None
         checks.append(RatioBoundCheck(name=name, k=ks, ratio=ratio, bound=bound,
                                       k_prime=k_prime))
     return checks

@@ -8,24 +8,22 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from . import analysis
-from .core import ConfigError, NumericError, RngStream
+from .core import ConfigError, NumericError
 from .harness import (
     BOUNDS_COLUMNS,
-    CONSTANTS_STREAM,
     ConvergenceError,
     ExperimentConfig,
     build_model,
-    constants_sample,
     emit_outputs,
-    estimate_alpha_G,
     load_optimum,
+    model_constants,
     parse_yaml,
     run_experiment,
     save_optimum,
@@ -112,42 +110,6 @@ def _check_kmax(kmax: int, smallest: int) -> None:
             f"--kmax must lie in [{smallest}, {analysis.MAX_AVERAGE_K}], got {kmax}")
 
 
-def _model_constants(cfg: ExperimentConfig, model, a_star) -> analysis.ModelConstants:
-    from .objectives import QuadraticModel
-
-    if isinstance(model, QuadraticModel):
-        return analysis.ModelConstants(
-            alpha_F=model.alpha_F(cfg.network.q_activity),
-            alpha_G=model.alpha_G,
-            lipschitz=model.lipschitz(cfg.bounds),
-            sigma_eta=cfg.sigma_eta,
-            sigma_a_sq=cfg.bounds.sigma_a_sq,
-        )
-    # power model: curvature and Lipschitz constants have no closed form,
-    # estimate them from sampled configurations and flag the estimate
-    alpha_G, _ = estimate_alpha_G(cfg, model)
-    # the draws alpha_G was estimated on, then the Lipschitz draws
-    rng = RngStream(cfg.seed, CONSTANTS_STREAM).generator()
-    live, env, a = constants_sample(cfg, model, rng)
-    entries = (live.batch_idx, live.node_idx)
-    g = model.global_gradient(a[entries], live, env)
-    d = a - a_star
-    denom = (d * d).sum(axis=1)
-    ascent = np.bincount(live.batch_idx, weights=d[entries] * g, minlength=live.shape[0])
-    keep = denom > 1e-9
-    alpha_F = float(np.min(-ascent[keep] / denom[keep], initial=np.inf))
-    lipschitz = model.estimate_lipschitz(cfg.bounds, cfg.network, rng, n_draws=2000)
-    if not np.isfinite(alpha_F) or alpha_F <= 0:
-        raise ConfigError(
-            "could not certify a positive strong-concavity constant for the "
-            "power model; rate bounds are only quantitative on the quadratic model")
-    return analysis.ModelConstants(
-        alpha_F=float(alpha_F), alpha_G=alpha_G, lipschitz=lipschitz,
-        sigma_eta=cfg.sigma_eta, sigma_a_sq=cfg.bounds.sigma_a_sq,
-        lipschitz_estimated=True,
-    )
-
-
 def _cmd_bounds(args) -> int:
     _check_kmax(args.kmax, analysis.MIN_RATE_K)
     if args.points < 1:
@@ -159,7 +121,11 @@ def _cmd_bounds(args) -> int:
         a_star = load_optimum(args.a_star_dir, cfg)
     if a_star is None:
         raise ConfigError("bounds need a known optimum; run solve-optimum first")
-    consts = _model_constants(cfg, model, a_star)
+    consts = model_constants(cfg, model, a_star)
+    if not (math.isfinite(consts.alpha_F) and consts.alpha_F > 0):
+        raise ConfigError(
+            "could not certify a positive strong-concavity constant for the "
+            "power model; rate bounds are only quantitative on the quadratic model")
     params = analysis.rate_params(
         cfg.schedule, cfg.network, consts, cfg.perturbation, args.kmax,
         bounds=cfg.bounds, a_star=a_star)
@@ -179,7 +145,7 @@ def _cmd_bounds(args) -> int:
     print(f"eps1={params.eps1:.6g} eps2={params.eps2:.6g} "
           f"eps3={params.eps3:.6g} eps4={params.eps4:.6g}")
     print(f"status: {params.status}")
-    if consts.lipschitz_estimated:
+    if consts.sampled:
         print("note: alpha_F, alpha_G, L estimated by sampling (power model)")
     if params.status != "applicable":
         return EXIT_BOUND_INAPPLICABLE

@@ -1,5 +1,5 @@
-"""Experiment orchestration: config files, seeded replication runs,
-trajectory metrics, slope fits, and CSV/SVG emission.
+"""Experiment orchestration: config files, the model constants, seeded
+replication runs, trajectory metrics, slope fits, and CSV/SVG emission.
 
 Replications are advanced together as one vectorized batch; a run is a pure
 function of its config (and optional per-role seed overrides), so outputs are
@@ -13,12 +13,13 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
 import numpy as np
 import yaml
 
+from .analysis import ModelConstants
 from .core import (
     ActionBounds,
     ConfigError,
@@ -113,39 +114,19 @@ class ExperimentConfig:
         lower = self.bounds.lower
         upper = self.bounds.upper
         uniform = np.all(lower == lower[0]) and np.all(upper == upper[0])
+        names = [f.name for f in fields(self)]
+        run = names[names.index("model_params") + 1:]  # the fields of the "run" section
         return {
             "model": {"kind": self.model_kind, **self.model_params},
-            "network": {
-                "n_nodes": self.network.n_nodes,
-                "q_activity": self.network.q_activity,
-                "q_reception": self.network.q_reception,
-                "activity": self.network.activity,
-                "noise": self.network.noise,
-            },
-            "schedule": {
-                "beta0": self.schedule.beta0,
-                "gamma0": self.schedule.gamma0,
-                "c1": self.schedule.c1,
-                "c2": self.schedule.c2,
-            },
+            "network": asdict(self.network),
+            "schedule": asdict(self.schedule),
             "perturbation": {"kind": self.perturbation.kind,
                              "scale": self.perturbation.scale},
             "bounds": {
                 "lower": float(lower[0]) if uniform else [float(v) for v in lower],
                 "upper": float(upper[0]) if uniform else [float(v) for v in upper],
             },
-            "run": {
-                "horizon": self.horizon,
-                "replications": self.replications,
-                "seed": self.seed,
-                "metrics_stride": self.metrics_stride,
-                "f_mc_samples": self.f_mc_samples,
-                "sigma_eta": self.sigma_eta,
-                "algorithm": self.algorithm,
-                "baseline_step": self.baseline_step,
-                "index_mode": self.index_mode,
-                "divergence": self.divergence,
-            },
+            "run": {name: getattr(self, name) for name in run},
         }
 
     @classmethod
@@ -237,29 +218,59 @@ def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
 CONSTANTS_STREAM = 99
 
 
-def constants_sample(cfg: ExperimentConfig, model, rng):
-    """The sample a model's constants are estimated on: 200 activity rows
+def constants_sample(cfg: ExperimentConfig, model, rng, rows: int, blocks: int):
+    """A sample the model constants are estimated on: ``rows`` activity rows
     less those with no live node (they carry no curvature), their
-    environment, and (rows, N) actions uniform in the bounds."""
-    live = sample_activity(cfg.network, rng, 200).without_empty_rows()
+    environment, and ``blocks`` (rows, N) arrays of actions uniform in the
+    bounds, as one (blocks, rows, N) array."""
+    live = sample_activity(cfg.network, rng, rows).without_empty_rows()
     env = model.sample_env(live, rng)
-    return live, env, rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=live.shape)
+    return live, env, rng.uniform(cfg.bounds.lower, cfg.bounds.upper,
+                                  size=(blocks, *live.shape))
 
 
-def estimate_alpha_G(cfg: ExperimentConfig, model) -> tuple[float, str]:
-    """The curvature constant alpha_G of the config's model and where it
-    comes from: the quadratic model's closed form, or the power model's
-    largest |global_hessian| entry over :func:`constants_sample` (drawn from
-    stream ``CONSTANTS_STREAM`` of the config's seed)."""
+def model_constants(cfg: ExperimentConfig, model, a_star=None) -> ModelConstants:
+    """The constants alpha_F, alpha_G and L of the config's model.
+
+    The quadratic model has closed forms.  The power model's are estimates
+    from stream ``CONSTANTS_STREAM`` of the config's seed: on one
+    :func:`constants_sample` of 200 rows, alpha_G is the largest
+    |global_hessian| entry and alpha_F the smallest -(a - a*).g / |a - a*|^2
+    over the rows (nan without ``a_star``); then L is the largest
+    |u_i(a) - u_i(a')| / |(a - a') o delta| over the entries of a second
+    sample of 500 rows and 4 action pairs.
+    """
     if isinstance(model, QuadraticModel):
-        return model.alpha_G, "closed form"
-    live, env, a = constants_sample(cfg, model,
-                                    RngStream(cfg.seed, CONSTANTS_STREAM).generator())
-    hessian = model.global_hessian(a[live.batch_idx, live.node_idx], live, env)
-    alpha_G = float(np.abs(hessian).max(initial=0.0))
+        return ModelConstants(
+            alpha_F=model.alpha_F(cfg.network.q_activity), alpha_G=model.alpha_G,
+            lipschitz=model.lipschitz(cfg.bounds), sigma_eta=cfg.sigma_eta,
+            sigma_a_sq=cfg.bounds.sigma_a_sq)
+    rng = RngStream(cfg.seed, CONSTANTS_STREAM).generator()
+    live, env, (a,) = constants_sample(cfg, model, rng, rows=200, blocks=1)
+    entries = (live.batch_idx, live.node_idx)
+    alpha_G = float(np.abs(model.global_hessian(a[entries], live, env)).max(initial=0.0))
     if not alpha_G > 0:
         raise ConfigError("no curvature in the sampled rows: alpha_G could not be estimated")
-    return alpha_G, "sampled max |global_hessian|"
+    alpha_F = math.nan
+    if a_star is not None:
+        g = model.global_gradient(a[entries], live, env)
+        d = a - a_star
+        denom = (d * d).sum(axis=1)
+        ascent = np.bincount(live.batch_idx, weights=d[entries] * g, minlength=live.shape[0])
+        keep = denom > 1e-9
+        alpha_F = float(np.min(-ascent[keep] / denom[keep], initial=np.inf))
+    live, env, actions = constants_sample(cfg, model, rng, rows=500, blocks=8)
+    actions = actions[:, live.batch_idx, live.node_idx]
+    lipschitz = 0.0
+    for a, b in zip(actions[0::2], actions[1::2]):
+        du = np.abs(model.local_utilities(a, live, env) - model.local_utilities(b, live, env))
+        denom = np.sqrt(np.bincount(live.batch_idx, weights=(a - b) ** 2,
+                                    minlength=live.shape[0]))
+        ratio = np.maximum.reduceat(du, live.offsets[:-1]) / np.where(denom > 0, denom, np.inf)
+        lipschitz = max(lipschitz, float(ratio.max(initial=0.0)))
+    return ModelConstants(
+        alpha_F=alpha_F, alpha_G=alpha_G, lipschitz=lipschitz, sigma_eta=cfg.sigma_eta,
+        sigma_a_sq=cfg.bounds.sigma_a_sq, sampled=True)
 
 
 @dataclass

@@ -20,6 +20,9 @@ import numpy as np
 from .core import ConfigError
 
 
+NOISE_KINDS = ("gaussian", "uniform")  # observation-noise laws
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static network parameters.
@@ -44,7 +47,7 @@ class NetworkConfig:
             raise ConfigError(f"q_reception must lie in (0, 1], got {self.q_reception}")
         if self.activity not in ("binomial", "poisson"):
             raise ConfigError(f"unknown activity model {self.activity!r}")
-        if self.noise not in ("gaussian", "uniform"):
+        if self.noise not in NOISE_KINDS:
             raise ConfigError(f"unknown noise model {self.noise!r}")
 
     @property
@@ -180,7 +183,9 @@ def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> 
 
 
 def sample_obs_noise(sigma_eta: float, size, rng: np.random.Generator, kind: str = "gaussian") -> np.ndarray:
-    """Zero-mean observation noise with variance sigma_eta**2."""
+    """Zero-mean observation noise with variance sigma_eta**2, of law ``kind``."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
     if sigma_eta < 0:
         raise ValueError("sigma_eta must be >= 0")
     if sigma_eta == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ActionBounds, ConfigError
-from .network import ActiveSet, ChannelSpec, NetworkConfig, sample_activity
+from .network import ActiveSet, ChannelSpec
 
 
 class ObjectiveModel:
@@ -135,33 +135,6 @@ class PowerControlModel(ObjectiveModel):
         diag = tx == rx
         h[diag] -= (self.omega2 + self.omega1 * leak[tx[diag]]) * p_tx[diag]
         return h
-
-    def estimate_lipschitz(
-        self,
-        bounds: ActionBounds,
-        cfg: NetworkConfig,
-        rng: np.random.Generator,
-        n_draws: int = 10_000,
-        pairs_per_draw: int = 4,
-    ) -> float:
-        """Empirical Lipschitz constant of a -> u_i over the feasible box.
-
-        Max observed ratio |u_i(a) - u_i(a')| / ||(a - a') o delta|| across
-        sampled (activity, channel) draws; an estimate, not a certified bound.
-        """
-        live = sample_activity(cfg, rng, n_draws // pairs_per_draw).without_empty_rows()
-        env = self.sample_env(live, rng)
-        entries = (live.batch_idx, live.node_idx)
-        worst = 0.0
-        for _ in range(pairs_per_draw):
-            a = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
-            b = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
-            du = np.abs(self.local_utilities(a, live, env) - self.local_utilities(b, live, env))
-            denom = np.sqrt(np.bincount(live.batch_idx, weights=(a - b) ** 2,
-                                        minlength=live.shape[0]))
-            ratio = np.maximum.reduceat(du, live.offsets[:-1]) / np.where(denom > 0, denom, np.inf)
-            worst = max(worst, float(ratio.max(initial=0.0)))
-        return worst
 
 
 class QuadraticModel(ObjectiveModel):

@@ -302,11 +302,6 @@ class SlotBlock:
             yield SlotView(self.k0 + s0, view, entries,
                            self.env[pairs if pairwise else entries], heard)
 
-    def slot(self, s: int) -> SlotView:
-        """The block's slot k0 + s, as a run of one slot."""
-        views = self.runs(sorted({0, s, s + 1, self.slots}))
-        return next(view for view in views if view.k == self.k0 + s)
-
 
 def _per_run(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
     """A block's (i, j) entry pairs, sorted by i, renumbered from the first

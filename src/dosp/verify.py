@@ -21,7 +21,7 @@ from .analysis import (
     verify_lemma4,
 )
 from .core import RngStream
-from .harness import ExperimentConfig, build_model, estimate_alpha_G
+from .harness import ExperimentConfig, build_model, model_constants
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,16 @@ def verification_suite(cfg: ExperimentConfig, k_max: int = 20_000,
 
     # 4. concentration envelope dominates the moment-form bias bound, which
     # the model's curvature alpha_G scales into b_bound
-    alpha_G, source = estimate_alpha_G(cfg, build_model(cfg))
-    diag = bias_diagnostics(sched, net, cfg.perturbation, alpha_G=alpha_G,
+    consts = model_constants(cfg, build_model(cfg))
+    source = "sampled max |global_hessian|" if consts.sampled else "closed form"
+    diag = bias_diagnostics(sched, net, cfg.perturbation, alpha_G=consts.alpha_G,
                             k_grid=grid)
     dominated = bool(np.all(diag.omega >= diag.w_bound))
     shrinking = diag.omega[-1] < diag.omega[0] and diag.w_bound[-1] < diag.w_bound[0]
     results.append(CheckResult(
         "bias-envelope", dominated and shrinking,
         f"omega >= w_bound on grid: {dominated}; both shrinking: {shrinking}; "
-        f"alpha_G = {alpha_G:.6g} ({source}), b_bound(k={int(grid[-1])}) = "
+        f"alpha_G = {consts.alpha_G:.6g} ({source}), b_bound(k={int(grid[-1])}) = "
         f"{diag.b_bound[-1]:.4g}"))
 
     # 5. closed-form step averages match simulation

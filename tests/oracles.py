@@ -1,7 +1,8 @@
 """Scalar and dense reference implementations that the tests compare the
 batched library code against, the Monte-Carlo gradient-bias oracle that
-runs the slot engine's own estimate, and the row-by-row csv.writer loops
-that the columnar CSV writer must match byte for byte."""
+runs the slot engine's own estimate, the row-by-row csv.writer loops that
+the columnar CSV writer must match byte for byte, and the model constants
+as separate samplers drew them."""
 
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from dosp.analysis import MAX_AVERAGE_K, step_moments
-from dosp.core import ROLES, StepSizeSchedule
-from dosp.harness import BOUNDS_COLUMNS, TRACE_COLUMNS, TRACE_HEADER, TRAJECTORY_COLUMNS
+from dosp.analysis import MAX_AVERAGE_K, ModelConstants, step_moments
+from dosp.core import ROLES, ConfigError, RngStream, StepSizeSchedule
+from dosp.harness import (
+    BOUNDS_COLUMNS, CONSTANTS_STREAM, TRACE_COLUMNS, TRACE_HEADER, TRAJECTORY_COLUMNS)
+from dosp.objectives import QuadraticModel
 from dosp.network import ActiveSet, _offsets, sample_activity
 from dosp.optimizer import learner_estimate, sample_step_index, slot_block
 
@@ -246,6 +249,12 @@ def dense_hessian(model, a_hat, delta, channel) -> np.ndarray:
 
 # -- gradient-estimate bias of the learner's slot -----------------------------
 
+def block_slot(block, s: int):
+    """Slot k0 + s of a :class:`dosp.optimizer.SlotBlock`, as a run of one slot."""
+    views = block.runs(sorted({0, s, s + 1, block.slots}))
+    return next(view for view in views if view.k == block.k0 + s)
+
+
 def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
                      n_samples, rng, grad_F=None, chunk=20_000):
     """Monte-Carlo estimate of one node's gradient-estimate bias at slot ``k``.
@@ -279,7 +288,7 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
         step_index = sample_step_index(k, q_a, live, "sampled", rng)
         block = slot_block(live, step_index, m, model, netcfg, rngs, schedule=schedule,
                            pert=pert, sigma_eta=sigma_eta)
-        _, f_tilde = learner_estimate(a[live.node_idx], block, block.slot(0))
+        _, f_tilde = learner_estimate(a[live.node_idx], block, block_slot(block, 0))
         # samples where the node is inactive contribute g = 0
         g = (block.beta * block.phi * f_tilde)[live.node_idx == node]
         total += float(g.sum())
@@ -384,3 +393,97 @@ def reference_bounds_csv(path, grid, params, table, diag) -> None:
                 repr(float(diag.w_bound[j])), repr(float(diag.omega[j])),
                 table.status[j],
             ])
+
+
+# -- model constants -----------------------------------------------------------
+# The constants as three samplers drew them, the power model's 200-row sample
+# twice from fresh generators: the reference for
+# ``dosp.harness.model_constants``, which draws each sample once.
+
+def reference_constants_sample(cfg, model, rng):
+    """The sample a model's constants are estimated on: 200 activity rows
+    less those with no live node (they carry no curvature), their
+    environment, and (rows, N) actions uniform in the bounds."""
+    live = sample_activity(cfg.network, rng, 200).without_empty_rows()
+    env = model.sample_env(live, rng)
+    return live, env, rng.uniform(cfg.bounds.lower, cfg.bounds.upper, size=live.shape)
+
+
+def reference_estimate_alpha_G(cfg, model) -> tuple[float, str]:
+    """The curvature constant alpha_G of the config's model and where it
+    comes from: the quadratic model's closed form, or the power model's
+    largest |global_hessian| entry over :func:`reference_constants_sample`
+    (drawn from stream ``CONSTANTS_STREAM`` of the config's seed)."""
+    if isinstance(model, QuadraticModel):
+        return model.alpha_G, "closed form"
+    live, env, a = reference_constants_sample(
+        cfg, model, RngStream(cfg.seed, CONSTANTS_STREAM).generator())
+    hessian = model.global_hessian(a[live.batch_idx, live.node_idx], live, env)
+    alpha_G = float(np.abs(hessian).max(initial=0.0))
+    if not alpha_G > 0:
+        raise ConfigError("no curvature in the sampled rows: alpha_G could not be estimated")
+    return alpha_G, "sampled max |global_hessian|"
+
+
+def reference_estimate_lipschitz(
+    model,
+    bounds,
+    cfg,
+    rng: np.random.Generator,
+    n_draws: int = 10_000,
+    pairs_per_draw: int = 4,
+) -> float:
+    """Empirical Lipschitz constant of a -> u_i over the feasible box.
+
+    Max observed ratio |u_i(a) - u_i(a')| / ||(a - a') o delta|| across
+    sampled (activity, channel) draws; an estimate, not a certified bound.
+    """
+    live = sample_activity(cfg, rng, n_draws // pairs_per_draw).without_empty_rows()
+    env = model.sample_env(live, rng)
+    entries = (live.batch_idx, live.node_idx)
+    worst = 0.0
+    for _ in range(pairs_per_draw):
+        a = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
+        b = rng.uniform(bounds.lower, bounds.upper, size=live.shape)[entries]
+        du = np.abs(model.local_utilities(a, live, env) - model.local_utilities(b, live, env))
+        denom = np.sqrt(np.bincount(live.batch_idx, weights=(a - b) ** 2,
+                                    minlength=live.shape[0]))
+        ratio = np.maximum.reduceat(du, live.offsets[:-1]) / np.where(denom > 0, denom, np.inf)
+        worst = max(worst, float(ratio.max(initial=0.0)))
+    return worst
+
+
+def reference_model_constants(cfg, model, a_star) -> ModelConstants:
+    """``dosp bounds``' constants; ConfigError where the power model's
+    sampled alpha_F is not positive."""
+    if isinstance(model, QuadraticModel):
+        return ModelConstants(
+            alpha_F=model.alpha_F(cfg.network.q_activity),
+            alpha_G=model.alpha_G,
+            lipschitz=model.lipschitz(cfg.bounds),
+            sigma_eta=cfg.sigma_eta,
+            sigma_a_sq=cfg.bounds.sigma_a_sq,
+        )
+    # power model: curvature and Lipschitz constants have no closed form,
+    # estimate them from sampled configurations and flag the estimate
+    alpha_G, _ = reference_estimate_alpha_G(cfg, model)
+    # the draws alpha_G was estimated on, then the Lipschitz draws
+    rng = RngStream(cfg.seed, CONSTANTS_STREAM).generator()
+    live, env, a = reference_constants_sample(cfg, model, rng)
+    entries = (live.batch_idx, live.node_idx)
+    g = model.global_gradient(a[entries], live, env)
+    d = a - a_star
+    denom = (d * d).sum(axis=1)
+    ascent = np.bincount(live.batch_idx, weights=d[entries] * g, minlength=live.shape[0])
+    keep = denom > 1e-9
+    alpha_F = float(np.min(-ascent[keep] / denom[keep], initial=np.inf))
+    lipschitz = reference_estimate_lipschitz(model, cfg.bounds, cfg.network, rng, n_draws=2000)
+    if not np.isfinite(alpha_F) or alpha_F <= 0:
+        raise ConfigError(
+            "could not certify a positive strong-concavity constant for the "
+            "power model; rate bounds are only quantitative on the quadratic model")
+    return ModelConstants(
+        alpha_F=float(alpha_F), alpha_G=alpha_G, lipschitz=lipschitz,
+        sigma_eta=cfg.sigma_eta, sigma_a_sq=cfg.bounds.sigma_a_sq,
+        sampled=True,
+    )

@@ -36,7 +36,7 @@ from dosp.optimizer import dosp_slot, slot_block
 from dosp.core import role_streams
 
 from conftest import power_config, quadratic_config, reference_schedule
-from oracles import mask_of, mc_gradient_bias, scatter
+from oracles import block_slot, mask_of, mc_gradient_bias, scatter
 
 RESULTS = []
 
@@ -131,7 +131,7 @@ def test_criterion_04_feasibility_invariant():
                        model, small.network, role_streams(1), small.bounds,
                        schedule=small.schedule, pert=small.perturbation)
     with pytest.raises(FeasibilityError):
-        dosp_slot(np.array([2.7]), block, block.slot(0))
+        dosp_slot(np.array([2.7]), block, block_slot(block, 0))
     _check("04", in_bounds,
            f"{performed.size} performed actions, all inside the bounds; "
            "out-of-interval state trips the hard assert")

@@ -14,6 +14,7 @@ from dosp.analysis import (
     binomial_averages,
     chernoff_step_bound,
     compute_K0,
+    log_grid,
     mc_step_average,
     rate_envelope,
     rate_params,
@@ -480,6 +481,21 @@ class TestAsymptoticRatioBounds:
         checks = verify_asymptotic_bounds(s, net, 0.5, 0.5, grid)
         for check in checks:
             assert check.k_prime is not None, check.name
+
+    @pytest.mark.parametrize("k_max, k_prime", [(3000, 26), (21, None)])
+    def test_k_prime_is_the_point_after_the_last_failing_one(self, k_max, k_prime):
+        # at xi = 0.05, xi' = 0.01 two ratios break their bounds on a run of
+        # grid points after the first few; cut at k = 21 the run reaches the end
+        s = StepSizeSchedule(0.5, 1.0, 0.9, 0.1)
+        grid = log_grid(3000, 40)
+        grid = grid[grid <= k_max]
+        checks = verify_asymptotic_bounds(s, NetworkConfig(10, 0.3, 1.0), 0.05, 0.01, grid)
+        for check in checks:
+            holds = check.ratio <= check.bound
+            first = next((int(k) for j, k in enumerate(grid) if holds[j:].all()), None)
+            assert check.k_prime == first, check.name
+        assert checks[0].name == "upsilon_over_theta" and checks[0].k_prime == k_prime
+        assert checks[0].ratio[0] <= checks[0].bound[0]
 
     def test_squared_ratio_decay_order(self):
         from dosp.harness import fit_loglog_slope

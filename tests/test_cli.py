@@ -166,17 +166,16 @@ def test_verify_passes_on_reference_setup(tmp_path, capsys):
 def test_verify_uses_the_power_models_sampled_curvature(tmp_path, capsys):
     # the bias-envelope check scales by the alpha_G estimate that `dosp
     # bounds` uses too, not by the quadratic's 2
-    from dosp.harness import build_model, estimate_alpha_G
+    from dosp.harness import build_model, model_constants
 
     cfg = power_config(n_nodes=5, q_activity=1.0, bound=2.0, horizon=200,
                        replications=2, seed=7)
     cfg = dataclasses.replace(cfg, schedule=StepSizeSchedule(0.5, 0.5, 0.75, 0.25))
-    model = build_model(cfg)
-    alpha_G, source = estimate_alpha_G(cfg, model)
-    assert source == "sampled max |global_hessian|" and alpha_G != 2.0
+    consts = model_constants(cfg, build_model(cfg))
+    assert consts.sampled and consts.alpha_G != 2.0
     assert main(["verify", "--config", _write_config(tmp_path, cfg), "--kmax", "2000"]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if "bias-envelope" in l)
-    assert f"alpha_G = {alpha_G:.6g} (sampled max |global_hessian|)" in line
+    assert f"alpha_G = {consts.alpha_G:.6g} (sampled max |global_hessian|)" in line
 
 
 @pytest.mark.parametrize("argv", [

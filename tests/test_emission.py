@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dosp import analysis, harness
-from dosp.cli import _model_constants, main
-from dosp.harness import ExperimentConfig, build_model, run_experiment, write_csv
+from dosp.cli import main
+from dosp.harness import (
+    ExperimentConfig, build_model, model_constants, run_experiment, write_csv)
 
 from conftest import quadratic_config
 from oracles import reference_bounds_csv, reference_csv, reference_outputs
@@ -100,7 +101,7 @@ def test_bounds_csv_matches_the_row_writer(tmp_path, capsys):
     assert rc == 0
 
     model = build_model(cfg)
-    consts = _model_constants(cfg, model, model.optimum_hint)
+    consts = model_constants(cfg, model)
     params = analysis.rate_params(cfg.schedule, cfg.network, consts, cfg.perturbation, 2000,
                                   bounds=cfg.bounds, a_star=model.optimum_hint)
     grid = analysis.log_grid(2000, 200)

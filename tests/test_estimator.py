@@ -79,6 +79,13 @@ class TestUnbiasedness:
         assert abs(bias) <= 3 * err
         assert err == pytest.approx(0.8 / np.sqrt(50_000), rel=0.05)
 
+    def test_unknown_noise_law_is_rejected(self):
+        # a misspelt law must not fall back to another one
+        model, a_hat, live, env = self._fixed_world()
+        with pytest.raises(ValueError, match=r"^unknown noise kind 'unifrom', expected one of"):
+            mc_check_unbiasedness(model, a_hat, live, env, 0.4, 0.6, 64,
+                                  RngStream(8, 1).generator(), noise="unifrom")
+
     def test_uniform_noise_world_is_checked_under_its_law(self):
         model, a_hat, live, env = self._fixed_world(seed=13)
         rng = CountingGenerator(RngStream(7, 1).generator())

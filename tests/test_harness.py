@@ -1,19 +1,25 @@
 import csv
+import dataclasses
+import glob
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from dosp import ConfigError
-from dosp.core import role_streams
+from dosp import ConfigError, ModelConstants, StepSizeSchedule
+from dosp.core import RngStream, role_streams
 from dosp.harness import (
+    CONSTANTS_STREAM,
     ExperimentConfig,
     TRAJECTORY_COLUMNS,
+    build_model,
     emit_outputs,
     fit_loglog_slope,
     load_optimum,
+    model_constants,
     optimum_cache_key,
+    parse_yaml,
     run_experiment,
     save_optimum,
     solve_optimum,
@@ -22,6 +28,10 @@ from dosp import optimizer
 from dosp.optimizer import initialize_states
 
 from conftest import power_config, quadratic_config
+from oracles import (reference_constants_sample, reference_estimate_alpha_G,
+                     reference_estimate_lipschitz, reference_model_constants)
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestConfigSerialization:
@@ -39,6 +49,17 @@ class TestConfigSerialization:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"model": {"kind": "power"}})
+
+    def test_shipped_configs_keep_their_key_order(self):
+        # to_dict lays the sections and keys out in the order the files list them
+        def order(tree):
+            return [(k, order(v)) for k, v in tree.items()] if isinstance(tree, dict) else None
+
+        for path in sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))):
+            with open(path, encoding="utf-8") as fh:
+                written = parse_yaml(fh)
+            as_dict = ExperimentConfig.from_yaml(path).to_dict()
+            assert as_dict == written and order(as_dict) == order(written), path
 
     def test_scalar_bounds_broadcast(self):
         cfg = quadratic_config(n_nodes=5)
@@ -280,3 +301,72 @@ class TestSolveOptimum:
         assert optimum_cache_key(other) != optimum_cache_key(cfg)
         with pytest.raises(ConfigError):
             load_optimum(tmp_path, other)
+
+
+def _n5_power_config(seed):
+    """Every node active, bounds +-2: the config whose sampled alpha_F sign
+    depends on the seed."""
+    cfg = power_config(n_nodes=5, q_activity=1.0, bound=2.0, horizon=200,
+                       replications=2, seed=seed)
+    return dataclasses.replace(cfg, schedule=StepSizeSchedule(0.5, 0.5, 0.75, 0.25))
+
+
+def _reference_constants(cfg, model, a_star):
+    """The reference constants; alpha_F None where the reference refuses
+    a non-positive one."""
+    try:
+        return reference_model_constants(cfg, model, a_star)
+    except ConfigError:
+        rng = RngStream(cfg.seed, CONSTANTS_STREAM).generator()
+        reference_constants_sample(cfg, model, rng)
+        return ModelConstants(
+            alpha_F=None, alpha_G=reference_estimate_alpha_G(cfg, model)[0],
+            lipschitz=reference_estimate_lipschitz(model, cfg.bounds, cfg.network, rng,
+                                                   n_draws=2000),
+            sigma_eta=cfg.sigma_eta, sigma_a_sq=cfg.bounds.sigma_a_sq, sampled=True)
+
+
+class TestModelConstants:
+    @pytest.fixture(scope="class")
+    def n5_optimum(self):
+        return solve_optimum(_n5_power_config(7), tolerance=0.05).a_star
+
+    def test_power_constants_match_the_separate_samplers(self, n5_optimum):
+        refused = []
+        for seed in range(1, 21):
+            cfg = _n5_power_config(seed)
+            model = build_model(cfg)
+            consts = model_constants(cfg, model, n5_optimum)
+            reference = _reference_constants(cfg, model, n5_optimum)
+            assert consts.sampled
+            if reference.alpha_F is None:
+                refused.append(seed)
+                assert consts.alpha_F <= 0
+                consts = dataclasses.replace(consts, alpha_F=None)
+            assert consts == reference, seed
+        # the one-draw gradient makes alpha_F's sign a matter of the seed
+        assert refused == [3, 4, 14]
+
+    def test_shipped_power_config_matches_the_separate_samplers(self):
+        cfg = ExperimentConfig.from_yaml(
+            os.path.join(CONFIGS, "power_utility_reception_sweep.yaml"))
+        model = build_model(cfg)
+        a_star = solve_optimum(cfg, tolerance=0.05).a_star
+        consts = model_constants(cfg, model, a_star)
+        reference = _reference_constants(cfg, model, a_star)
+        assert reference.alpha_F is None and consts.alpha_F <= 0
+        assert dataclasses.replace(consts, alpha_F=None) == reference
+
+    def test_without_an_optimum_alpha_F_is_nan(self):
+        cfg = _n5_power_config(7)
+        model = build_model(cfg)
+        consts = model_constants(cfg, model)
+        assert np.isnan(consts.alpha_F)
+        assert consts.alpha_G == reference_estimate_alpha_G(cfg, model)[0]
+
+    def test_quadratic_constants_are_the_closed_forms(self):
+        cfg = quadratic_config(n_nodes=5, bound=3.0, horizon=1, replications=1)
+        model = build_model(cfg)
+        consts = model_constants(cfg, model)
+        assert not consts.sampled and consts.alpha_G == 2.0
+        assert consts == reference_model_constants(cfg, model, model.optimum_hint)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dosp import NetworkConfig
-from dosp.core import ActionBounds, NumericError, RngStream
-from dosp.harness import eval_F_batch
+from dosp.core import NumericError, RngStream
+from dosp.harness import build_model, eval_F_batch, model_constants
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 
+from conftest import power_config
 from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
-                     mask_of, scatter)
+                     mask_of, reference_estimate_lipschitz, scatter)
 
 
 def _gen(stream, seed=412):
@@ -182,14 +183,12 @@ class TestConcavity:
             assert lhs <= -alpha_F * np.dot(a - m.targets, a - m.targets) + 1e-12
 
     def test_power_lipschitz_ratio_bounded(self):
-        m = PowerControlModel(5)
-        cfg = NetworkConfig(5, 0.6, 1.0)
-        bounds = ActionBounds.uniform(5, -2.0, 2.0)
-        rng = _gen(5)
-        estimate = m.estimate_lipschitz(bounds, cfg, rng, n_draws=2000)
+        cfg = power_config(n_nodes=5, q_activity=0.6, bound=2.0, horizon=1, replications=1)
+        m = build_model(cfg)
+        estimate = model_constants(cfg, m).lipschitz
         assert np.isfinite(estimate) and estimate > 0
         # fresh draws stay within a modest multiple of the estimated constant
-        worst = m.estimate_lipschitz(bounds, cfg, rng, n_draws=500)
+        worst = reference_estimate_lipschitz(m, cfg.bounds, cfg.network, _gen(5), n_draws=500)
         assert worst <= 3.0 * estimate
 
 

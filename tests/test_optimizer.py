@@ -28,7 +28,7 @@ from dosp.optimizer import (
 )
 
 from conftest import power_config, quadratic_config
-from oracles import CountingGenerator, mask_of
+from oracles import CountingGenerator, block_slot, mask_of
 
 
 def _live(mask):
@@ -372,7 +372,7 @@ class TestGuards:
         live = sample_activity(net, rngs["activity"], 16 * batch)
         block = slot_block(live, np.ones(live.size, dtype=np.int64), batch, model, net, rngs,
                            bounds, schedule=schedule, pert=pert)
-        slot = block.slot(5)
+        slot = block_slot(block, 5)
         assert slot.k == 6 and slot.live.size > 0
         # beyond the bound by more than gamma(1) = 0.5: every performed action leaves it
         a = block.upper[slot.entries] + 0.6

@@ -23,9 +23,8 @@ SAMPLERS = {
     ("objectives", "PowerControlModel.sample_env"),
     ("objectives", "QuadraticModel.sample_env"),
     ("estimator", "sample_reception"),
-    # the two constant-estimation action draws
+    # the constant-estimation action draws
     ("harness", "constants_sample"),
-    ("objectives", "PowerControlModel.estimate_lipschitz"),
 }
 
 
