@@ -377,7 +377,8 @@ def rate_params(
     The epsilon maxima are exact over the grid [K0, k_max]; the tail beyond
     k_max is certified with the closed-form ratio dominators where their
     exponent is nonincreasing; otherwise ``eps2_tail`` / ``eps4_tail`` stay
-    None and only the grid maxima hold.
+    None and only the grid maxima hold.  An alpha_F that is nan or not
+    positive leaves both envelopes invalid, and ``status`` names it.
     """
     if k_max < MIN_RATE_K:
         raise ValueError("k_max too small")
@@ -385,6 +386,8 @@ def rate_params(
     lam = netcfg.expected_active
 
     A = 2.0 * pert.sigma_phi_sq * consts.alpha_F
+    # the recurrence contracts only for A > 0, that is alpha_F > 0
+    alpha_F_ok = math.isfinite(consts.alpha_F) and consts.alpha_F > 0
     B = consts.alpha_G * pert.alpha_phi**3
     K0 = compute_K0(schedule, pert, bounds, a_star)
 
@@ -417,7 +420,7 @@ def rate_params(
     C = C_proj + pert.sigma_phi_sq * (noise_moment + util_moment)
 
     K2 = None
-    for k in range(K1, k_max + 1):
+    for k in range(K1, k_max + 1) if alpha_F_ok else ():
         if theta[k - 1] < 1.0 / A:
             K2 = k
             break
@@ -451,8 +454,8 @@ def rate_params(
 
     # The grid maxima are exact for finite-horizon statements; asymptotically
     # eps2 stays finite iff c1 >= 3*c2 and eps4 iff c1 <= 3*c2.
-    env_a_valid = eps1 < A and schedule.c1 >= 3 * schedule.c2
-    env_b_valid = eps3 < A and schedule.c1 <= 3 * schedule.c2
+    env_a_valid = alpha_F_ok and eps1 < A and schedule.c1 >= 3 * schedule.c2
+    env_b_valid = alpha_F_ok and eps3 < A and schedule.c1 <= 3 * schedule.c2
 
     vartheta = None
     if env_a_valid:
@@ -472,6 +475,8 @@ def rate_params(
 
     if env_a_valid or env_b_valid:
         status = "applicable"
+    elif not alpha_F_ok:
+        status = f"inapplicable: alpha_F = {consts.alpha_F:.3g} is not positive and finite"
     else:
         reasons = []
         if schedule.c1 >= 3 * schedule.c2 and eps1 >= A:

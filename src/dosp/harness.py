@@ -29,15 +29,16 @@ from .core import (
     StepSizeSchedule,
     role_streams,
 )
-from .network import ChannelSpec, NetworkConfig, sample_activity
+from .network import ActiveSet, ChannelSpec, NetworkConfig, sample_activity
 from .objectives import ObjectiveModel, PowerControlModel, QuadraticModel
-from .optimizer import INDEX_MODES, TRACE_COLUMNS, initialize_states, run_slots
+from .optimizer import INDEX_MODES, TRACE_COLUMNS, block_slots, initialize_states, run_slots
 from . import chart
 
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
 # a replication's trace file: the trace columns after replication, and delta = 1
 TRACE_HEADER = (*TRACE_COLUMNS[1:3], "delta", *TRACE_COLUMNS[3:])
 _CSV_CHUNK = 1024  # rows formatted, and written, at once
+_MC_CHUNK_BLOCKS = 4  # single-row slot blocks per Monte-Carlo chunk
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
@@ -307,6 +308,32 @@ def record_slots(horizon: int, stride: int) -> np.ndarray:
     return np.array(sorted(ks), dtype=int)
 
 
+def _mc_values(evaluate, model, actions: np.ndarray, netcfg: NetworkConfig,
+               n_samples: int, rng) -> tuple[ActiveSet, np.ndarray]:
+    """``evaluate`` (``model.local_utilities`` or ``model.global_gradient``)
+    at ``n_samples`` fresh (activity, environment) draws per row of
+    ``actions``, row r's on sample rows r * n_samples onward.  Returns the
+    draws' live entries and the values, one per entry in the list's order.
+
+    The activity of all rows is drawn in one call, then the environment and
+    the values chunk by chunk, ``_MC_CHUNK_BLOCKS`` single-row slot blocks'
+    worth of rows (:func:`dosp.optimizer.block_slots`) at a time.  The
+    chunks' environment draws concatenate to one call's, and each entry's
+    value sums only over its own row, so no value depends on the chunk size.
+    """
+    rows = actions.shape[0] * n_samples
+    live = sample_activity(netcfg, rng, rows)
+    values = np.empty(live.size)
+    chunk = _MC_CHUNK_BLOCKS * block_slots(netcfg, 1, model.pairwise_env)
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        part = live.rows(lo, hi)
+        e = slice(live.offsets[lo], live.offsets[hi])
+        a = actions[live.batch_idx[e] // n_samples, part.node_idx]
+        values[e] = evaluate(a, part, model.sample_env(part, rng))
+    return live, values
+
+
 def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
                  n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo averaged-utility estimate and its standard error for each
@@ -315,9 +342,7 @@ def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
     Raises :class:`NumericError` on a non-finite estimate, as the slot does.
     """
     b = actions.shape[0]
-    live = sample_activity(netcfg, rng, b * n_samples)
-    env = model.sample_env(live, rng)
-    u = model.local_utilities(actions[live.batch_idx // n_samples, live.node_idx], live, env)
+    live, u = _mc_values(model.local_utilities, model, actions, netcfg, n_samples, rng)
     f = np.bincount(live.batch_idx, weights=u, minlength=b * n_samples).reshape(b, n_samples)
     est, err = f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
     finite = np.isfinite(est) & np.isfinite(err)
@@ -432,6 +457,14 @@ def fit_loglog_slope(ks, values, k_min: float = 0.0) -> tuple[float, float]:
     return slope, stderr
 
 
+def avg_gradient(model, point: np.ndarray, netcfg: NetworkConfig, n_samples: int,
+                 rng) -> np.ndarray:
+    """Monte-Carlo average over ``n_samples`` fresh (activity, environment)
+    draws of the exact global gradient at ``point``, per node."""
+    live, g = _mc_values(model.global_gradient, model, point[None, :], netcfg, n_samples, rng)
+    return np.bincount(live.node_idx, weights=g, minlength=netcfg.n_nodes) / n_samples
+
+
 @dataclass(frozen=True)
 class OptimumResult:
     a_star: np.ndarray
@@ -466,23 +499,17 @@ def solve_optimum(
         n_cert = 50 * n_mc
     a = np.asarray((cfg.bounds.lower + cfg.bounds.upper) / 2.0, dtype=float)
 
-    def avg_gradient(point, samples):
-        live = sample_activity(net, rng, samples)
-        env = model.sample_env(live, rng)
-        g = model.global_gradient(point[live.node_idx], live, env)
-        return np.bincount(live.node_idx, weights=g, minlength=net.n_nodes) / samples
-
     iters = 0
     gnorm = math.inf
     while iters < max_iters:
         block_sum = np.zeros_like(a)
         for _ in range(check_every):
-            g = avg_gradient(a, n_mc)
+            g = avg_gradient(model, a, net, n_mc, rng)
             a = np.clip(a + step * g, cfg.bounds.lower, cfg.bounds.upper)
             block_sum += a
             iters += 1
         averaged = block_sum / check_every
-        gnorm = float(np.max(np.abs(avg_gradient(averaged, n_cert))))
+        gnorm = float(np.max(np.abs(avg_gradient(model, averaged, net, n_cert, rng))))
         if gnorm < tolerance:
             return OptimumResult(a_star=averaged, grad_norm=gnorm, iterations=iters)
     raise ConvergenceError(

@@ -22,6 +22,13 @@ from .core import ConfigError
 
 NOISE_KINDS = ("gaussian", "uniform")  # observation-noise laws
 
+# Working-set budget, in 8-byte cells, of one batch of draws: it sets the
+# rows of a binomial activity chunk (``_BLOCK_CELLS // N``), the slots of an
+# :func:`dosp.optimizer.run_slots` block and the rows of a Monte-Carlo chunk
+# in :mod:`dosp.harness`.  No output depends on it except under Poisson
+# activity, whose blocks it sizes.
+_BLOCK_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -150,14 +157,24 @@ class ActiveSet:
 def sample_activity(cfg: NetworkConfig, rng: np.random.Generator, rows: int) -> ActiveSet:
     """Draw ``rows`` independent slots' activity as their live-entry list.
 
-    Binomial rows come from one uniform block, which consumes the stream
-    exactly as ``rows`` single-row draws would.  Poisson rows draw all their
-    counts first and then all their nodes, so a block is not the
-    concatenation of single-row draws; the law of each row is the same.
+    Binomial rows draw one uniform per (row, node), in chunks of about
+    ``_BLOCK_CELLS // N`` rows of which only the live keys are kept;
+    consecutive fills of a stream concatenate, so this consumes it exactly
+    as ``rows`` single-row draws would.  Poisson rows draw all their counts
+    first and then all their nodes, so a block is not the concatenation of
+    single-row draws; the law of each row is the same.
     """
     n = cfg.n_nodes
     if cfg.activity == "binomial":
-        return ActiveSet.from_mask(rng.random((rows, n)) < cfg.q_activity)
+        chunk = max(1, _BLOCK_CELLS // n)
+        # flat (row, node) keys of the live cells, chunk by chunk; no rows
+        # make one empty chunk
+        keys = np.concatenate([
+            np.flatnonzero(rng.random((min(chunk, rows - lo), n)) < cfg.q_activity) + lo * n
+            for lo in range(0, max(rows, 1), chunk)])
+        batch_idx, node_idx = np.divmod(keys, n)
+        return ActiveSet((rows, n), batch_idx, node_idx,
+                         _offsets(np.bincount(batch_idx, minlength=rows)))
     # Poisson large-N regime: n_k ~ Poisson(lambda) capped at N, nodes uniform.
     counts = np.minimum(rng.poisson(cfg.expected_active, rows), n)
     # A row more than half full draws the nodes it leaves out, so no row

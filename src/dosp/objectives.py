@@ -19,6 +19,8 @@ import numpy as np
 from .core import ActionBounds, ConfigError
 from .network import ActiveSet, ChannelSpec
 
+_TINY = np.finfo(float).tiny  # floor of a direct channel gain
+
 
 class ObjectiveModel:
     """Shared behaviour for pluggable objective models."""
@@ -65,7 +67,13 @@ class PowerControlModel(ObjectiveModel):
         self.omega2 = float(omega2)
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> np.ndarray:
-        """Power gains of the pairs of ``live.pairs``, in their order."""
+        """Power gains of the pairs of ``live.pairs``, in their order: one
+        draw per pair, so the draws of consecutive rows concatenate.
+
+        A direct gain is floored at the smallest normal float, so the
+        probability-zero event of a dead direct channel (log s_ii = -inf)
+        costs no redraw.
+        """
         tx, rx = live.pairs
         diag = tx == rx
         var = np.where(diag, self.channel.var_direct, self.channel.var_cross)
@@ -74,22 +82,17 @@ class PowerControlModel(ObjectiveModel):
             gains = var * h * h
         else:
             gains = rng.exponential(var)
-        # guard the probability-zero event of an exactly dead direct channel
-        while True:
-            zero = np.flatnonzero(diag & (gains == 0.0))
-            if zero.size == 0:
-                break
-            h = rng.standard_normal(zero.size)
-            gains[zero] = var[zero] * h * h
+        gains[diag & (gains < _TINY)] = _TINY
         return gains
 
     def _interference(self, live, gains, power) -> np.ndarray:
-        """sigma^2 plus received cross power at every live entry."""
+        """sigma^2 plus received cross power at every live entry.  A direct
+        pair adds an exact 0 to its receiver's sum, which leaves every
+        partial sum of the (nonnegative) cross terms as it is."""
         tx, rx = live.pairs
-        offdiag = tx != rx
-        cross = np.bincount(rx[offdiag], weights=gains[offdiag] * power[tx[offdiag]],
-                            minlength=live.size)
-        return self.channel.noise_floor + cross
+        received = gains * power[tx]
+        received[tx == rx] = 0.0
+        return self.channel.noise_floor + np.bincount(rx, weights=received, minlength=live.size)
 
     def local_utilities(self, a_hat, live, env):
         tx, rx = live.pairs

@@ -11,8 +11,9 @@ perturbation, environment, observation noise and reception do not depend on
 the actions.  So :func:`run_slots` advances the batch in slot blocks.  For a
 block of S slots it draws each role with one call on one list of S * B rows
 (:class:`SlotBlock`).  For every role but Poisson activity one call consumes
-the role's stream exactly as S per-slot calls would, so outputs do not
-depend on the block size.
+the role's stream exactly as S per-slot calls would (one draw per entry or
+pair; a dead direct channel gain is floored, not redrawn), so outputs do
+not depend on the block size.
 
 Only the learner's step reads the state, and a slot's step reads and writes
 just the actions of its own live entries: each entry's arithmetic is
@@ -43,17 +44,17 @@ from .core import (
     StepSizeSchedule,
 )
 from .estimator import estimate_global_utility, sample_reception
-from .network import ActiveSet, NetworkConfig, sample_activity, sample_obs_noise
+from .network import _BLOCK_CELLS, ActiveSet, NetworkConfig, sample_activity, sample_obs_noise
 
 INDEX_MODES = ("sampled", "counted")
 
-# Working-set budget of one slot block, in 8-byte cells; it sets the block
-# size S.  A slot costs the dense (B, N) uniforms of a binomial activity draw
-# plus _ENTRY_CELLS per live entry and _PAIR_CELLS per drawn pair: a block
-# holds about 17 arrays per entry and 4 per pair at its peak (tracemalloc),
-# and the process's resident set grows by about twice that.  No output
-# depends on S except under Poisson activity.
-_BLOCK_CELLS = 1 << 17
+# A slot block's size S keeps it within the working-set budget
+# network._BLOCK_CELLS.  A slot costs the dense (B, N) uniforms of a binomial
+# activity draw plus _ENTRY_CELLS per live entry and _PAIR_CELLS per drawn
+# pair: a block holds about 17 arrays per entry and 4 per pair at its peak
+# (tracemalloc), and the process's resident set grows by about twice that.
+# A block's rows fit in one activity chunk unless one slot alone exceeds the
+# budget.  No output depends on S except under Poisson activity.
 _ENTRY_CELLS = 32
 _PAIR_CELLS = 8
 

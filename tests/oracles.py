@@ -1,8 +1,9 @@
 """Scalar and dense reference implementations that the tests compare the
 batched library code against, the Monte-Carlo gradient-bias oracle that
 runs the slot engine's own estimate, the row-by-row csv.writer loops that
-the columnar CSV writer must match byte for byte, and the model constants
-as separate samplers drew them."""
+the columnar CSV writer must match byte for byte, the model constants as
+separate samplers drew them, and the Monte-Carlo averages drawn and
+evaluated on all their rows at once."""
 
 from __future__ import annotations
 
@@ -487,3 +488,35 @@ def reference_model_constants(cfg, model, a_star) -> ModelConstants:
         sigma_eta=cfg.sigma_eta, sigma_a_sq=cfg.bounds.sigma_a_sq,
         sampled=True,
     )
+
+
+# -- one-shot Monte-Carlo averages ---------------------------------------------
+# Every row drawn and evaluated at once, as before the row chunks: the
+# reference for ``dosp.harness.eval_F_batch`` and ``avg_gradient``.
+
+def one_block_activity(cfg, rng: np.random.Generator, rows: int) -> ActiveSet:
+    """Activity of ``rows`` rows from one draw: binomial rows from one
+    (rows, N) uniform block, Poisson rows from ``sample_activity``."""
+    if cfg.activity == "binomial":
+        return ActiveSet.from_mask(rng.random((rows, cfg.n_nodes)) < cfg.q_activity)
+    return sample_activity(cfg, rng, rows)
+
+
+def _one_shot(evaluate, model, actions, netcfg, n_samples, rng):
+    live = one_block_activity(netcfg, rng, actions.shape[0] * n_samples)
+    env = model.sample_env(live, rng)
+    return live, evaluate(actions[live.batch_idx // n_samples, live.node_idx], live, env)
+
+
+def reference_eval_F_batch(model, actions, netcfg, n_samples, rng):
+    """Monte-Carlo averaged utility and its standard error per action row."""
+    b = actions.shape[0]
+    live, u = _one_shot(model.local_utilities, model, actions, netcfg, n_samples, rng)
+    f = np.bincount(live.batch_idx, weights=u, minlength=b * n_samples).reshape(b, n_samples)
+    return f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
+
+
+def reference_avg_gradient(model, point, netcfg, n_samples, rng):
+    """Monte-Carlo average of the exact global gradient at ``point``, per node."""
+    live, g = _one_shot(model.global_gradient, model, point[None, :], netcfg, n_samples, rng)
+    return np.bincount(live.node_idx, weights=g, minlength=netcfg.n_nodes) / n_samples

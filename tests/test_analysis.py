@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -421,37 +423,53 @@ class TestRateParams:
         assert ratio.max() / ratio.min() < 3.0
 
 
-def test_divergence_rate_constants_match_benchmark_reference():
-    """Tier-1 copy of the divergence-rate gate in ``perfbench/gates.py``.
-
-    The workload's rate constants at k_max = 6000 (N=20, q_a=0.1, q_r=0.1,
-    beta0=0.5, gamma0=2, c1=0.75, c2=0.25, bounds +-4): A, B, C and K0-K2
-    exactly, eps1-eps4 within that file's ``EPS_RTOL``.  A change to the
-    binomial weights' arithmetic fails here before it fails a benchmark run.
-    """
+def _divergence_rate_params(**changes):
+    """``rate_params`` of the divergence-rate workload (N=20, q_a=0.1,
+    q_r=0.1, beta0=0.5, gamma0=2, c1=0.75, c2=0.25, bounds +-4) at k_max =
+    6000, with ``changes`` made to its model constants."""
     from dosp.harness import build_model
 
     from conftest import quadratic_config
 
-    reference = {
-        "A": 0.4, "B": 2.0, "C": 518385.0, "K0": 1, "K1": 1, "K2": 1,
-        "eps1": 0.04993441747296856, "eps2": 0.0004579331185050908,
-        "eps3": 0.05596335232806027, "eps4": 2702.7360000000012,
-    }
-    eps_rtol = 1e-9
     cfg = quadratic_config(q_reception=0.1, horizon=6000)
     model = build_model(cfg)
     consts = ModelConstants(
         alpha_F=model.alpha_F(cfg.network.q_activity), alpha_G=model.alpha_G,
         lipschitz=model.lipschitz(cfg.bounds), sigma_eta=cfg.sigma_eta,
         sigma_a_sq=cfg.bounds.sigma_a_sq)
-    params = rate_params(cfg.schedule, cfg.network, consts, cfg.perturbation,
-                         cfg.horizon, bounds=cfg.bounds, a_star=model.optimum_hint)
+    return rate_params(cfg.schedule, cfg.network, dataclasses.replace(consts, **changes),
+                       cfg.perturbation, cfg.horizon, bounds=cfg.bounds,
+                       a_star=model.optimum_hint)
+
+
+def test_divergence_rate_constants_match_benchmark_reference():
+    """Tier-1 copy of the divergence-rate gate in ``perfbench/gates.py``.
+
+    The workload's rate constants: A, B, C and K0-K2 exactly, eps1-eps4
+    within that file's ``EPS_RTOL``.  A change to the binomial weights'
+    arithmetic fails here before it fails a benchmark run.
+    """
+    reference = {
+        "A": 0.4, "B": 2.0, "C": 518385.0, "K0": 1, "K1": 1, "K2": 1,
+        "eps1": 0.04993441747296856, "eps2": 0.0004579331185050908,
+        "eps3": 0.05596335232806027, "eps4": 2702.7360000000012,
+    }
+    eps_rtol = 1e-9
+    params = _divergence_rate_params()
     for key in ("A", "B", "C", "K0", "K1", "K2"):
         assert getattr(params, key) == reference[key], key
     for key in ("eps1", "eps2", "eps3", "eps4"):
         assert getattr(params, key) == pytest.approx(reference[key], rel=eps_rtol, abs=0), key
     assert params.status == "applicable"
+
+
+@pytest.mark.parametrize("alpha_F, shown", [(np.nan, "nan"), (-1.0, "-1"), (0.0, "0")])
+def test_status_names_a_non_positive_alpha_F(alpha_F, shown):
+    # the step sizes are not to blame: no schedule makes A = 2 sigma_phi^2 alpha_F positive
+    params = _divergence_rate_params(alpha_F=alpha_F)
+    assert params.status == f"inapplicable: alpha_F = {shown} is not positive and finite"
+    assert not params.envelope_a_valid and not params.envelope_b_valid
+    assert params.vartheta is None and params.varrho is None and params.K2 is None
 
 
 class TestRecurrenceEnvelope:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import glob
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,6 +14,7 @@ from dosp.harness import (
     CONSTANTS_STREAM,
     ExperimentConfig,
     TRAJECTORY_COLUMNS,
+    avg_gradient,
     build_model,
     emit_outputs,
     fit_loglog_slope,
@@ -21,15 +23,19 @@ from dosp.harness import (
     optimum_cache_key,
     parse_yaml,
     run_experiment,
+    eval_F_batch,
     save_optimum,
     solve_optimum,
 )
-from dosp import optimizer
+from dosp import harness, network, optimizer
+from dosp.network import ChannelSpec, NetworkConfig
+from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import initialize_states
 
 from conftest import power_config, quadratic_config
-from oracles import (reference_constants_sample, reference_estimate_alpha_G,
-                     reference_estimate_lipschitz, reference_model_constants)
+from oracles import (reference_avg_gradient, reference_constants_sample,
+                     reference_estimate_alpha_G, reference_estimate_lipschitz,
+                     reference_eval_F_batch, reference_model_constants)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -301,6 +307,76 @@ class TestSolveOptimum:
         assert optimum_cache_key(other) != optimum_cache_key(cfg)
         with pytest.raises(ConfigError):
             load_optimum(tmp_path, other)
+
+
+def _mc_model(kind):
+    if kind == "quadratic":
+        return QuadraticModel(np.linspace(-1.5, 1.5, 12))
+    return PowerControlModel(12, ChannelSpec(fading=kind))
+
+
+class TestMonteCarloChunks:
+    """The Monte-Carlo averages run in row chunks under the working-set
+    budget; every chunk size gives the one-shot draw's bits and leaves the
+    stream where the one-shot draw does."""
+
+    ROWS, SAMPLES = 4, 1201  # 4804 sample rows: several chunks even at the default budget
+
+    @pytest.fixture(params=[None, 4000, 500], ids=["default", "budget4000", "budget500"])
+    def chunk_rows(self, request, monkeypatch):
+        """Set the budget (the default, or one whose chunks end inside a row's
+        samples) and return the rows of a Monte-Carlo chunk under it."""
+        if request.param is not None:
+            for module in (network, optimizer):
+                monkeypatch.setattr(module, "_BLOCK_CELLS", request.param)
+
+        def rows(model, net):
+            return harness._MC_CHUNK_BLOCKS * optimizer.block_slots(net, 1, model.pairwise_env)
+        return rows
+
+    @pytest.mark.parametrize("activity", ["binomial", "poisson"])
+    @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
+    def test_eval_F_batch_matches_one_shot(self, kind, activity, chunk_rows):
+        model = _mc_model(kind)
+        net = NetworkConfig(12, 0.3, 1.0, activity=activity)
+        chunk = chunk_rows(model, net)
+        assert chunk < self.ROWS * self.SAMPLES and self.SAMPLES % chunk
+        actions = np.random.default_rng(1).uniform(-3.0, 3.0, (self.ROWS, 12))
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        got = eval_F_batch(model, actions, net, self.SAMPLES, rng)
+        want = reference_eval_F_batch(model, actions, net, self.SAMPLES, twin)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("activity", ["binomial", "poisson"])
+    @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
+    def test_avg_gradient_matches_one_shot(self, kind, activity, chunk_rows):
+        model = _mc_model(kind)
+        net = NetworkConfig(12, 0.3, 1.0, activity=activity)
+        samples = self.ROWS * self.SAMPLES
+        assert chunk_rows(model, net) < samples
+        point = np.random.default_rng(3).uniform(-3.0, 3.0, 12)
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(avg_gradient(model, point, net, samples, rng),
+                                      reference_avg_gradient(model, point, net, samples, twin))
+        assert rng.random() == twin.random()
+
+    def test_eval_F_batch_working_set_is_bounded(self):
+        # power-repro's shape: 20 action rows x 2000 samples, N = 50, q_a = 0.05.
+        # tracemalloc peak: 20.0 MB with every row drawn at once, 3.4-4.0 MB
+        # in row chunks (numpy 2.4); the bound allows twice that
+        model = PowerControlModel(50)
+        net = NetworkConfig(50, 0.05, 1.0)
+        actions = np.random.default_rng(5).uniform(-12.0, 12.0, (20, 50))
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            eval_F_batch(model, actions, net, 2000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _n5_power_config(seed):

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dosp import ConfigError, NetworkConfig
+from dosp import ConfigError, NetworkConfig, network
 from dosp.core import RngStream
 from dosp.estimator import estimate_global_utility, sample_reception
 from dosp.network import ActiveSet, ChannelSpec, sample_activity, sample_obs_noise
 from dosp.objectives import PowerControlModel
 
-from oracles import mask_of, per_row_poisson_activity, scatter
+from oracles import mask_of, one_block_activity, per_row_poisson_activity, scatter
 
 
 def _gen(stream=0, seed=808):
@@ -58,6 +60,43 @@ class TestActivity:
         np.testing.assert_array_equal(block.batch_idx, np.nonzero(rows)[0])
         np.testing.assert_array_equal(block.node_idx, np.nonzero(rows)[1])
         np.testing.assert_array_equal(np.diff(block.offsets), rows.sum(axis=1))
+
+    @pytest.mark.parametrize("budget", [None, 90, 9, 1], ids=["default", "10rows", "1row", "tiny"])
+    def test_chunks_equal_the_one_block_draw(self, budget, monkeypatch):
+        # binomial rows are drawn in chunks of _BLOCK_CELLS // N rows (at least one)
+        if budget is not None:
+            monkeypatch.setattr(network, "_BLOCK_CELLS", budget)
+        cfg = NetworkConfig(9, 0.3, 1.0)
+        rows = 20_003 if budget is None else 53  # the default budget's chunk is 14,563 rows
+        rng, twin = _gen(20), _gen(20)
+        got = sample_activity(cfg, rng, rows)
+        want = one_block_activity(cfg, twin, rows)
+        assert got.shape == want.shape
+        for name in ("batch_idx", "node_idx", "offsets"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert rng.random() == twin.random()
+
+    def test_no_rows_draw_nothing(self):
+        rng = _gen(21)
+        live = sample_activity(NetworkConfig(9, 0.3, 1.0), rng, 0)
+        assert live.shape == (0, 9) and live.size == 0
+        np.testing.assert_array_equal(live.offsets, [0])
+        assert rng.random() == _gen(21).random()
+
+    def test_binomial_working_set_is_bounded(self):
+        # 200,000 rows x 50 nodes at q_a = 0.05, the certificate draw of
+        # `dosp solve-optimum` on configs/power_actions_single_run.yaml.
+        # tracemalloc peak: 90 MB as one uniform block, 15.2 MB in row chunks
+        # (numpy 2.4); the bound allows twice that
+        tracemalloc.start()
+        try:
+            sample_activity(NetworkConfig(50, 0.05, 1.0), _gen(22), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     @pytest.mark.parametrize("n, lam, m", [(1000, 10.0, 10), (6, 5.4, 4)],
                              ids=["sparse", "capped"])
@@ -177,6 +216,21 @@ class TestChannel:
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
         assert abs(off.mean() - 0.1) <= 3 * off.std() / np.sqrt(off.size)
         assert np.all(gains >= 0)
+
+    def test_dead_direct_channel_is_floored_not_redrawn(self):
+        class DeadChannels:  # every amplitude exactly 0; a second call is a redraw
+            calls = 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                assert self.calls == 1, "a dead direct channel was redrawn"
+                return np.zeros(size)
+
+        live, gains, diag, off = self._gains(ChannelSpec(), 4, 3, DeadChannels())
+        assert gains.size == 3 * 4 * 4
+        assert np.all(diag == np.finfo(float).tiny) and np.all(off == 0.0)
+        model = PowerControlModel(4)
+        assert np.all(np.isfinite(model.local_utilities(np.zeros(live.size), live, gains)))
 
     def test_complex_gaussian_variant(self):
         spec = ChannelSpec(fading="complex_gaussian")
