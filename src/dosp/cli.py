@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-failure (non-finite values during a run), 4 rate bound inapplicable.
+failure (non-finite values during a run, or a performed action outside its
+bounds), 4 rate bound inapplicable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import yaml
 
 from . import analysis
-from .core import ConfigError, NumericError
+from .core import ConfigError, FeasibilityError, NumericError
 from .harness import (
     BOUNDS_COLUMNS,
     ConvergenceError,
@@ -234,6 +235,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except FeasibilityError as exc:
+        print(f"feasibility failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -10,9 +10,16 @@ All evaluation entry points run on the flat list of live entries of a batch
 of slots (:class:`dosp.network.ActiveSet`, B = replications or Monte-Carlo
 samples): actions, utilities and gradients are (A,) arrays in the list's
 order, and callers scatter or sum by row or node where they need to.
+
+An environment holds, besides the draws, every term that does not depend on
+the actions, in the form the evaluations read (:class:`PowerEnv`,
+:class:`QuadraticEnv`).  ``prepare_env`` builds it from the raw draws once,
+where ``sample_env`` draws them, and every evaluation reads that one form.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +29,33 @@ from .network import ActiveSet, ChannelSpec
 _TINY = np.finfo(float).tiny  # floor of a direct channel gain
 
 
+class PowerEnv(NamedTuple):
+    """The power model's environment of an :class:`ActiveSet` ``live``."""
+
+    cross: np.ndarray  # per pair of live.pairs: the gain s_tx->rx, an exact 0 where tx == rx
+    log_direct: np.ndarray  # per entry: log s_ii
+
+    def part(self, entries: slice, pairs: slice) -> "PowerEnv":
+        """The environment of a contiguous run of rows, by entry and pair range."""
+        return PowerEnv(self.cross[pairs], self.log_direct[entries])
+
+
+class QuadraticEnv(NamedTuple):
+    """The quadratic model's environment of an :class:`ActiveSet` ``live``."""
+
+    gain: np.ndarray  # per entry: zeta
+    target: np.ndarray  # per entry: the target t of the entry's node
+
+    def part(self, entries: slice, pairs=None) -> "QuadraticEnv":
+        """The environment of a contiguous run of rows, by entry range."""
+        return QuadraticEnv(self.gain[entries], self.target[entries])
+
+
 class ObjectiveModel:
     """Shared behaviour for pluggable objective models."""
 
     n_nodes: int
-    pairwise_env = False  # env holds one value per pair of live.pairs, not per live entry
+    pairwise_env = False  # env holds terms per pair of live.pairs, not only per live entry
 
     @property
     def optimum_hint(self):
@@ -34,6 +63,11 @@ class ObjectiveModel:
         return None
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator):
+        raise NotImplementedError
+
+    def prepare_env(self, live: ActiveSet, gains: np.ndarray):
+        """The environment of ``live`` from its raw gains, as ``sample_env``
+        draws them."""
         raise NotImplementedError
 
     def local_utilities(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
@@ -51,8 +85,10 @@ class PowerControlModel(ObjectiveModel):
         u_i = omega1 * log(s_ii * e^{a_i} / (sigma^2 + sum_{j != i} delta_j s_ji e^{a_j}))
               - omega2 * e^{a_i},
 
-    and u_i = 0 whenever the node is inactive.  The environment is the gains
-    s_{tx -> rx} of the ordered pairs of ``live.pairs``: live entries only.
+    and u_i = 0 whenever the node is inactive.  The environment
+    (:class:`PowerEnv`) is the gains s_{tx -> rx} of the ordered pairs of
+    ``live.pairs`` (live entries only): the cross gains, with an exact 0 on
+    every direct pair, and log s_ii per entry.
     """
 
     pairwise_env = True
@@ -66,9 +102,10 @@ class PowerControlModel(ObjectiveModel):
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
 
-    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> np.ndarray:
-        """Power gains of the pairs of ``live.pairs``, in their order: one
-        draw per pair, so the draws of consecutive rows concatenate.
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> PowerEnv:
+        """The environment of the power gains of the pairs of ``live.pairs``,
+        in their order: one draw per pair, so the draws of consecutive rows
+        concatenate.
 
         A direct gain is floored at the smallest normal float, so the
         probability-zero event of a dead direct channel (log s_ii = -inf)
@@ -83,35 +120,38 @@ class PowerControlModel(ObjectiveModel):
         else:
             gains = rng.exponential(var)
         gains[diag & (gains < _TINY)] = _TINY
-        return gains
+        return self.prepare_env(live, gains)
 
-    def _interference(self, live, gains, power) -> np.ndarray:
-        """sigma^2 plus received cross power at every live entry.  A direct
-        pair adds an exact 0 to its receiver's sum, which leaves every
-        partial sum of the (nonnegative) cross terms as it is."""
+    def prepare_env(self, live: ActiveSet, gains: np.ndarray) -> PowerEnv:
+        """The environment of the power gains ``gains`` of ``live.pairs``."""
         tx, rx = live.pairs
-        received = gains * power[tx]
-        received[tx == rx] = 0.0
-        return self.channel.noise_floor + np.bincount(rx, weights=received, minlength=live.size)
+        diag = tx == rx
+        return PowerEnv(np.where(diag, 0.0, gains), np.log(gains[diag]))
+
+    def _interference(self, live, cross, power) -> np.ndarray:
+        """sigma^2 plus received cross power at every live entry.  A direct
+        pair's cross gain is an exact 0, so it adds 0 to its receiver's sum,
+        which leaves every partial sum of the (nonnegative) cross terms as
+        it is."""
+        tx, rx = live.pairs
+        return self.channel.noise_floor + np.bincount(rx, weights=cross * power[tx],
+                                                      minlength=live.size)
 
     def local_utilities(self, a_hat, live, env):
-        tx, rx = live.pairs
         power = np.exp(a_hat)
-        interf = self._interference(live, env, power)
-        s_direct = env[tx == rx]
-        return self.omega1 * (np.log(s_direct) + a_hat - np.log(interf)) - self.omega2 * power
+        interf = self._interference(live, env.cross, power)
+        return self.omega1 * (env.log_direct + a_hat - np.log(interf)) - self.omega2 * power
 
-    def _leakage(self, live, gains, power):
+    def _leakage(self, live, cross, power):
         """Per-pair w = s_kn / I_n (0 on the diagonal) and its sum over receivers n."""
         tx, rx = live.pairs
-        interf = self._interference(live, gains, power)
-        w = np.where(tx != rx, gains / interf[rx], 0.0)
+        w = cross / self._interference(live, cross, power)[rx]
         leak = np.bincount(tx, weights=w, minlength=live.size)
         return w, leak
 
     def global_gradient(self, a_hat, live, env):
         power = np.exp(a_hat)
-        _, leak = self._leakage(live, env, power)
+        _, leak = self._leakage(live, env.cross, power)
         return self.omega1 - self.omega2 * power - self.omega1 * power * leak
 
     def global_hessian(self, a_hat, live, env) -> np.ndarray:
@@ -125,7 +165,7 @@ class PowerControlModel(ObjectiveModel):
         """
         tx, rx = live.pairs
         power = np.exp(a_hat)
-        w, leak = self._leakage(live, env, power)
+        w, leak = self._leakage(live, env.cross, power)
         pair_b = live.batch_idx[tx]
         k = tx - live.offsets[pair_b]
         m = rx - live.offsets[pair_b]
@@ -169,17 +209,21 @@ class QuadraticModel(ObjectiveModel):
     def default_targets(cls, n_nodes: int, low: float = -1.5, high: float = 1.5):
         return np.linspace(low, high, n_nodes)
 
-    def sample_env(self, live: ActiveSet, rng: np.random.Generator):
-        """Gains zeta of the live entries."""
-        if self.gain_low == self.gain_high:
-            return np.full(live.size, self.gain_low)
-        return rng.uniform(self.gain_low, self.gain_high, size=live.size)
+    def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> QuadraticEnv:
+        """The environment of fresh gains zeta of the live entries."""
+        gains = (np.full(live.size, self.gain_low) if self.gain_low == self.gain_high
+                 else rng.uniform(self.gain_low, self.gain_high, size=live.size))
+        return self.prepare_env(live, gains)
+
+    def prepare_env(self, live: ActiveSet, gains: np.ndarray) -> QuadraticEnv:
+        """The environment of the gains ``gains`` of the live entries."""
+        return QuadraticEnv(gains, self.targets[live.node_idx])
 
     def local_utilities(self, a_hat, live, env):
-        return -env * (a_hat - self.targets[live.node_idx]) ** 2
+        return -env.gain * (a_hat - env.target) ** 2
 
     def global_gradient(self, a_hat, live, env):
-        return -2.0 * env * (a_hat - self.targets[live.node_idx])
+        return -2.0 * env.gain * (a_hat - env.target)
 
     # closed-form constants used by the rate-bound machinery
     def alpha_F(self, q_a: float) -> float:

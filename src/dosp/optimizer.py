@@ -25,6 +25,15 @@ per-row sum (``bincount``) adds its terms in the same order as the one-slot
 step does, so the results are bit-identical to running the slots one by one.
 Node updates within a slot only read the slot-start state, so vectorizing
 them is faithful to the per-node protocol.
+
+The step writes each entry's slot-start action, and f~ when traced, into
+the block's arrays.  It checks per wave that every estimate is finite, so a
+non-finite value stops the run at its wave.  Feasibility of the performed
+actions is asserted once per block segment, over the segment's entries in
+slot order: before every record is yielded and at the block's end.  Either
+failure names the earliest slot a one-by-one run would have failed in: a
+non-finite estimate first runs the pending feasibility check up to its slot,
+and within a slot the feasibility check comes first.
 """
 
 from __future__ import annotations
@@ -223,7 +232,7 @@ class SlotView(NamedTuple):
     k: int
     live: ActiveSet
     entries: slice
-    env: np.ndarray
+    env: object
     heard: tuple[np.ndarray, np.ndarray] | None
 
 
@@ -234,12 +243,13 @@ class SlotBlock:
     Row s * B + b of ``live`` is replication b at slot k0 + s, so each
     slot's entries are the contiguous run ``entry_at[s]:entry_at[s + 1]``,
     and so are those of a run of consecutive slots.  Per-entry arrays follow
-    ``live``; ``env`` is ``model``'s environment of ``live``, one value per
-    pair of ``live.pairs`` or per entry, and the arrived reception pairs
-    ``heard`` number the block's entries, sorted by receiver.  :meth:`runs`
-    cuts the block into runs of slots, each with its own view.  A baseline block has ``step`` and no learner fields;
+    ``live``; ``env`` is ``model``'s environment of ``live``, and the
+    arrived reception pairs ``heard`` number the block's entries, sorted by
+    receiver.  :meth:`runs` cuts the block into runs of slots, each with its
+    own view.  A baseline block has ``step`` and no learner fields;
     ``lo``/``hi`` (projection interval) and ``lower``/``upper`` (bounds) are
-    set when bounds are given.
+    set when bounds are given.  The learner's step writes ``start`` and, in
+    a traced run, ``f_tilde`` wave by wave.
     """
 
     k0: int
@@ -249,20 +259,22 @@ class SlotBlock:
     step_index: np.ndarray
     cells: np.ndarray  # rep * N + node: the entry's cell of the raveled (B, N) actions
     entry_at: np.ndarray  # (S + 1,) first entry of each slot
-    env: np.ndarray  # per live pair (model.pairwise_env) or per live entry
+    env: object  # model.sample_env(live, ...): PowerEnv or QuadraticEnv
     step: np.ndarray | None = None  # baseline step size
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
     phi: np.ndarray | None = None
     beta_phi: np.ndarray | None = None  # beta~ * phi, the update's gain on f~
     gamma_phi: np.ndarray | None = None  # gamma~ * phi, the perturbation of the action
-    noise: np.ndarray | None = None
+    noise: np.ndarray | None = None  # observation noise; None when sigma_eta = 0
     q_r: float = 1.0
     heard: tuple[np.ndarray, np.ndarray] | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    start: np.ndarray | None = None  # slot-start (projected) action once the step ran, nan before
+    f_tilde: np.ndarray | None = None  # estimate f~ once the step ran; traced runs only
 
     @property
     def slots(self) -> int:
@@ -272,9 +284,8 @@ class SlotBlock:
         """The views of the runs of slots ``bounds[w]`` .. ``bounds[w + 1] - 1``,
         in order; ``bounds`` ascends from 0 to :attr:`slots`.
 
-        Rows and pairs are renumbered from their run's start once for all
-        runs, so a view costs slices of the block's arrays and one
-        subtraction (its row offsets).
+        Rows, row offsets and pairs are renumbered from their run's start
+        once for all runs, so a view costs slices of the block's arrays only.
         """
         b = self.batch
         live = self.live
@@ -282,26 +293,29 @@ class SlotBlock:
         bounds = np.asarray(bounds)
         first = self.entry_at[bounds]
         rows = live.batch_idx - np.repeat(bounds[:-1] * b, first[1:] - first[:-1])
+        # every run's row offsets from its first entry, its end included: run
+        # w's are offsets[bounds[w] * b + w:bounds[w + 1] * b + w + 1]
+        run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds) * b + 1)
+        offsets = live.offsets[np.arange(run.size) - run] - first[run]
         if pairwise:
             pair_i, pair_j, pair_at = _per_run(live.pairs, first)
         if heard_on:
             receiver, sender, heard_at = _per_run(self.heard, first)
         first, bounds = first.tolist(), bounds.tolist()
+        n, nodes, env, k0 = live.shape[1], live.node_idx, self.env, self.k0
+        pairs = heard = None
         for w in range(len(bounds) - 1):
             s0, s1 = bounds[w], bounds[w + 1]
-            e0, e1 = first[w], first[w + 1]
-            view = ActiveSet(((s1 - s0) * b, live.shape[1]), rows[e0:e1], live.node_idx[e0:e1],
-                             live.offsets[s0 * b:s1 * b + 1] - e0)
-            entries = slice(e0, e1)
-            heard = None
+            entries = slice(first[w], first[w + 1])
+            view = ActiveSet(((s1 - s0) * b, n), rows[entries], nodes[entries],
+                             offsets[s0 * b + w:s1 * b + w + 1])
             if pairwise:
                 pairs = slice(pair_at[w], pair_at[w + 1])
                 view.pairs = (pair_i[pairs], pair_j[pairs])
             if heard_on:
                 h = slice(heard_at[w], heard_at[w + 1])
                 heard = (receiver[h], sender[h])
-            yield SlotView(self.k0 + s0, view, entries,
-                           self.env[pairs if pairwise else entries], heard)
+            yield SlotView(k0 + s0, view, entries, env.part(entries, pairs), heard)
 
 
 def _per_run(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
@@ -350,63 +364,81 @@ def slot_block(
         fields.update(
             beta=beta, gamma=gamma, phi=phi, beta_phi=beta * phi, gamma_phi=gamma * phi,
             env=model.sample_env(live, rngs["channel"]),
-            noise=sample_obs_noise(sigma_eta, live.size, rngs["noise"], netcfg.noise),
+            noise=(sample_obs_noise(sigma_eta, live.size, rngs["noise"], netcfg.noise)
+                   if sigma_eta else None),
             q_r=netcfg.q_reception,
-            heard=sample_reception(live, netcfg.q_reception, rngs["reception"]))
+            heard=sample_reception(live, netcfg.q_reception, rngs["reception"]),
+            start=np.full(live.size, np.nan))
         if bounds is not None:
             fields["lo"], fields["hi"] = _shrunk_interval(bounds, live.node_idx,
                                                           pert.alpha_phi, gamma)
     return SlotBlock(**fields)
 
 
-def learner_estimate(a: np.ndarray, block: SlotBlock,
-                     slot: SlotView) -> tuple[np.ndarray, np.ndarray]:
+def learner_estimate(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
     """The perturb -> act -> observe -> exchange step of a run of slots, for
     its live entries.
 
     ``a`` holds the slot-start actions of ``slot.live``.  Returns the
-    performed actions a + gamma~ * phi and the estimates f~.
+    estimates f~ at the performed actions a + gamma~ * phi.  Without noise
+    nothing is added: adding zeros would only turn a utility of -0.0 into
+    +0.0, and every f~ sums from +0.0, so no estimate would change.
     """
     e = slot.entries
-    a_hat = a + block.gamma_phi[e]
-    u_tilde = block.model.local_utilities(a_hat, slot.live, slot.env) + block.noise[e]
-    return a_hat, estimate_global_utility(u_tilde, slot.live, block.q_r, slot.heard)
+    u_tilde = block.model.local_utilities(a + block.gamma_phi[e], slot.live, slot.env)
+    if block.noise is not None:
+        u_tilde = u_tilde + block.noise[e]
+    return estimate_global_utility(u_tilde, slot.live, block.q_r, slot.heard)
 
 
-def _flagged(slot: SlotView, batch: int, bad: np.ndarray, what: str) -> tuple[int, str]:
-    """The slot of the first flagged entry of a run, and a message naming
-    that slot and the entry's (replication, node)."""
-    j = int(np.flatnonzero(bad)[0])
-    s, rep = divmod(int(slot.live.batch_idx[j]), batch)
-    return slot.k + s, (f"slot {slot.k + s}: {what} at (replication, node) = "
-                        f"{(rep, int(slot.live.node_idx[j]))}")
+def _flagged(block: SlotBlock, entry: int, what: str) -> str:
+    """A failure message naming the slot and the (replication, node) of one
+    of the block's entries."""
+    s, rep = divmod(int(block.live.batch_idx[entry]), block.batch)
+    return (f"slot {block.k0 + s}: {what} at (replication, node) = "
+            f"{(rep, int(block.live.node_idx[entry]))}")
 
 
-def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView,
-              collect_trace: bool = False) -> tuple[np.ndarray, list[float] | None]:
+def assert_feasible(block: SlotBlock, start: int, stop: int) -> None:
+    """Raise :class:`FeasibilityError` unless the performed action
+    a + gamma~ * phi of each of the block's entries ``start:stop`` lies in
+    its bounds, a being its slot-start action in ``block.start`` (an entry
+    whose step has not run holds nan there, and passes).
+
+    The message names the first entry outside: the earliest such slot, and
+    in it the first (replication, node).
+    """
+    e = slice(start, stop)
+    a_hat = block.start[e] + block.gamma_phi[e]
+    outside = (a_hat < block.lower[e]) | (a_hat > block.upper[e])
+    if outside.any():
+        raise FeasibilityError(_flagged(block, start + int(outside.argmax()),
+                                        "performed action left its interval"))
+
+
+def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
     """The learner's step on a run of slots of ``block``, from slot-start actions ``a``.
 
-    Estimates (:func:`learner_estimate`), checks that every performed
-    action lies in its bounds and every estimate is finite, and returns the
-    updated actions, clamped to the bounds, and the estimates f~ as a list
-    when ``collect_trace``.  A failed check names the run's earliest slot
-    with a flagged entry, as the slots run one by one would.
+    Estimates f~ (:func:`learner_estimate`), writes them to
+    ``block.f_tilde`` in a traced run, and returns the updated actions,
+    clamped to the bounds.  A non-finite estimate raises
+    :class:`NumericError` naming its slot, after :func:`assert_feasible` on
+    the block's entries up to that slot's end: an infeasible performed
+    action in an earlier slot or the same one fails first, as it would in
+    slots run one by one.
     """
-    a_hat, f_tilde = learner_estimate(a, block, slot)
+    f_tilde = learner_estimate(a, block, slot)
     e = slot.entries
-    lower, upper = block.lower[e], block.upper[e]
-    outside = (a_hat < lower) | (a_hat > upper)
     finite = np.isfinite(f_tilde)
-    if outside.any() or not finite.all():
-        # the earliest flagged slot fails; within a slot the action check comes
-        # first, and min keeps the first of a tie
-        flags = [_flagged(slot, block.batch, bad, what) + (error,) for bad, what, error in (
-            (outside, "performed action left its interval", FeasibilityError),
-            (~finite, "non-finite utility estimate", NumericError)) if bad.any()]
-        _, message, error = min(flags, key=lambda flag: flag[0])
-        raise error(message)
-    new = np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, lower), upper)
-    return new, f_tilde.tolist() if collect_trace else None
+    if not finite.all():
+        j = e.start + int(finite.argmin())
+        slot_end = block.entry_at[block.live.batch_idx[j] // block.batch + 1]
+        assert_feasible(block, 0, int(slot_end))
+        raise NumericError(_flagged(block, j, "non-finite utility estimate"))
+    if block.f_tilde is not None:
+        block.f_tilde[e] = f_tilde
+    return np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, block.lower[e]),
+                      block.upper[e])
 
 
 def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
@@ -418,10 +450,10 @@ def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.n
     clamp to the action bounds.
     """
     grad = block.model.global_gradient(a, slot.live, slot.env)
+    e = slot.entries
     finite = np.isfinite(grad)
     if not finite.all():
-        raise NumericError(_flagged(slot, block.batch, ~finite, "non-finite gradient")[1])
-    e = slot.entries
+        raise NumericError(_flagged(block, e.start + int(finite.argmin()), "non-finite gradient"))
     return np.minimum(np.maximum(a + block.step[e] * grad, block.lower[e]), block.upper[e])
 
 
@@ -456,8 +488,9 @@ def _waves(block: SlotBlock, record_at) -> list[int]:
 
 # The learner's trace: one row per live entry of every slot, in slot,
 # replication and node order.  Every column but the slot-start action a and
-# the estimate f~ is one of the block's own arrays; a_hat = a + gamma~ * phi is
-# the step's own sum.  delta is 1 on every row, so it is not stored.
+# the estimate f~, which the step writes to the block, is one of the block's
+# own draws; a_hat = a + gamma~ * phi is the step's own sum.  delta is 1 on
+# every row, so it is not stored.
 TRACE_COLUMNS = ("replication", "k", "node", "ell", "a", "a_hat", "f_tilde", "beta",
                  "gamma", "phi")
 
@@ -467,30 +500,33 @@ def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
     actions ``acts``, and append the block's trace columns to ``traces`` when
     it is a list; see :func:`run_slots`."""
     learner = block.beta is not None
-    traced = traces is not None
-    if traced:
-        start, f_tilde = np.empty(block.live.size), np.empty(block.live.size)
+    if learner and traces is not None:
+        block.f_tilde = np.empty(block.live.size)
+    checked = 0  # the entries before this one performed feasible actions
     for wave in block.runs(_waves(block, record_at)):
         e = wave.entries
         cells = block.cells[e]
-        a = acts[cells]
         if learner:
-            a = np.minimum(np.maximum(a, block.lo[e]), block.hi[e])
+            a = np.minimum(np.maximum(acts[cells], block.lo[e]), block.hi[e],
+                           out=block.start[e])
+        else:
+            a = acts[cells]
         if wave.k in record_at:
+            if learner:
+                assert_feasible(block, checked, e.start)
+                checked = e.start
             # the record slot opens its wave: only its own entries are projected yet
             own = int(wave.live.offsets[block.batch])
             acts[cells[:own]] = a[:own]
             yield wave.k, wave.live.counts[:block.batch]
-        if learner:
-            acts[cells], estimates = dosp_slot(a, block, wave, collect_trace=traced)
-            if traced:
-                start[e], f_tilde[e] = a, estimates
-        else:
-            acts[cells] = ideal_gradient_slot(a, block, wave)
-    if traced:
-        s, rep = np.divmod(block.live.batch_idx, block.batch)
-        traces.append((rep, block.k0 + s, block.live.node_idx, block.step_index, start,
-                       start + block.gamma_phi, f_tilde, block.beta, block.gamma, block.phi))
+        acts[cells] = dosp_slot(a, block, wave) if learner else ideal_gradient_slot(a, block, wave)
+    if learner:
+        assert_feasible(block, checked, block.live.size)
+        if traces is not None:
+            s, rep = np.divmod(block.live.batch_idx, block.batch)
+            traces.append((rep, block.k0 + s, block.live.node_idx, block.step_index,
+                           block.start, block.start + block.gamma_phi, block.f_tilde,
+                           block.beta, block.gamma, block.phi))
 
 
 def run_slots(

@@ -289,7 +289,7 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
         step_index = sample_step_index(k, q_a, live, "sampled", rng)
         block = slot_block(live, step_index, m, model, netcfg, rngs, schedule=schedule,
                            pert=pert, sigma_eta=sigma_eta)
-        _, f_tilde = learner_estimate(a[live.node_idx], block, block_slot(block, 0))
+        f_tilde = learner_estimate(a[live.node_idx], block, block_slot(block, 0))
         # samples where the node is inactive contribute g = 0
         g = (block.beta * block.phi * f_tilde)[live.node_idx == node]
         total += float(g.sum())

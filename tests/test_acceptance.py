@@ -32,11 +32,11 @@ from dosp.estimator import mc_check_unbiasedness
 from dosp.harness import build_model, emit_outputs, fit_loglog_slope, run_experiment
 from dosp.network import ActiveSet, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
-from dosp.optimizer import dosp_slot, slot_block
+from dosp.optimizer import assert_feasible, slot_block
 from dosp.core import role_streams
 
 from conftest import power_config, quadratic_config, reference_schedule
-from oracles import block_slot, mask_of, mc_gradient_bias, scatter
+from oracles import mask_of, mc_gradient_bias, scatter
 
 RESULTS = []
 
@@ -121,17 +121,18 @@ def test_criterion_04_feasibility_invariant():
     ds = run_experiment(cfg, trace=True)
     performed = ds.traces["a_hat"]
     in_bounds = performed.min() >= -2.05 and performed.max() <= 2.05
-    # the engine must hard-fail if a state were ever pushed outside: the
-    # learner's step on slot-start action 2.7 performs 2.7 +- gamma(1) =
-    # 2.7 +- 0.5, beyond 2.05 for either perturbation sign
+    # the engine must hard-fail if a state were ever pushed outside: a step
+    # from slot-start action 2.7 performs 2.7 +- gamma(1) = 2.7 +- 0.5, beyond
+    # 2.05 for either perturbation sign
     small = quadratic_config(n_nodes=2, q_activity=0.5, gamma0=0.5, bound=2.05,
                              horizon=10, replications=1)
     model = build_model(small)
     block = slot_block(ActiveSet.from_mask(np.array([[True, False]])), np.array([1]), 1,
                        model, small.network, role_streams(1), small.bounds,
                        schedule=small.schedule, pert=small.perturbation)
+    block.start[:] = 2.7  # the slot-start action of the block's one entry
     with pytest.raises(FeasibilityError):
-        dosp_slot(np.array([2.7]), block, block_slot(block, 0))
+        assert_feasible(block, 0, block.live.size)
     _check("04", in_bounds,
            f"{performed.size} performed actions, all inside the bounds; "
            "out-of-interval state trips the hard assert")
@@ -255,7 +256,7 @@ def test_criterion_10_gradient_oracle():
         if point % 2 == 0:
             env = power.sample_env(live, rng)
         else:
-            env = rng.uniform(0.5, 1.5, (1, 8))[0, live.node_idx]
+            env = quad.prepare_env(live, rng.uniform(0.5, 1.5, (1, 8))[0, live.node_idx])
         grad = scatter(live, model.global_gradient(a[live.node_idx], live, env))[0]
         f = lambda x: float(model.local_utilities(x[live.node_idx], live, env).sum())
         for i in range(8):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import pytest
 import yaml
 
-from dosp import ConfigError, StepSizeSchedule
+from dosp import ConfigError, StepSizeSchedule, optimizer
 from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
 from dosp.harness import ExperimentConfig
@@ -299,6 +300,20 @@ def test_solve_optimum_nonconvergence_exit_code(tmp_path, capsys):
     rc = main(["solve-optimum", "--config", path, "--tol", "1e-9",
                "--max-iters", "100", "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_infeasible_action_exit_code(tmp_path, capsys, monkeypatch):
+    def beyond_the_bounds(bounds, nodes, alpha_phi, gamma_tilde):
+        # a projection interval past the upper bound: every performed action leaves it
+        hi = bounds.upper[nodes] + 1.0
+        return hi, hi
+
+    monkeypatch.setattr(optimizer, "_shrunk_interval", beyond_the_bounds)
+    path = _write_config(tmp_path, _small_cfg(replications=1))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    # one line, naming the first slot with a live entry
+    assert re.fullmatch(r"feasibility failure: slot \d+: performed action left its interval "
+                        r"at \(replication, node\) = \(0, \d+\)\n", capsys.readouterr().err)
 
 
 def test_shipped_configs_are_valid():

@@ -233,20 +233,20 @@ class TestTraceFiles:
                      metrics_stride=50),
     ], ids=["quadratic-B2", "power-B1"])
     def test_step_results_count_the_rows_written(self, cfg, tmp_path, monkeypatch):
-        """perfbench/tracer.py::_count_trace_records counts trace rows from
-        ``dosp_slot``'s second result: it truth-tests the value and takes its
-        len(), so the result must be None or a list with one item per live
-        entry of the wave; an array there would stop every traced benchmark
-        run."""
+        """Each wave's step returns the updated actions of the wave's live
+        entries as one (A,) array, and the traced rows are those entries.
+        perfbench/tracer.py::_count_trace_records truth-tests the second item
+        of ``dosp_slot``'s result and takes its len(): of a 1-D array that
+        item is a number or missing, which marks the count broken, never an
+        array, whose truth test would stop every traced benchmark run."""
         seen = []
         step = optimizer.dosp_slot
 
-        def counted(a, block, slot, *args, **kwargs):
-            new, estimates = step(a, block, slot, *args, **kwargs)
-            assert estimates is None or (type(estimates) is list
-                                         and len(estimates) == slot.live.size)
-            seen.append(len(estimates) if estimates else 0)
-            return new, estimates
+        def counted(a, block, slot):
+            new = step(a, block, slot)
+            assert type(new) is np.ndarray and new.shape == (slot.live.size,)
+            seen.append(new.size)
+            return new
 
         monkeypatch.setattr(optimizer, "dosp_slot", counted)
         files = _trace_files(emit_outputs(run_experiment(cfg, trace=True), tmp_path))

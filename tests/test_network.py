@@ -204,18 +204,22 @@ class TestChannel:
 
     @staticmethod
     def _gains(spec, n_nodes, rows, rng):
+        """The environment, then the direct gains (one per entry) and the
+        cross gains (in ``live.pairs`` order) it holds."""
         live = ActiveSet.from_mask(np.ones((rows, n_nodes), bool))
-        gains = PowerControlModel(n_nodes, spec).sample_env(live, rng)  # in live.pairs order
+        env = PowerControlModel(n_nodes, spec).sample_env(live, rng)
         direct = live.pairs[0] == live.pairs[1]
-        return live, gains, gains[direct], gains[~direct]
+        return live, env, np.exp(env.log_direct), env.cross[~direct]
 
     def test_direct_and_cross_means(self):
         spec = ChannelSpec(var_direct=1.0, var_cross=0.1, noise_floor=0.2)
-        _, gains, diag, off = self._gains(spec, 12, 4000, _gen(10))
+        live, env, diag, off = self._gains(spec, 12, 4000, _gen(10))
         # E|h|^2 equals the amplitude variance for a zero-mean channel
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
         assert abs(off.mean() - 0.1) <= 3 * off.std() / np.sqrt(off.size)
-        assert np.all(gains >= 0)
+        assert np.all(off >= 0)
+        # a direct pair's cross gain is an exact 0
+        assert np.all(env.cross[live.pairs[0] == live.pairs[1]] == 0.0)
 
     def test_dead_direct_channel_is_floored_not_redrawn(self):
         class DeadChannels:  # every amplitude exactly 0; a second call is a redraw
@@ -226,11 +230,11 @@ class TestChannel:
                 assert self.calls == 1, "a dead direct channel was redrawn"
                 return np.zeros(size)
 
-        live, gains, diag, off = self._gains(ChannelSpec(), 4, 3, DeadChannels())
-        assert gains.size == 3 * 4 * 4
-        assert np.all(diag == np.finfo(float).tiny) and np.all(off == 0.0)
+        live, env, _, off = self._gains(ChannelSpec(), 4, 3, DeadChannels())
+        assert env.cross.size == 3 * 4 * 4
+        assert np.all(env.log_direct == np.log(np.finfo(float).tiny)) and np.all(off == 0.0)
         model = PowerControlModel(4)
-        assert np.all(np.isfinite(model.local_utilities(np.zeros(live.size), live, gains)))
+        assert np.all(np.isfinite(model.local_utilities(np.zeros(live.size), live, env)))
 
     def test_complex_gaussian_variant(self):
         spec = ChannelSpec(fading="complex_gaussian")
@@ -238,10 +242,10 @@ class TestChannel:
         assert abs(diag.mean() - 1.0) <= 3 * diag.std() / np.sqrt(diag.size)
 
     def test_slots_are_independent(self):
-        live, gains, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
+        live, env, _, _ = self._gains(ChannelSpec(), 4, 60_000, _gen(12))
         tx, rx = live.pairs
         link = (live.node_idx[tx] == 0) & (live.node_idx[rx] == 1)
-        draws = gains[link]  # the 0 -> 1 gain of every slot, in slot order
+        draws = env.cross[link]  # the 0 -> 1 gain of every slot, in slot order
         x = draws[:-1] - draws[:-1].mean()
         y = draws[1:] - draws[1:].mean()
         corr = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))

@@ -5,9 +5,10 @@ import pytest
 
 from dosp import NetworkConfig
 from dosp.core import NumericError, RngStream
-from dosp.harness import build_model, eval_F_batch, model_constants
+from dosp.harness import _mc_values, build_model, eval_F_batch, model_constants
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
+from dosp.optimizer import slot_block
 
 from conftest import power_config
 from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
@@ -54,8 +55,7 @@ class TestPowerUtility:
         # one active link, unit direct gain, noise floor 0.2: 20*ln(5) - 1
         m = PowerControlModel(4, ChannelSpec(noise_floor=0.2))
         live = _live([[False, False, True, False]])
-        env = m.sample_env(live, _gen(10))
-        env[:] = 1.0
+        env = m.prepare_env(live, np.ones(1))
         value = _dense(m, "local_utilities", np.zeros((1, 4)), live, env)[0, 2]
         assert value == pytest.approx(20.0 * math.log(5.0) - 1.0, rel=1e-12)
         assert value == pytest.approx(31.18875824868201, rel=1e-9)
@@ -65,14 +65,15 @@ class TestPowerUtility:
         live = _live(np.ones((1, 2)))
         tx, rx = live.pairs
         channel = np.array([[1.0, 0.3], [0.5, 1.0]])
-        env = channel[live.node_idx[tx], live.node_idx[rx]]
+        env = m.prepare_env(live, channel[live.node_idx[tx], live.node_idx[rx]])
         u0 = _dense(m, "local_utilities", np.zeros((1, 2)), live, env)[0, 0]
         expected = 20.0 * math.log(1.0 / (0.2 + 0.5)) - 1.0
         assert u0 == pytest.approx(expected, rel=1e-12)
 
-    def test_batched_matches_reference(self):
+    @pytest.mark.parametrize("fading", ["real_gaussian", "complex_gaussian"])
+    def test_batched_matches_reference(self, fading):
         rng = _gen(0)
-        m = PowerControlModel(9)
+        m = PowerControlModel(9, ChannelSpec(fading=fading))
         active = rng.random((6, 9)) < 0.5
         active[0] = False
         active[0, 3] = True
@@ -84,7 +85,8 @@ class TestPowerUtility:
         channels = [dense_channel(9, m.channel, rng) for _ in range(6)]
         pair_b = live.batch_idx[live.pairs[0]]
         tx, rx = live.node_idx[live.pairs[0]], live.node_idx[live.pairs[1]]
-        env = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
+        gains = np.array([channels[b][i, j] for b, i, j in zip(pair_b, tx, rx)])
+        env = m.prepare_env(live, gains)
         a_hat = rng.uniform(-2.0, 2.0, size=(6, 9))
         u = _dense(m, "local_utilities", a_hat, live, env)
         g = _dense(m, "global_gradient", a_hat, live, env)
@@ -98,6 +100,50 @@ class TestPowerUtility:
             np.testing.assert_allclose(
                 _pair_matrix(live, h, b), dense_hessian(m, a_hat[b], delta, channels[b]),
                 rtol=1e-12)
+
+
+class TestOneEvaluationPath:
+    """Every evaluation reads the environment in the one form that
+    ``prepare_env`` gives and ``sample_env`` returns, on any run of rows."""
+
+    def test_quadratic_matches_closed_form(self):
+        rng = _gen(13)
+        m = QuadraticModel(np.linspace(-1.0, 1.0, 7))
+        active = rng.random((6, 7)) < 0.5
+        active[0] = False
+        active[0, 4] = True  # a single-entry row
+        active[1] = False  # an empty row
+        live = ActiveSet.from_mask(active)
+        zeta = rng.uniform(0.5, 1.5, (6, 7))
+        env = m.prepare_env(live, zeta[live.batch_idx, live.node_idx])
+        a = rng.uniform(-2.0, 2.0, (6, 7))
+        np.testing.assert_array_equal(_dense(m, "local_utilities", a, live, env),
+                                      np.where(active, -zeta * (a - m.targets) ** 2, 0.0))
+        np.testing.assert_array_equal(_dense(m, "global_gradient", a, live, env),
+                                      np.where(active, -2.0 * zeta * (a - m.targets), 0.0))
+
+    @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
+    def test_slot_views_equal_the_monte_carlo_path(self, kind):
+        """A slot block's per-run views (environment parts included) give the
+        Monte-Carlo path's utilities and gradients on the same draws, bit for
+        bit."""
+        n, rows = 8, 300
+        net = NetworkConfig(n, 0.3, 1.0)
+        m = (QuadraticModel(np.linspace(-1.0, 1.0, n)) if kind == "quadratic"
+             else PowerControlModel(n, ChannelSpec(fading=kind)))
+        point = _gen(14).uniform(-2.0, 2.0, n)
+        for method in ("local_utilities", "global_gradient"):
+            live, values = _mc_values(getattr(m, method), m, point[None, :], net, rows, _gen(15))
+            rng = _gen(15)
+            assert np.array_equal(sample_activity(net, rng, rows).offsets, live.offsets)
+            block = slot_block(live, np.ones(live.size, dtype=np.int64), 1, m, net,
+                               {"channel": rng}, step_fn=np.ones_like)
+            # runs of 1, 2, 3, ... slots
+            cuts = np.cumsum(np.arange(1, rows))
+            views = block.runs([0, *cuts[cuts < rows].tolist(), rows])
+            got = np.concatenate([getattr(m, method)(point[v.live.node_idx], v.live, v.env)
+                                  for v in views])
+            assert got.tobytes() == values.tobytes()
 
 
 class TestGradients:
@@ -118,16 +164,16 @@ class TestGradients:
 
     def test_quadratic_closed_form(self):
         m = QuadraticModel(np.array([0.5, -0.5, 1.0]))
-        zeta = np.array([0.8, 1.0])  # gains of the two live entries
         a = np.array([[0.0, 0.0, 2.0]])
         live = _live([[True, False, True]])
+        zeta = m.prepare_env(live, np.array([0.8, 1.0]))  # gains of the two live entries
         g = _dense(m, "global_gradient", a, live, zeta)
         np.testing.assert_allclose(g, [[-2 * 0.8 * -0.5, 0.0, -2 * 1.0 * 1.0]])
 
     def test_all_inactive_gradient_is_zero(self):
         m = QuadraticModel(np.zeros(4))
         live = _live(np.zeros((1, 4)))
-        g = _dense(m, "global_gradient", np.ones((1, 4)), live, np.ones(0))
+        g = _dense(m, "global_gradient", np.ones((1, 4)), live, m.prepare_env(live, np.ones(0)))
         assert np.all(g == 0.0)
 
     def test_power_hessian_matches_second_differences(self):

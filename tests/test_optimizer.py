@@ -19,7 +19,7 @@ from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import (
     TRACE_COLUMNS,
     NodeStates,
-    dosp_slot,
+    assert_feasible,
     initialize_states,
     project,
     run_slots,
@@ -276,6 +276,13 @@ BLOCK_CASES = {
                                           index_mode="counted"),
     "power-sampled": power_config(n_nodes=8, q_activity=0.25, horizon=131, replications=2,
                                   seed=8, metrics_stride=25, f_mc_samples=20),
+    # the pair environment and the reception pairs sliced together
+    "power-reception": dataclasses.replace(
+        power_config(n_nodes=8, q_activity=0.25, q_reception=0.5, horizon=131,
+                     replications=2, seed=9, metrics_stride=25, f_mc_samples=20,
+                     sigma_eta=0.3),
+        model_params={"omega1": 20.0, "omega2": 1.0,
+                      "channel": {"fading": "complex_gaussian"}}),
     "ideal-gradient": power_config(n_nodes=8, q_activity=0.25, horizon=131, replications=2,
                                    seed=17, metrics_stride=25, f_mc_samples=20,
                                    algorithm="ideal_gradient"),
@@ -332,9 +339,62 @@ class TestSlotBlocks:
         assert first[1] == second[1]
 
 
+def _planted_run(monkeypatch, net, batch, plant, record_at=()):
+    """Run the learner on ``net`` for 40 slots in 16-slot blocks after
+    ``plant(block)`` has edited the first block's draws; returns the record
+    slots yielded before the run stopped, and the error it stopped with."""
+    monkeypatch.setattr(optimizer, "block_slots", lambda *args: 16)
+    build = optimizer.slot_block
+
+    def planted(*args, **kwargs):
+        block = build(*args, **kwargs)
+        if block.k0 == 1:
+            plant(block)
+        return block
+
+    monkeypatch.setattr(optimizer, "slot_block", planted)
+    schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
+    pert = PerturbationSpec.rademacher()
+    bounds = ActionBounds.uniform(net.n_nodes, -5.0, 5.0)
+    rngs = role_streams(6)
+    states = initialize_states(bounds, schedule, pert, net, batch, rngs)
+    seen = []
+    with pytest.raises((FeasibilityError, NumericError)) as failure:
+        for k, _ in run_slots(states, 40, QuadraticModel(np.zeros(net.n_nodes)), net, bounds,
+                              rngs, record_at, schedule=schedule, pert=pert, sigma_eta=0.1):
+            seen.append(k)
+    return seen, failure.value
+
+
+def _row_entry(block, k, rep):
+    """The first entry of replication ``rep`` at slot ``k`` of a block."""
+    return int(block.live.offsets[(k - block.k0) * block.batch + rep])
+
+
+def _infeasible(block, j):
+    """Plant a performed action beyond its upper bound at entry ``j``: its
+    projection interval lies past the bound by more than gamma~."""
+    block.lo[j] = block.hi[j] = block.upper[j] + 1.0
+    return (f"slot {block.k0 + int(block.live.batch_idx[j]) // block.batch}: performed action "
+            f"left its interval at (replication, node) = "
+            f"({int(block.live.batch_idx[j]) % block.batch}, {int(block.live.node_idx[j])})")
+
+
+def _non_finite(block, j):
+    """Plant a NaN observation at entry ``j``: every f~ of its row is NaN."""
+    block.noise[j] = np.nan
+    row = int(block.live.batch_idx[j])
+    first = int(block.live.offsets[row])
+    return (f"slot {block.k0 + row // block.batch}: non-finite utility estimate at "
+            f"(replication, node) = ({row % block.batch}, {int(block.live.node_idx[first])})")
+
+
 class TestGuards:
     """The hard checks name the slot and the (replication, node) of the first
-    bad entry, also in the middle of a block."""
+    bad entry, also in the middle of a block.  Feasibility is asserted per
+    block segment and finiteness per wave, yet a run fails as the slots run
+    one by one would: at the earliest flagged slot, the feasibility check
+    first within a slot, and before any later record is yielded."""
 
     def test_non_finite_utility_mid_block(self, monkeypatch):
         monkeypatch.setattr(optimizer, "block_slots", lambda *args: 16)
@@ -377,8 +437,9 @@ class TestGuards:
         # beyond the bound by more than gamma(1) = 0.5: every performed action leaves it
         a = block.upper[slot.entries] + 0.6
         first = (int(slot.live.batch_idx[0]), int(slot.live.node_idx[0]))
+        block.start[slot.entries] = a  # the slot-start actions the step performed from
         with pytest.raises(FeasibilityError, match=rf"^slot 6: .* = \({first[0]}, {first[1]}\)$"):
-            dosp_slot(a, block, slot)
+            assert_feasible(block, 0, block.live.size)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_non_finite_utility_inside_a_wave(self, batch):
@@ -413,6 +474,58 @@ class TestGuards:
         assert k > 1
         assert str(failure.value) == (f"slot {k}: non-finite utility estimate at "
                                       f"(replication, node) = ({rep}, {node})")
+
+    @pytest.mark.parametrize("s, s_nan, error", [(3, 5, FeasibilityError),
+                                                 (5, 3, NumericError),
+                                                 (4, 4, FeasibilityError)],
+                             ids=["infeasible-first", "non-finite-first", "same-slot"])
+    def test_earliest_flagged_slot_fails(self, monkeypatch, s, s_nan, error):
+        # every node live in every slot: each slot is its own wave
+        messages = {}
+
+        def plant(block):
+            messages[FeasibilityError] = _infeasible(block, _row_entry(block, s, 0))
+            messages[NumericError] = _non_finite(block, _row_entry(block, s_nan, 1))
+
+        _, failure = _planted_run(monkeypatch, NetworkConfig(3, 1.0, 1.0), 2, plant)
+        assert type(failure) is error and str(failure) == messages[error]
+
+    @pytest.mark.parametrize("non_finite_first", [False, True])
+    def test_earliest_flagged_slot_fails_inside_a_wave(self, monkeypatch, non_finite_first):
+        # sparse activity: plant both faults in one wave of several slots,
+        # in different slots and replications
+        messages = {}
+
+        def plant(block):
+            b = block.batch
+            bounds = optimizer._waves(block, set())
+            pairs = [(r, t) for s0, s1 in zip(bounds, bounds[1:])
+                     for r in range(s0 * b, s1 * b) for t in range(r, s1 * b)
+                     if r // b < t // b and r % b != t % b and block.live.counts[[r, t]].all()]
+            early, late = (block.live.offsets[row] for row in pairs[0])
+            infeasible, nan = (late, early) if non_finite_first else (early, late)
+            messages[FeasibilityError] = _infeasible(block, int(infeasible))
+            messages[NumericError] = _non_finite(block, int(nan))
+
+        _, failure = _planted_run(monkeypatch, NetworkConfig(20, 0.05, 1.0), 2, plant)
+        error = NumericError if non_finite_first else FeasibilityError
+        assert type(failure) is error and str(failure) == messages[error]
+
+    def test_infeasible_action_fails_by_the_block_end(self, monkeypatch):
+        messages = []
+        _, failure = _planted_run(
+            monkeypatch, NetworkConfig(3, 1.0, 1.0), 2,
+            lambda block: messages.append(_infeasible(block, _row_entry(block, 3, 1))))
+        assert type(failure) is FeasibilityError and str(failure) == messages[0]
+
+    def test_infeasible_action_fails_before_the_next_record(self, monkeypatch):
+        messages = []
+        seen, failure = _planted_run(
+            monkeypatch, NetworkConfig(3, 1.0, 1.0), 2,
+            lambda block: messages.append(_infeasible(block, _row_entry(block, 3, 1))),
+            record_at={1, 5})
+        assert type(failure) is FeasibilityError and str(failure) == messages[0]
+        assert seen == [1]
 
 
 class TestConvergence:
