@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import signal
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
@@ -347,9 +348,126 @@ def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
     est, err = f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
     finite = np.isfinite(est) & np.isfinite(err)
     if not finite.all():
-        raise NumericError(
-            f"non-finite Monte-Carlo utility estimate for action row {int(np.argmin(finite))}")
+        row = int(np.argmin(finite))
+        exc = NumericError(f"non-finite Monte-Carlo utility estimate for action row {row}")
+        exc.row = row  # run_experiment names the row as a replication at a slot
+        raise exc
     return est, err
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _at_slot(exc: Exception, k: int) -> Exception:
+    """The failure of the F_hat record at slot ``k``: ``eval_F_batch``'s
+    non-finite estimate named by slot and replication, any other exception
+    as it is."""
+    row = getattr(exc, "row", None)
+    if isinstance(exc, NumericError) and row is not None:
+        return NumericError(f"slot {k}: non-finite Monte-Carlo utility estimate "
+                            f"for replication {row}")
+    return exc
+
+
+def _f_worker(conn, parent_end, model, netcfg, n_samples, rng) -> None:
+    """The Monte-Carlo worker: evaluates each action array it receives on
+    ``conn`` with :func:`eval_F_batch`, in order, and sends back the result,
+    or the exception and stops.  Closing the inherited ``parent_end`` makes
+    the parent's exit, even by SIGKILL, an EOF here, so the worker never
+    outlives the run."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+    try:
+        while True:
+            actions = conn.recv()
+            try:
+                reply = eval_F_batch(model, actions, netcfg, n_samples, rng)
+            except Exception as exc:  # the parent raises it at its record
+                conn.send(exc)
+                return
+            conn.send(reply)
+    except (EOFError, OSError):  # the parent is gone
+        return
+
+
+class _FRecords:
+    """The F_hat records of one run: :func:`eval_F_batch` on each record's
+    actions, on one ``utility_mc`` stream in record order.
+
+    Where the ``fork`` start method exists and at least 2 CPUs are usable, a
+    forked worker (:func:`_f_worker`) owns the stream and evaluates each
+    record while the slot loop runs on; otherwise every record is evaluated
+    inline.  The estimates are the same bits either way.  The worker holds
+    one record at a time: handing it the next one first collects the last,
+    so neither end of the pipe can block on a full buffer while the other
+    does.  ``fork``, not ``spawn``, because the worker starts from this
+    process's model and generator state.
+    """
+
+    def __init__(self, model, netcfg: NetworkConfig, n_samples: int, rng):
+        self.args = (netcfg, n_samples, rng)
+        self.model = model
+        self.values: list[tuple[np.ndarray, np.ndarray]] = []  # (est, err) per record
+        self.conn = self.proc = None
+        self.pending = None  # slot of the record in flight on the worker
+        if _usable_cpus() < 2:
+            return
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            self.conn, child_end = ctx.Pipe()
+            self.proc = ctx.Process(target=_f_worker, name="dosp-F_hat",
+                                    args=(child_end, self.conn, model, *self.args))
+            self.proc.start()
+            child_end.close()  # so that the worker's exit is an EOF here
+
+    def add(self, k: int, actions: np.ndarray) -> None:
+        """Evaluate the record at slot ``k``, or hand it to the worker."""
+        if self.proc is None:
+            try:
+                self.values.append(eval_F_batch(self.model, actions, *self.args))
+            except NumericError as exc:
+                raise _at_slot(exc, k) from None
+            return
+        self.collect()
+        self.pending = k
+        try:
+            self.conn.send(actions.copy())  # the slot loop updates the actions in place
+        except OSError:  # the worker is gone; collect() reports it
+            pass
+
+    def collect(self) -> None:
+        """Wait for the record in flight, if any, and raise its failure."""
+        k, self.pending = self.pending, None
+        if k is None:
+            return
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.proc.join()
+            raise NumericError(f"slot {k}: the Monte-Carlo worker exited with code "
+                               f"{self.proc.exitcode} before replying") from None
+        if isinstance(reply, BaseException):
+            raise _at_slot(reply, k)
+        self.values.append(reply)
+
+    def results(self) -> tuple[np.ndarray, np.ndarray]:
+        """F_hat and F_stderr, (B, records) each, once every record is in."""
+        self.collect()
+        est, err = zip(*self.values)
+        return np.stack(est, axis=1), np.stack(err, axis=1)
+
+    def close(self) -> None:
+        """Stop the worker, if there is one, and wait for it to exit."""
+        if self.proc is None:
+            return
+        self.conn.close()  # the worker reads EOF and exits
+        if self.pending is not None:  # an interrupt: the record is not wanted
+            self.proc.terminate()
+        self.proc.join()
 
 
 def resolve_optimum(cfg: ExperimentConfig, model, a_star=None) -> np.ndarray | None:
@@ -387,7 +505,16 @@ def run_experiment(
     keep_actions: bool = False,
     seed_overrides: dict[str, int] | None = None,
 ) -> TrajectoryDataset:
-    """Run all replications of an experiment and collect trajectory metrics."""
+    """Run all replications of an experiment and collect trajectory metrics.
+
+    F_hat and F_stderr (when ``cfg.f_mc_samples > 0``) are :func:`eval_F_batch`
+    on each record's actions, on the ``utility_mc`` stream in record order.
+    Where the ``fork`` start method exists and at least 2 CPUs are usable,
+    they are computed on one forked worker process while the slot loop runs
+    on, and inline otherwise; their bits are the same either way.  A record's
+    failure is raised as a :class:`NumericError` naming its slot, before any
+    failure of a later slot, as the inline order gives.
+    """
     model = build_model(cfg)
     a_star = resolve_optimum(cfg, model, a_star)
 
@@ -401,8 +528,7 @@ def run_experiment(
 
     n_active = np.zeros((reps, n_rec), dtype=int)
     d = np.zeros((reps, n_rec)) if a_star is not None else None
-    f_hat = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
-    f_stderr = np.zeros((reps, n_rec)) if cfg.f_mc_samples > 0 else None
+    f_hat = f_stderr = None
     snapshots = np.zeros((reps, n_rec, cfg.network.n_nodes)) if keep_actions else None
     traces: dict[str, np.ndarray] | None = {} if trace else None
     if cfg.algorithm == "dosp_s":
@@ -413,18 +539,27 @@ def run_experiment(
 
     slots = run_slots(states, cfg.horizon, model, cfg.network, cfg.bounds, rngs,
                       set(ks.tolist()), **algorithm)
-    for rec_idx, (_, counts) in enumerate(slots):
-        n_active[:, rec_idx] = counts
-        if d is not None:
-            diff = states.actions - a_star
-            d[:, rec_idx] = np.mean(diff * diff, axis=1)
-        if f_hat is not None:
-            est, err = eval_F_batch(model, states.actions, cfg.network,
-                                    cfg.f_mc_samples, rngs["utility_mc"])
-            f_hat[:, rec_idx] = est
-            f_stderr[:, rec_idx] = err
-        if snapshots is not None:
-            snapshots[:, rec_idx] = states.actions
+    records = (_FRecords(model, cfg.network, cfg.f_mc_samples, rngs["utility_mc"])
+               if cfg.f_mc_samples > 0 else None)
+    try:
+        for rec_idx, (k, counts) in enumerate(slots):
+            n_active[:, rec_idx] = counts
+            if d is not None:
+                diff = states.actions - a_star
+                d[:, rec_idx] = np.mean(diff * diff, axis=1)
+            if records is not None:
+                records.add(k, states.actions)
+            if snapshots is not None:
+                snapshots[:, rec_idx] = states.actions
+        if records is not None:
+            f_hat, f_stderr = records.results()
+    except Exception:
+        if records is not None:
+            records.collect()  # the record in flight failed first, if it failed
+        raise
+    finally:
+        if records is not None:
+            records.close()
 
     return TrajectoryDataset(
         config=cfg, ks=ks, n_active=n_active, d=d, f_hat=f_hat,

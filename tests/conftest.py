@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ def power_config(
         sigma_eta=run_kwargs.pop("sigma_eta", 0.0),
         **run_kwargs,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail a test that leaves a child process running (the F_hat worker)."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert left == [], f"processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

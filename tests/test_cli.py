@@ -208,13 +208,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
     path = _write_config(tmp_path, _small_cfg(q_activity=0.2, beta0=0.25,
                                               gamma0=2.0, bound=3.0))
+    (tmp_path / "plain").mkdir()
+    plain = _write_config(tmp_path / "plain", _small_cfg(f_mc_samples=0))
     out = str(tmp_path)
     commands = [["run", "--svg", "--trace", "--out", out + "/run"],
                 ["bounds", "--kmax", "2000", "--out", out + "/bounds"],
                 ["verify", "--kmax", "2000"]]
-    code = ("import sys; from dosp.cli import main; "
-            f"print([main(a + ['--config', {path!r}]) for a in {commands!r}], file=sys.stderr); "
-            "print(*sys.modules, file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dosp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -226,11 +225,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # files; numpy 1.x imports numpy.ma with numpy) does not count
     deps = "import sys, numpy, yaml; print(*sys.modules, file=sys.stderr)"
     base = set(stderr_lines(deps)[-1].split())
-    *_, rcs, loaded = stderr_lines(code)
-    assert rcs == "[0, 0, 0]"
-    heavy = sorted(m for m in set(loaded.split()) - base
-                   if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES))
-    assert heavy == []
+
+    def loaded(commands, path, modules):
+        """Exit codes of ``commands`` on ``path`` run in one interpreter, and
+        the ``modules`` (or their submodules) they loaded."""
+        code = ("import sys; from dosp.cli import main; "
+                f"print([main(a + ['--config', {path!r}]) for a in {commands!r}], "
+                "file=sys.stderr); print(*sys.modules, file=sys.stderr)")
+        *_, rcs, names = stderr_lines(code)
+        return rcs, sorted(m for m in set(names.split()) - base
+                           if any(m == h or m.startswith(h + ".") for h in modules))
+
+    assert loaded(commands, path, HEAVY_MODULES) == ("[0, 0, 0]", [])
+    # a run without F_hat records starts no worker, so it needs no process machinery
+    assert loaded([["run", "--out", out + "/plain"]], plain,
+                  HEAVY_MODULES + ("multiprocessing", "concurrent")) == ("[0]", [])
 
 
 def test_bounds_emits_table(tmp_path, capsys):

@@ -1,14 +1,21 @@
 import csv
 import dataclasses
 import glob
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from dosp import ConfigError, ModelConstants, StepSizeSchedule
+from dosp import (ConfigError, FeasibilityError, ModelConstants, NumericError,
+                  StepSizeSchedule)
+from dosp.cli import main
 from dosp.core import RngStream, role_streams
 from dosp.harness import (
     CONSTANTS_STREAM,
@@ -377,6 +384,173 @@ class TestMonteCarloChunks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _mc_run_config(kind, activity, replications=3):
+    """A short run with 4 F_hat records (slots 1, 100, 200, 300)."""
+    if kind == "quadratic":
+        cfg = quadratic_config(n_nodes=6, q_activity=0.3, horizon=300,
+                               replications=replications, seed=8, f_mc_samples=40)
+    else:
+        cfg = power_config(n_nodes=6, q_activity=0.3, horizon=300,
+                           replications=replications, seed=8, metrics_stride=100,
+                           f_mc_samples=40)
+        cfg = dataclasses.replace(
+            cfg, model_params={**cfg.model_params, "channel": {"fading": kind}})
+    return dataclasses.replace(cfg, network=dataclasses.replace(cfg.network, activity=activity))
+
+
+def _run_on(monkeypatch, cpus, cfg, **kwargs):
+    """``run_experiment`` with ``cpus`` usable CPUs, so with the F_hat worker
+    (2) or inline (1); checks that the path was the one asked for."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    forked = []
+    close = harness._FRecords.close
+
+    def spy(records):
+        forked.append(records.proc is not None)
+        close(records)
+
+    monkeypatch.setattr(harness._FRecords, "close", spy)
+    try:
+        return run_experiment(cfg, **kwargs)
+    finally:
+        assert forked == [cpus >= 2], "the run did not reach its F_hat records"
+
+
+def _failing_eval(at_call, exc):
+    """``eval_F_batch`` that raises ``exc`` at its ``at_call``-th call (a
+    forked worker counts its own calls from the fork on)."""
+    calls = []
+
+    def evaluate(*args):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise exc
+        return eval_F_batch(*args)
+    return evaluate
+
+
+class TestFRecordsWorker:
+    """F_hat records on the forked worker: the inline path's bits, its
+    failures in its order, and no process left behind."""
+
+    @pytest.mark.parametrize("activity", ["binomial", "poisson"])
+    @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
+    def test_worker_matches_inline(self, kind, activity, monkeypatch):
+        cfg = _mc_run_config(kind, activity)
+        inline = _run_on(monkeypatch, 1, cfg)
+        worker = _run_on(monkeypatch, 2, cfg)
+        assert inline.f_hat.shape == (3, 4)
+        np.testing.assert_array_equal(worker.f_hat, inline.f_hat)
+        np.testing.assert_array_equal(worker.f_stderr, inline.f_stderr)
+        np.testing.assert_array_equal(worker.final_actions, inline.final_actions)
+        assert multiprocessing.active_children() == []
+
+    def test_utility_mc_seed_override_reaches_the_worker(self, monkeypatch):
+        cfg = _mc_run_config("real_gaussian", "binomial", replications=2)
+        override = {"utility_mc": 12345}
+        inline = _run_on(monkeypatch, 1, cfg, seed_overrides=override)
+        worker = _run_on(monkeypatch, 2, cfg, seed_overrides=override)
+        np.testing.assert_array_equal(worker.f_hat, inline.f_hat)
+        np.testing.assert_array_equal(worker.f_stderr, inline.f_stderr)
+        assert not np.array_equal(worker.f_hat, _run_on(monkeypatch, 2, cfg).f_hat)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+    @pytest.mark.parametrize("exc", [NumericError("record boom"), KeyError("record boom"), None],
+                             ids=["numeric", "other", "records-succeed"])
+    def test_record_failure_comes_before_later_slot_failures(self, cpus, exc, monkeypatch):
+        slot_failure = FeasibilityError("slot failure after the 2nd record")
+
+        def slots_failing_after_second_record(*args, **kwargs):
+            for i, record in enumerate(optimizer.run_slots(*args, **kwargs)):
+                yield record
+                if i == 1:
+                    raise slot_failure
+
+        monkeypatch.setattr(harness, "run_slots", slots_failing_after_second_record)
+        if exc is not None:
+            monkeypatch.setattr(harness, "eval_F_batch", _failing_eval(2, exc))
+        expected = slot_failure if exc is None else exc
+        with pytest.raises(type(expected)) as info:
+            _run_on(monkeypatch, cpus, _mc_run_config("quadratic", "binomial"))
+        assert str(info.value) == str(expected)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+    def test_non_finite_record_names_slot_and_replication(self, cpus, monkeypatch):
+        # the slot's own utilities are nan too, so slot 1 fails right after
+        # record 1 is handed over; the record's failure still comes out
+        class NaNModel(QuadraticModel):
+            def local_utilities(self, a_hat, live, env):
+                return np.full(live.size, np.nan)
+
+        cfg = _mc_run_config("quadratic", "binomial")
+        monkeypatch.setattr(harness, "build_model", lambda cfg: NaNModel(np.zeros(6)))
+        with pytest.raises(NumericError) as info:
+            _run_on(monkeypatch, cpus, cfg)
+        assert str(info.value) == ("slot 1: non-finite Monte-Carlo utility estimate "
+                                   "for replication 0")
+
+    def test_dead_worker_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        def die(*args):
+            os._exit(7)
+
+        monkeypatch.setattr(harness, "eval_F_batch", die)
+        with pytest.raises(NumericError) as info:
+            _run_on(monkeypatch, 2, _mc_run_config("quadratic", "binomial"))
+        assert str(info.value) == ("slot 1: the Monte-Carlo worker exited with code 7 "
+                                   "before replying")
+        path = tmp_path / "cfg.yaml"
+        _mc_run_config("quadratic", "binomial").to_yaml(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numeric failure: slot 1: the Monte-Carlo worker exited with code 7 "
+            "before replying"]
+
+    @pytest.mark.skipif(harness._usable_cpus() < 2, reason="a run forks no worker on 1 CPU")
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
+        # a run of about a minute; the worker must notice its parent's SIGKILL
+        cfg = power_config(horizon=1_000_000, f_mc_samples=2000)
+        path = tmp_path / "cfg.yaml"
+        cfg.to_yaml(path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        code = ("from dosp import harness; "
+                f"harness.run_experiment(harness.ExperimentConfig.from_yaml({str(path)!r}))")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src))
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        try:
+            worker = None
+            deadline = time.monotonic() + 60
+            while worker is None and proc.poll() is None and time.monotonic() < deadline:
+                try:
+                    with open(children, encoding="ascii") as fh:
+                        pids = fh.read().split()
+                except FileNotFoundError:
+                    pytest.skip("this kernel does not list a process's children")
+                worker = int(pids[0]) if pids else None
+                time.sleep(0.05)
+            assert worker is not None, "the run forked no worker"
+            time.sleep(0.5)  # into the slot loop, with records in flight
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 5
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the worker outlived its killed parent by 5 s")
+
+
+def _running(pid) -> bool:
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _n5_power_config(seed):
