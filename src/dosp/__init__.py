@@ -19,7 +19,6 @@ from .optimizer import (
     NodeStates,
     SlotBlock,
     dosp_slot,
-    ideal_gradient_slot,
     initialize_states,
     project,
     run_slots,

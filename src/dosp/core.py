@@ -90,7 +90,9 @@ class PerturbationSpec:
     sigma_phi_sq: float
 
     @classmethod
-    def rademacher(cls) -> "PerturbationSpec":
+    def rademacher(cls, scale: float = 1.0) -> "PerturbationSpec":
+        if scale != 1.0:
+            raise ConfigError(f"a rademacher perturbation has scale 1, got {scale!r}")
         return cls(kind="rademacher", scale=1.0, alpha_phi=1.0, sigma_phi_sq=1.0)
 
     @classmethod

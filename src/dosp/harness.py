@@ -135,18 +135,18 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_numbers(d)
         try:
+            _check_keys("config", d, ("model", "network", "schedule", "perturbation",
+                                      "bounds", "run"))
             model = dict(d["model"])
             kind = model.pop("kind")
             net = NetworkConfig(**d["network"])
             sched = StepSizeSchedule(**d["schedule"])
-            pert_d = d.get("perturbation", {"kind": "rademacher"})
-            if pert_d.get("kind", "rademacher") == "rademacher":
-                pert = PerturbationSpec.rademacher()
-            else:
-                pert = PerturbationSpec.scaled_symmetric(pert_d["scale"])
-            lower = d["bounds"]["lower"]
-            upper = d["bounds"]["upper"]
-            bounds = ActionBounds(np.atleast_1d(lower), np.atleast_1d(upper))
+            pert_d = dict(d.get("perturbation", {}))
+            pert_kind = pert_d.pop("kind", "rademacher")
+            if pert_kind not in ("rademacher", "scaled_symmetric"):
+                raise ConfigError(f"unknown perturbation kind {pert_kind!r}")
+            pert = getattr(PerturbationSpec, pert_kind)(**pert_d)
+            bounds = ActionBounds(**d["bounds"])
             run = d["run"]
             return cls(network=net, schedule=sched, perturbation=pert,
                        bounds=bounds, model_kind=kind, model_params=model,
@@ -195,9 +195,22 @@ def _check_numbers(tree, path: str = "") -> None:
         raise ConfigError(f"{path} must be finite, got {tree}")
 
 
+def _check_keys(section: str, d: dict, known) -> None:
+    """Reject a key of ``d`` outside ``known``: a misspelt key would leave its default in force."""
+    if unknown := [str(key) for key in d if key not in known]:
+        raise ConfigError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                          f"expected {', '.join(known)}")
+
+
+# the keys of each model's section besides "kind"
+_MODEL_KEYS = {"power": ("channel", "omega1", "omega2"),
+               "quadratic": ("targets", "gain_low", "gain_high")}
+
+
 def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
     """Instantiate the configured objective model."""
     p = cfg.model_params
+    _check_keys("model", p, _MODEL_KEYS[cfg.model_kind])
     if cfg.model_kind == "power":
         channel = ChannelSpec(**p.get("channel", {}))
         return PowerControlModel(

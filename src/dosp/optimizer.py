@@ -1,5 +1,5 @@
 """Slot engine for the sporadic derivative-free learner and the ideal
-exact-gradient baseline.
+exact-gradient baseline, through one block layout and one step.
 
 State is held for a whole batch of replications at once: the actions as a
 (B, N) array, advanced in place, and the activity as the flat list of live
@@ -15,30 +15,32 @@ the role's stream exactly as S per-slot calls would (one draw per entry or
 pair; a dead direct channel gain is floored, not redrawn), so outputs do
 not depend on the block size.
 
-Only the learner's step reads the state, and a slot's step reads and writes
-just the actions of its own live entries: each entry's arithmetic is
-elementwise, and its utility, estimate and gradient sum only over entries
-of its own row (replication and slot).  So consecutive slots in which no
-(replication, node) cell is live twice commute, and the step runs once per
-such run of slots, a *wave*, on the wave's contiguous run of entries.  Every
-per-row sum (``bincount``) adds its terms in the same order as the one-slot
-step does, so the results are bit-identical to running the slots one by one.
-Node updates within a slot only read the slot-start state, so vectorizing
-them is faithful to the per-node protocol.
+Only the step reads the state, and a slot's step reads and writes just the
+actions of its own live entries: each entry's arithmetic is elementwise, and
+its utility, estimate and gradient sum only over entries of its own row
+(replication and slot).  So consecutive slots in which no (replication,
+node) cell is live twice commute, and the step runs once per such run of
+slots, a *wave*, on the wave's contiguous run of entries.  Every per-row sum
+(``bincount``) adds its terms in the same order as the one-slot step does,
+so the results are bit-identical to running the slots one by one, and the
+nodes of a slot, which read only the slot-start state, one by one.
 
-The step writes each entry's slot-start action, and f~ when traced, into
-the block's arrays.  It checks per wave that every estimate is finite, so a
-non-finite value stops the run at its wave.  Feasibility of the performed
-actions is asserted once per block segment, over the segment's entries in
-slot order: before every record is yielded and at the block's end.  Either
-failure names the earliest slot a one-by-one run would have failed in: a
-non-finite estimate first runs the pending feasibility check up to its slot,
-and within a slot the feasibility check comes first.
+The learner and the baseline share the block layout and the step,
+:func:`dosp_slot`; :func:`slot_block` picks the algorithm once per block.
+The step moves the projected slot-start actions a to clip(a + gain * d) in
+the bounds, d being the estimate f~ or the exact gradient.  It checks per
+wave that every d is finite, so a non-finite value stops the run at its
+wave.  Feasibility of the performed actions is asserted once per block
+segment, over the segment's entries in slot order: before every record is
+yielded and at the block's end.  Either failure names the earliest slot a
+one-by-one run would have failed in: a non-finite d first runs the pending
+feasibility check up to its slot, and within a slot the feasibility check
+comes first.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -246,10 +248,9 @@ class SlotBlock:
     ``live``; ``env`` is ``model``'s environment of ``live``, and the
     arrived reception pairs ``heard`` number the block's entries, sorted by
     receiver.  :meth:`runs` cuts the block into runs of slots, each with its
-    own view.  A baseline block has ``step`` and no learner fields;
-    ``lo``/``hi`` (projection interval) and ``lower``/``upper`` (bounds) are
-    set when bounds are given.  The learner's step writes ``start`` and, in
-    a traced run, ``f_tilde`` wave by wave.
+    own view.  Both algorithms fill the fields up to ``start``, the learner
+    also those after it.  The waves write ``start`` and, in a traced run,
+    ``f_tilde``.
     """
 
     k0: int
@@ -260,21 +261,22 @@ class SlotBlock:
     cells: np.ndarray  # rep * N + node: the entry's cell of the raveled (B, N) actions
     entry_at: np.ndarray  # (S + 1,) first entry of each slot
     env: object  # model.sample_env(live, ...): PowerEnv or QuadraticEnv
-    step: np.ndarray | None = None  # baseline step size
+    lower: np.ndarray  # bounds
+    upper: np.ndarray
+    lo: np.ndarray  # projection interval: the shrunk one, or the bounds
+    hi: np.ndarray
+    gain: np.ndarray  # the update's gain on the direction: beta~ * phi, or the baseline's step
+    gamma_phi: np.ndarray  # gamma~ * phi, the perturbation of the action; 0 for the baseline
+    direction: Callable  # (a, block, slot) -> f~ (learner_estimate) or the exact gradient
+    what: str  # the direction's name in a failure message
+    start: np.ndarray  # slot-start (projected) action once the step ran, nan before
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
     phi: np.ndarray | None = None
-    beta_phi: np.ndarray | None = None  # beta~ * phi, the update's gain on f~
-    gamma_phi: np.ndarray | None = None  # gamma~ * phi, the perturbation of the action
     noise: np.ndarray | None = None  # observation noise; None when sigma_eta = 0
     q_r: float = 1.0
     heard: tuple[np.ndarray, np.ndarray] | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    start: np.ndarray | None = None  # slot-start (projected) action once the step ran, nan before
-    f_tilde: np.ndarray | None = None  # estimate f~ once the step ran; traced runs only
+    f_tilde: np.ndarray | None = None  # f~ once the step ran; traced learner runs only
 
     @property
     def slots(self) -> int:
@@ -335,7 +337,7 @@ def slot_block(
     model,
     netcfg: NetworkConfig,
     rngs: dict[str, np.random.Generator],
-    bounds: ActionBounds | None = None,
+    bounds: ActionBounds,
     *,
     k0: int = 1,
     schedule: StepSizeSchedule | None = None,
@@ -349,30 +351,29 @@ def slot_block(
     The learner's block (``pert`` given) draws the perturbation, the
     environment, the observation noise and the reception, in that order,
     one call per role on the stream of that role; the baseline's block
-    (``step_fn`` given) draws only the environment.
+    (``step_fn`` given) draws only the environment, and projects onto the
+    bounds with no perturbation.
     """
-    fields = dict(k0=k0, batch=batch, model=model, live=live, step_index=step_index,
-                  cells=live.batch_idx % batch * live.shape[1] + live.node_idx,
-                  entry_at=live.offsets[::batch])
-    if bounds is not None:
-        fields.update(lower=bounds.lower[live.node_idx], upper=bounds.upper[live.node_idx])
+    nodes = live.node_idx
+    lower, upper = bounds.lower[nodes], bounds.upper[nodes]
+    common = dict(k0=k0, batch=batch, model=model, live=live, step_index=step_index,
+                  cells=live.batch_idx % batch * live.shape[1] + nodes,
+                  entry_at=live.offsets[::batch], lower=lower, upper=upper,
+                  start=np.full(live.size, np.nan))
     if pert is None:
-        fields.update(env=model.sample_env(live, rngs["channel"]), step=step_fn(step_index))
-    else:
-        beta, gamma = schedule.beta(step_index), schedule.gamma(step_index)
-        phi = pert.sample(rngs["perturbation"], size=live.size)
-        fields.update(
-            beta=beta, gamma=gamma, phi=phi, beta_phi=beta * phi, gamma_phi=gamma * phi,
-            env=model.sample_env(live, rngs["channel"]),
-            noise=(sample_obs_noise(sigma_eta, live.size, rngs["noise"], netcfg.noise)
-                   if sigma_eta else None),
-            q_r=netcfg.q_reception,
-            heard=sample_reception(live, netcfg.q_reception, rngs["reception"]),
-            start=np.full(live.size, np.nan))
-        if bounds is not None:
-            fields["lo"], fields["hi"] = _shrunk_interval(bounds, live.node_idx,
-                                                          pert.alpha_phi, gamma)
-    return SlotBlock(**fields)
+        return SlotBlock(**common, env=model.sample_env(live, rngs["channel"]), lo=lower, hi=upper,
+                         gain=step_fn(step_index), gamma_phi=np.broadcast_to(0.0, live.size),
+                         direction=exact_gradient, what="gradient")
+    beta, gamma = schedule.beta(step_index), schedule.gamma(step_index)
+    phi = pert.sample(rngs["perturbation"], size=live.size)
+    lo, hi = _shrunk_interval(bounds, nodes, pert.alpha_phi, gamma)
+    return SlotBlock(
+        **common, beta=beta, gamma=gamma, phi=phi, gain=beta * phi, gamma_phi=gamma * phi,
+        env=model.sample_env(live, rngs["channel"]),
+        noise=(sample_obs_noise(sigma_eta, live.size, rngs["noise"], netcfg.noise)
+               if sigma_eta else None),
+        q_r=netcfg.q_reception, heard=sample_reception(live, netcfg.q_reception, rngs["reception"]),
+        lo=lo, hi=hi, direction=learner_estimate, what="utility estimate")
 
 
 def learner_estimate(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
@@ -389,6 +390,12 @@ def learner_estimate(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndar
     if block.noise is not None:
         u_tilde = u_tilde + block.noise[e]
     return estimate_global_utility(u_tilde, slot.live, block.q_r, slot.heard)
+
+
+def exact_gradient(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
+    """The baseline's direction on a run of slots: the exact gradient of each
+    slot's global utility at the slot-start actions ``a``."""
+    return block.model.global_gradient(a, slot.live, slot.env)
 
 
 def _flagged(block: SlotBlock, entry: int, what: str) -> str:
@@ -417,44 +424,27 @@ def assert_feasible(block: SlotBlock, start: int, stop: int) -> None:
 
 
 def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """The learner's step on a run of slots of ``block``, from slot-start actions ``a``.
+    """The step of either algorithm on a run of slots of ``block``, from
+    slot-start actions ``a``.
 
-    Estimates f~ (:func:`learner_estimate`), writes them to
-    ``block.f_tilde`` in a traced run, and returns the updated actions,
-    clamped to the bounds.  A non-finite estimate raises
-    :class:`NumericError` naming its slot, after :func:`assert_feasible` on
-    the block's entries up to that slot's end: an infeasible performed
-    action in an earlier slot or the same one fails first, as it would in
-    slots run one by one.
+    Takes the block's direction d (f~ or the exact gradient), writes it to
+    ``block.f_tilde`` in a traced run, and returns clip(a + gain * d) to the
+    bounds.  A non-finite d raises :class:`NumericError` naming its slot,
+    after :func:`assert_feasible` on the block's entries up to that slot's
+    end: an infeasible performed action in an earlier slot or the same one
+    fails first, as it would in slots run one by one.
     """
-    f_tilde = learner_estimate(a, block, slot)
+    d = block.direction(a, block, slot)
     e = slot.entries
-    finite = np.isfinite(f_tilde)
+    finite = np.isfinite(d)
     if not finite.all():
         j = e.start + int(finite.argmin())
         slot_end = block.entry_at[block.live.batch_idx[j] // block.batch + 1]
         assert_feasible(block, 0, int(slot_end))
-        raise NumericError(_flagged(block, j, "non-finite utility estimate"))
+        raise NumericError(_flagged(block, j, f"non-finite {block.what}"))
     if block.f_tilde is not None:
-        block.f_tilde[e] = f_tilde
-    return np.minimum(np.maximum(a + block.beta_phi[e] * f_tilde, block.lower[e]),
-                      block.upper[e])
-
-
-def ideal_gradient_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """Reference baseline: live entries of a run of slots ascend the exact
-    per-slot gradient.
-
-    The step sizes are the block's ``step`` (the beta sequence by default in
-    the harness).  No perturbation is applied, so the projection is a plain
-    clamp to the action bounds.
-    """
-    grad = block.model.global_gradient(a, slot.live, slot.env)
-    e = slot.entries
-    finite = np.isfinite(grad)
-    if not finite.all():
-        raise NumericError(_flagged(block, e.start + int(finite.argmin()), "non-finite gradient"))
-    return np.minimum(np.maximum(a + block.step[e] * grad, block.lower[e]), block.upper[e])
+        block.f_tilde[e] = d
+    return np.minimum(np.maximum(a + block.gain[e] * d, block.lower[e]), block.upper[e])
 
 
 def _waves(block: SlotBlock, record_at) -> list[int]:
@@ -499,34 +489,27 @@ def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
     """Run the state-dependent step of ``block`` wave by wave on the raveled
     actions ``acts``, and append the block's trace columns to ``traces`` when
     it is a list; see :func:`run_slots`."""
-    learner = block.beta is not None
-    if learner and traces is not None:
+    if traces is not None:
         block.f_tilde = np.empty(block.live.size)
     checked = 0  # the entries before this one performed feasible actions
     for wave in block.runs(_waves(block, record_at)):
         e = wave.entries
         cells = block.cells[e]
-        if learner:
-            a = np.minimum(np.maximum(acts[cells], block.lo[e]), block.hi[e],
-                           out=block.start[e])
-        else:
-            a = acts[cells]
+        a = np.minimum(np.maximum(acts[cells], block.lo[e]), block.hi[e], out=block.start[e])
         if wave.k in record_at:
-            if learner:
-                assert_feasible(block, checked, e.start)
-                checked = e.start
+            assert_feasible(block, checked, e.start)
+            checked = e.start
             # the record slot opens its wave: only its own entries are projected yet
             own = int(wave.live.offsets[block.batch])
             acts[cells[:own]] = a[:own]
             yield wave.k, wave.live.counts[:block.batch]
-        acts[cells] = dosp_slot(a, block, wave) if learner else ideal_gradient_slot(a, block, wave)
-    if learner:
-        assert_feasible(block, checked, block.live.size)
-        if traces is not None:
-            s, rep = np.divmod(block.live.batch_idx, block.batch)
-            traces.append((rep, block.k0 + s, block.live.node_idx, block.step_index,
-                           block.start, block.start + block.gamma_phi, block.f_tilde,
-                           block.beta, block.gamma, block.phi))
+        acts[cells] = dosp_slot(a, block, wave)
+    assert_feasible(block, checked, block.live.size)
+    if traces is not None:
+        s, rep = np.divmod(block.live.batch_idx, block.batch)
+        traces.append((rep, block.k0 + s, block.live.node_idx, block.step_index,
+                       block.start, block.start + block.gamma_phi, block.f_tilde,
+                       block.beta, block.gamma, block.phi))
 
 
 def run_slots(
@@ -554,7 +537,7 @@ def run_slots(
     slot's live entries onto their shrunk interval at the start of the slot,
     and after the last slot those of the next one.  ``traces``, when a
     dict, receives the learner's trace once the last slot has run: one array
-    per :data:`TRACE_COLUMNS` name.
+    per :data:`TRACE_COLUMNS` name; a baseline run leaves it empty.
     """
     batch = states.actions.shape[0]
     states.actions = np.ascontiguousarray(states.actions)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from dosp.analysis import MAX_AVERAGE_K, ModelConstants, step_moments
-from dosp.core import ROLES, ConfigError, RngStream, StepSizeSchedule
+from dosp.core import ROLES, ActionBounds, ConfigError, RngStream, StepSizeSchedule
 from dosp.harness import (
     BOUNDS_COLUMNS, CONSTANTS_STREAM, TRACE_COLUMNS, TRACE_HEADER, TRAJECTORY_COLUMNS)
 from dosp.objectives import QuadraticModel
@@ -279,6 +279,7 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
         grad_F = lambda point: -2.0 * q_a * (point - model.targets)
     target_grad = float(np.asarray(grad_F(a))[node])
     rngs = dict.fromkeys(ROLES, rng)
+    unbounded = ActionBounds.uniform(netcfg.n_nodes, -np.inf, np.inf)  # a is not projected
 
     total = 0.0
     total_sq = 0.0
@@ -287,8 +288,8 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
         m = min(chunk, n_samples - done)
         live = sample_activity(netcfg, rng, m)
         step_index = sample_step_index(k, q_a, live, "sampled", rng)
-        block = slot_block(live, step_index, m, model, netcfg, rngs, schedule=schedule,
-                           pert=pert, sigma_eta=sigma_eta)
+        block = slot_block(live, step_index, m, model, netcfg, rngs, unbounded,
+                           schedule=schedule, pert=pert, sigma_eta=sigma_eta)
         f_tilde = learner_estimate(a[live.node_idx], block, block_slot(block, 0))
         # samples where the node is inactive contribute g = 0
         g = (block.beta * block.phi * f_tilde)[live.node_idx == node]

@@ -104,6 +104,39 @@ def test_negative_seed_bool_or_non_finite_is_config_error(tmp_path, capsys, sect
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("power", "model", "omega_1", 5.0),
+    ("quadratic", "model", "target", [0.0] * 5),
+    ("quadratic", "perturbation", "kind", "gausian"),
+    ("quadratic", "perturbation", "scale", 2.0),  # a rademacher scale is always 1
+    ("quadratic", "perturbation", "sclae", 1.0),
+    ("quadratic", "bounds", "uper", 2.0),
+    ("quadratic", None, "runs", {"horizon": 10}),
+])
+def test_unknown_key_or_kind_is_config_error(tmp_path, capsys, kind, section, key, value):
+    # each of these once ran with the default in its place
+    d = (_small_cfg() if kind == "quadratic" else
+         power_config(n_nodes=5, horizon=200, replications=2, seed=3, metrics_stride=50,
+                      f_mc_samples=16)).to_dict()
+    (d[section] if section else d)[key] = value
+    with pytest.raises(ConfigError, match=re.escape(key if key != "scale" else "scale 1")):
+        ExperimentConfig.from_dict(d)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_rademacher_scale_may_be_omitted():
+    d = _small_cfg().to_dict()
+    del d["perturbation"]["scale"]
+    assert ExperimentConfig.from_dict(d) == _small_cfg()
+    del d["perturbation"]
+    assert ExperimentConfig.from_dict(d) == _small_cfg()
+
+
 def test_sweep_runs_each_value(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     out = tmp_path / "sweep"

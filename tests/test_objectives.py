@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dosp import NetworkConfig
+from dosp import ActionBounds, NetworkConfig
 from dosp.core import NumericError, RngStream
 from dosp.harness import _mc_values, build_model, eval_F_batch, model_constants
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
@@ -137,7 +137,8 @@ class TestOneEvaluationPath:
             rng = _gen(15)
             assert np.array_equal(sample_activity(net, rng, rows).offsets, live.offsets)
             block = slot_block(live, np.ones(live.size, dtype=np.int64), 1, m, net,
-                               {"channel": rng}, step_fn=np.ones_like)
+                               {"channel": rng}, ActionBounds.uniform(n, -2.0, 2.0),
+                               step_fn=np.ones_like)
             # runs of 1, 2, 3, ... slots
             cuts = np.cumsum(np.arange(1, rows))
             views = block.runs([0, *cuts[cuts < rows].tolist(), rows])

@@ -475,6 +475,45 @@ class TestGuards:
         assert str(failure.value) == (f"slot {k}: non-finite utility estimate at "
                                       f"(replication, node) = ({rep}, {node})")
 
+    @pytest.mark.parametrize("record_at", [set(), {40}], ids=["no-record", "after-a-record"])
+    def test_non_finite_gradient_inside_a_wave(self, record_at):
+        # the baseline on a sparse B = 1 power run: most waves hold several
+        # slots, and the NaN goes to the first entry of a wave that is not in
+        # the wave's first slot, in a wave that opens at or after every record
+        net = NetworkConfig(20, 0.05, 1.0)
+        schedule = StepSizeSchedule(0.025, 10.0, 0.75, 0.25)
+        bounds = ActionBounds.uniform(20, -12.0, 12.0)
+        after = max(record_at, default=1)
+
+        class Faulty(PowerControlModel):
+            slots_run = 0  # slots of the waves before this call
+            planted = None  # (slot, replication, node) of the NaN
+
+            def global_gradient(self, a, live, env):
+                g = super().global_gradient(a, live, env)
+                later = np.flatnonzero(live.batch_idx >= 1)
+                if self.planted is None and later.size and self.slots_run + 1 >= after:
+                    j = later[0]
+                    g[j] = np.nan
+                    self.planted = (self.slots_run + 1 + int(live.batch_idx[j]), 0,
+                                    int(live.node_idx[j]))
+                self.slots_run += live.shape[0]
+                return g
+
+        model = Faulty(20)
+        rngs = role_streams(8)
+        states = initialize_states(bounds, schedule, PerturbationSpec.rademacher(), net, 1, rngs)
+        seen = []
+        with pytest.raises(NumericError) as failure:
+            for k, _ in run_slots(states, 400, model, net, bounds, rngs, record_at,
+                                  step_fn=schedule.beta):
+                seen.append(k)
+        k, rep, node = model.planted
+        assert k > after
+        assert seen == sorted(record_at)
+        assert str(failure.value) == (f"slot {k}: non-finite gradient at "
+                                      f"(replication, node) = ({rep}, {node})")
+
     @pytest.mark.parametrize("s, s_nan, error", [(3, 5, FeasibilityError),
                                                  (5, 3, NumericError),
                                                  (4, 4, FeasibilityError)],
@@ -572,8 +611,11 @@ class TestIdealGradient:
         states = NodeStates(actions=start.copy(),
                             live=_live(np.ones(n, dtype=bool)),
                             step_index=np.ones(n, dtype=int))
-        list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta))
+        traces = {}
+        list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta,
+                       traces=traces))
         assert np.all(np.abs(states.actions) < np.abs(start))
+        assert traces == {}  # the baseline has no trace
 
     def test_baseline_dominates_learner_on_power_model(self):
         # converged-baseline reference: same seeds, step beta*gamma
