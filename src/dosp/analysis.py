@@ -23,6 +23,9 @@ from .optimizer import sample_step_index
 MAX_AVERAGE_K = 300_000
 MIN_RATE_K = 4  # smallest k_max that rate_params accepts
 _CHUNK_WEIGHTS = 2**11  # binomial weights evaluated per chunk of slots
+# The bias envelope and the rate tail split the index law at (1 - XI) times
+# its mean; the tail's ratio dominators carry the factor 1 + XI_PRIME.
+XI = XI_PRIME = 0.5
 
 
 # Cephes lgam's Stirling-series constants: log(sqrt(2 pi)) and the
@@ -130,7 +133,7 @@ def mc_step_average(x, k: int, q_a: float, n_draws: int, rng: np.random.Generato
     """
     live = sample_activity(NetworkConfig(1, q_a, 1.0), rng, n_draws)
     vals = np.zeros(n_draws)
-    vals[live.batch_idx] = x(sample_step_index(k, q_a, live, "sampled", rng))
+    vals[live.batch_idx] = x(sample_step_index(k, q_a, live, rng))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))
 
 
@@ -212,15 +215,14 @@ def bias_diagnostics(
     pert: PerturbationSpec,
     alpha_G: float,
     k_grid,
-    xi: float = 0.5,
 ) -> BiasDiagnostics:
     """Bias bound and its concentration envelope on a slot grid.
 
     ``w_bound`` is q_a * psi_k / bg_k with psi the three-moment combination;
-    ``omega`` replaces each moment with its split-point bound and the
-    denominator with its mean-index lower bound, and therefore dominates
-    ``w_bound`` at every slot.  ``b_bound`` scales by the curvature and
-    perturbation constants.
+    ``omega`` replaces each moment with its split-point bound (split at
+    ``XI``) and the denominator with its mean-index lower bound, and
+    therefore dominates ``w_bound`` at every slot.  ``b_bound`` scales by
+    the curvature and perturbation constants.
     """
     if alpha_G <= 0:
         raise ValueError("alpha_G must be positive")
@@ -232,8 +234,8 @@ def bias_diagnostics(
     psi = _psi(averages, n)
     w_bound = q_a * psi / averages["bg"]
 
-    p = np.exp(-0.5 * xi * xi * q_a * (ks - 1))
-    k_split = np.floor((1.0 - xi) * q_a * (ks - 1)).astype(int) + 2
+    p = np.exp(-0.5 * XI * XI * q_a * (ks - 1))
+    k_split = np.floor((1.0 - XI) * q_a * (ks - 1)).astype(int) + 2
     k_mean = 1.0 + q_a * (ks - 1)
     b1, g1 = schedule.beta(1), schedule.gamma(1)
     denom = schedule.beta(k_mean) * schedule.gamma(k_mean)
@@ -368,17 +370,16 @@ def rate_params(
     *,
     bounds: ActionBounds,
     a_star,
-    d0: float | None = None,
-    xi: float = 0.5,
-    xi_prime: float = 0.5,
 ) -> RateBoundParams:
     """Compute the rate-recurrence constants and grid sequences up to ``k_max``.
 
     The epsilon maxima are exact over the grid [K0, k_max]; the tail beyond
-    k_max is certified with the closed-form ratio dominators where their
-    exponent is nonincreasing; otherwise ``eps2_tail`` / ``eps4_tail`` stay
-    None and only the grid maxima hold.  An alpha_F that is nan or not
-    positive leaves both envelopes invalid, and ``status`` names it.
+    k_max is certified with the closed-form ratio dominators (at ``XI`` and
+    ``XI_PRIME``) where their exponent is nonincreasing; otherwise
+    ``eps2_tail`` / ``eps4_tail`` stay None and only the grid maxima hold.
+    The initial divergence d0 is the mean squared width of the bounds.  An
+    alpha_F that is nan or not positive leaves both envelopes invalid, and
+    ``status`` names it.
     """
     if k_max < MIN_RATE_K:
         raise ValueError("k_max too small")
@@ -436,7 +437,7 @@ def rate_params(
     eps2 = float(np.max(ratio_tu[lo:]))
     eps4 = float(np.max(ratio_ut[lo:]))
 
-    tail = lemma7_bounds(schedule, netcfg, xi, xi_prime)
+    tail = lemma7_bounds(schedule, netcfg, XI, XI_PRIME)
     eps2_tail = None
     if schedule.c1 >= 3 * schedule.c2:
         cand = float(tail["theta_upsilon_over_psi2"](k_max))
@@ -448,9 +449,7 @@ def rate_params(
         if cand >= ratio_ut[-1]:
             eps4_tail = cand
 
-    if d0 is None:
-        width = np.asarray(bounds.upper - bounds.lower)
-        d0 = float(np.mean(width**2))
+    d0 = float(np.mean((bounds.upper - bounds.lower) ** 2))
 
     # The grid maxima are exact for finite-horizon statements; asymptotically
     # eps2 stays finite iff c1 >= 3*c2 and eps4 iff c1 <= 3*c2.

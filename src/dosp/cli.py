@@ -46,11 +46,16 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_yaml(path)
 
 
+def _known_optimum(args, cfg: ExperimentConfig, model):
+    """The model's own optimum, else the one cached under --a-star-dir, else None."""
+    if model.optimum_hint is None and args.a_star_dir:
+        return load_optimum(args.a_star_dir, cfg)
+    return model.optimum_hint
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    a_star = None
-    if args.a_star_dir:
-        a_star = load_optimum(args.a_star_dir, cfg)
+    a_star = None if cfg.divergence == "skip" else _known_optimum(args, cfg, build_model(cfg))
     dataset = run_experiment(cfg, a_star=a_star, trace=args.trace)
     paths = emit_outputs(dataset, args.out, svg=args.svg, loglog=args.loglog)
     for p in paths:
@@ -117,9 +122,7 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     cfg = _load_config(args.config)
     model = build_model(cfg)
-    a_star = model.optimum_hint
-    if a_star is None and args.a_star_dir:
-        a_star = load_optimum(args.a_star_dir, cfg)
+    a_star = _known_optimum(args, cfg, model)
     if a_star is None:
         raise ConfigError("bounds need a known optimum; run solve-optimum first")
     consts = model_constants(cfg, model, a_star)

@@ -84,6 +84,8 @@ class PerturbationSpec:
       sigma_phi != alpha_phi regime (sigma_phi_sq = scale**2 / 3).
     """
 
+    KINDS = ("rademacher", "scaled_symmetric")  # the constructors below, by name
+
     kind: str
     scale: float
     alpha_phi: float
@@ -107,7 +109,7 @@ class PerturbationSpec:
         )
 
     def __post_init__(self):
-        if self.kind not in ("rademacher", "scaled_symmetric"):
+        if self.kind not in self.KINDS:
             raise ConfigError(f"unknown perturbation kind {self.kind!r}")
         if not (self.alpha_phi > 0 and self.sigma_phi_sq > 0):
             raise ConfigError("alpha_phi and sigma_phi_sq must be positive")

@@ -9,6 +9,7 @@ byte-identical across reruns.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -30,8 +31,8 @@ from .core import (
     StepSizeSchedule,
     role_streams,
 )
-from .network import ActiveSet, ChannelSpec, NetworkConfig, sample_activity
-from .objectives import ObjectiveModel, PowerControlModel, QuadraticModel
+from .network import ActiveSet, NetworkConfig, sample_activity
+from .objectives import MODELS, ObjectiveModel, QuadraticModel
 from .optimizer import INDEX_MODES, TRACE_COLUMNS, block_slots, initialize_states, run_slots
 from . import chart
 
@@ -40,6 +41,7 @@ TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active"
 TRACE_HEADER = (*TRACE_COLUMNS[1:3], "delta", *TRACE_COLUMNS[3:])
 _CSV_CHUNK = 1024  # rows formatted, and written, at once
 _MC_CHUNK_BLOCKS = 4  # single-row slot blocks per Monte-Carlo chunk
+_SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
@@ -97,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown index mode {self.index_mode!r}")
         if self.divergence not in ("auto", "require", "skip"):
             raise ConfigError(f"unknown divergence mode {self.divergence!r}")
-        if self.model_kind not in ("power", "quadratic"):
+        if self.model_kind not in MODELS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.sigma_eta < 0:
             raise ConfigError("sigma_eta must be >= 0")
@@ -143,7 +145,7 @@ class ExperimentConfig:
             sched = StepSizeSchedule(**d["schedule"])
             pert_d = dict(d.get("perturbation", {}))
             pert_kind = pert_d.pop("kind", "rademacher")
-            if pert_kind not in ("rademacher", "scaled_symmetric"):
+            if pert_kind not in PerturbationSpec.KINDS:
                 raise ConfigError(f"unknown perturbation kind {pert_kind!r}")
             pert = getattr(PerturbationSpec, pert_kind)(**pert_d)
             bounds = ActionBounds(**d["bounds"])
@@ -202,31 +204,13 @@ def _check_keys(section: str, d: dict, known) -> None:
                           f"expected {', '.join(known)}")
 
 
-# the keys of each model's section besides "kind"
-_MODEL_KEYS = {"power": ("channel", "omega1", "omega2"),
-               "quadratic": ("targets", "gain_low", "gain_high")}
-
-
 def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
-    """Instantiate the configured objective model."""
-    p = cfg.model_params
-    _check_keys("model", p, _MODEL_KEYS[cfg.model_kind])
-    if cfg.model_kind == "power":
-        channel = ChannelSpec(**p.get("channel", {}))
-        return PowerControlModel(
-            n_nodes=cfg.network.n_nodes,
-            channel=channel,
-            omega1=p.get("omega1", 20.0),
-            omega2=p.get("omega2", 1.0),
-        )
-    targets = p.get("targets")
-    if targets is None:
-        targets = QuadraticModel.default_targets(cfg.network.n_nodes)
-    targets = np.asarray(targets, dtype=float)
-    if targets.size != cfg.network.n_nodes:
-        raise ConfigError("quadratic targets must list one value per node")
-    return QuadraticModel(targets, gain_low=p.get("gain_low", 0.5),
-                          gain_high=p.get("gain_high", 1.5))
+    """The configured objective model: the model section, "kind" aside, is
+    the keyword arguments of the kind's constructor, n_nodes the network's."""
+    model = MODELS[cfg.model_kind]
+    keys = [name for name in inspect.signature(model).parameters if name != "n_nodes"]
+    _check_keys("model", cfg.model_params, keys)
+    return model(n_nodes=cfg.network.n_nodes, **cfg.model_params)
 
 
 # stream of the config's seed that the sampled model constants draw from
@@ -487,8 +471,7 @@ def resolve_optimum(cfg: ExperimentConfig, model, a_star=None) -> np.ndarray | N
     """Pick the divergence reference point, honoring the divergence mode."""
     if cfg.divergence == "skip":
         return None
-    if a_star is None and model.optimum_hint is not None:
-        a_star = model.optimum_hint
+    a_star = model.optimum_hint if a_star is None else a_star
     if a_star is None:
         if cfg.divergence == "require":
             raise ConfigError(
@@ -533,8 +516,7 @@ def run_experiment(
 
     rngs = role_streams(cfg.seed, seed_overrides)
     states = initialize_states(cfg.bounds, cfg.schedule, cfg.perturbation,
-                               cfg.network, cfg.replications, rngs,
-                               index_mode=cfg.index_mode)
+                               cfg.network, cfg.replications, rngs, cfg.index_mode)
     ks = record_slots(cfg.horizon, cfg.metrics_stride)
     n_rec = ks.size
     reps = cfg.replications
@@ -626,7 +608,6 @@ def solve_optimum(
     max_iters: int = 4000,
     n_mc: int = 4000,
     step: float | None = None,
-    check_every: int = 100,
     n_cert: int | None = None,
 ) -> OptimumResult:
     """Ascend Monte-Carlo-averaged exact gradients to locate the optimum.
@@ -634,9 +615,10 @@ def solve_optimum(
     Every node moves every iteration; gradients are averaged over fresh
     (activity, environment) draws, so the iteration targets the activity-
     averaged global utility.  Iterates are Polyak-averaged over each block
-    and the certificate is the sup-norm of a fresh large-batch gradient
-    estimate at the averaged point, so ``n_cert`` must be large enough to
-    resolve ``tolerance`` against the gradient's sampling noise.
+    of ``_SOLVE_BLOCK`` iterations and the certificate is the sup-norm of a
+    fresh large-batch gradient estimate at the averaged point, so ``n_cert``
+    must be large enough to resolve ``tolerance`` against the gradient's
+    sampling noise.
     """
     model = build_model(cfg)
     rng = role_streams(cfg.seed)["utility_mc"]
@@ -651,12 +633,12 @@ def solve_optimum(
     gnorm = math.inf
     while iters < max_iters:
         block_sum = np.zeros_like(a)
-        for _ in range(check_every):
+        for _ in range(_SOLVE_BLOCK):
             g = avg_gradient(model, a, net, n_mc, rng)
             a = np.clip(a + step * g, cfg.bounds.lower, cfg.bounds.upper)
             block_sum += a
             iters += 1
-        averaged = block_sum / check_every
+        averaged = block_sum / _SOLVE_BLOCK
         gnorm = float(np.max(np.abs(avg_gradient(model, averaged, net, n_cert, rng))))
         if gnorm < tolerance:
             return OptimumResult(a_star=averaged, grad_norm=gnorm, iterations=iters)

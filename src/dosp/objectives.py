@@ -27,6 +27,7 @@ from .core import ActionBounds, ConfigError
 from .network import ActiveSet, ChannelSpec
 
 _TINY = np.finfo(float).tiny  # floor of a direct channel gain
+_TARGET_RANGE = (-1.5, 1.5)  # the quadratic model's default targets span it
 
 
 class PowerEnv(NamedTuple):
@@ -93,11 +94,13 @@ class PowerControlModel(ObjectiveModel):
 
     pairwise_env = True
 
-    def __init__(self, n_nodes: int, channel: ChannelSpec | None = None,
+    def __init__(self, n_nodes: int, channel: ChannelSpec | dict | None = None,
                  omega1: float = 20.0, omega2: float = 1.0):
         if omega1 <= 0 or omega2 <= 0:
             raise ConfigError("omega1 and omega2 must be positive")
         self.n_nodes = int(n_nodes)
+        if isinstance(channel, dict):  # a config's channel section
+            channel = ChannelSpec(**channel)
         self.channel = channel or ChannelSpec()
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
@@ -188,10 +191,15 @@ class QuadraticModel(ObjectiveModel):
     unique maximizer a* = t and strong-concavity constant 2 * q_a.
     """
 
-    def __init__(self, targets, gain_low: float = 0.5, gain_high: float = 1.5):
-        targets = np.asarray(targets, dtype=float)
+    def __init__(self, targets=None, gain_low: float = 0.5, gain_high: float = 1.5, *,
+                 n_nodes: int | None = None):
+        """No ``targets`` means :meth:`default_targets` of ``n_nodes``."""
+        targets = np.asarray(self.default_targets(n_nodes) if targets is None else targets,
+                             dtype=float)
         if targets.ndim != 1:
             raise ConfigError("targets must be a 1-D vector")
+        if n_nodes is not None and targets.size != n_nodes:
+            raise ConfigError("quadratic targets must list one value per node")
         if not 0 < gain_low <= gain_high:
             raise ConfigError("need 0 < gain_low <= gain_high")
         if abs((gain_low + gain_high) / 2.0 - 1.0) > 1e-12:
@@ -206,8 +214,9 @@ class QuadraticModel(ObjectiveModel):
         return self.targets
 
     @classmethod
-    def default_targets(cls, n_nodes: int, low: float = -1.5, high: float = 1.5):
-        return np.linspace(low, high, n_nodes)
+    def default_targets(cls, n_nodes: int):
+        """``n_nodes`` targets evenly spaced over ``_TARGET_RANGE``."""
+        return np.linspace(*_TARGET_RANGE, n_nodes)
 
     def sample_env(self, live: ActiveSet, rng: np.random.Generator) -> QuadraticEnv:
         """The environment of fresh gains zeta of the live entries."""
@@ -237,3 +246,6 @@ class QuadraticModel(ObjectiveModel):
         dev = np.maximum(np.abs(bounds.upper - self.targets),
                          np.abs(bounds.lower - self.targets))
         return 2.0 * float(np.max(dev)) * self.gain_high
+
+
+MODELS = {"power": PowerControlModel, "quadratic": QuadraticModel}  # by config kind

@@ -77,13 +77,13 @@ class NodeStates:
     ``live`` lists the entries of the next slot to run and ``step_index``
     the schedule position each of them uses.  ``activations`` counts the
     slots each node was live in, up to that slot; only the ``counted`` index
-    mode keeps it.  The slot engine advances ``actions`` in place.
+    mode keeps it, so it alone says which mode runs.  The slot engine
+    advances ``actions`` in place.
     """
 
     actions: np.ndarray  # (B, N)
     live: ActiveSet  # next slot
     step_index: np.ndarray  # (A,) int
-    index_mode: str = "sampled"
     activations: np.ndarray | None = None  # (B, N) int, counted mode only
 
 
@@ -99,26 +99,22 @@ def validate_schedule_fits_bounds(schedule: StepSizeSchedule, pert: Perturbation
         )
 
 
-def sample_step_index(k, q_a: float, live: ActiveSet, mode: str,
-                      rng: np.random.Generator, activations=None) -> np.ndarray:
+def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator,
+                      activations=None) -> np.ndarray:
     """Schedule index of each live entry: 1 + a past-activity surrogate.
 
     ``k`` is the slot, one for all of ``live`` or one per entry.  ``sampled``
-    draws a fresh Binomial(k - 1, q_a) per live entry; ``counted`` uses the
-    node's actual number of past active slots, which has the same marginal
-    law but is correlated across slots.  Its (B, N) ``activations`` count
-    the slots before ``live``'s first; ``live`` may span consecutive slots,
-    slot-major (row r is replication r % B), and a node's earlier entries in
-    ``live`` count too.
+    (no ``activations``) draws a fresh Binomial(k - 1, q_a) per live entry;
+    ``counted`` uses the node's actual number of past active slots, which
+    has the same marginal law but is correlated across slots.  Its (B, N)
+    ``activations`` count the slots before ``live``'s first; ``live`` may
+    span consecutive slots, slot-major (row r is replication r % B), and a
+    node's earlier entries in ``live`` count too.
     """
     if np.any(np.asarray(k) < 1):
         raise ValueError("slot index starts at 1")
-    if mode not in INDEX_MODES:
-        raise ConfigError(f"unknown index mode {mode!r}")
-    if mode == "sampled":
-        return rng.binomial(np.asarray(k) - 1, q_a, size=live.size) + 1
     if activations is None:
-        raise ValueError("counted mode needs the activation counts")
+        return rng.binomial(np.asarray(k) - 1, q_a, size=live.size) + 1
     batch, n = activations.shape
     cells = (live.batch_idx % batch) * n + live.node_idx
     order = np.argsort(cells, kind="stable")
@@ -167,8 +163,10 @@ def initialize_states(
     """Slot-1 state: random feasible actions, first-slot activity and indices.
 
     Live entries start inside their shrunk interval, the others anywhere in
-    their bounds.
+    their bounds.  ``counted`` ``index_mode`` keeps activation counts.
     """
+    if index_mode not in INDEX_MODES:
+        raise ConfigError(f"unknown index mode {index_mode!r}")
     validate_schedule_fits_bounds(schedule, pert, bounds)
     shape = (batch, bounds.n_nodes)
     live = sample_activity(netcfg, rngs["activity"], batch)
@@ -183,7 +181,6 @@ def initialize_states(
         actions=actions,
         live=live,
         step_index=step_index,
-        index_mode=index_mode,
         activations=np.zeros(shape, dtype=np.int64) if index_mode == "counted" else None,
     )
 
@@ -214,7 +211,7 @@ def _advance(states: NodeStates, k0: int, slots: int, netcfg: NetworkConfig,
     if activations is not None:
         activations[states.live.batch_idx, states.live.node_idx] += 1
     step_index = sample_step_index(k0 + 1 + drawn.batch_idx // batch, netcfg.q_activity,
-                                   drawn, states.index_mode, rngs["index"], activations)
+                                   drawn, rngs["index"], activations)
     ran = drawn.rows(0, split)
     if activations is not None:
         cells = (ran.batch_idx % batch) * n + ran.node_idx

@@ -287,7 +287,7 @@ def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,
     while done < n_samples:
         m = min(chunk, n_samples - done)
         live = sample_activity(netcfg, rng, m)
-        step_index = sample_step_index(k, q_a, live, "sampled", rng)
+        step_index = sample_step_index(k, q_a, live, rng)
         block = slot_block(live, step_index, m, model, netcfg, rngs, unbounded,
                            schedule=schedule, pert=pert, sigma_eta=sigma_eta)
         f_tilde = learner_estimate(a[live.node_idx], block, block_slot(block, 0))

@@ -330,6 +330,19 @@ class TestK0:
         bounds = ActionBounds.uniform(3, -5.0, 5.0)
         assert compute_K0(s, pert, bounds, np.full(3, 3.0)) == 3
 
+    @pytest.mark.parametrize("c2", [0.1, 0.25, 0.35])
+    def test_minimal_at_thresholds_on_the_schedule(self, c2):
+        # a slack exactly at alpha_phi * gamma_ell, or one ulp either side,
+        # puts the closed-form first guess off by one either way
+        s = StepSizeSchedule(0.5, 7.0, 0.65, c2)
+        pert = PerturbationSpec.scaled_symmetric(1.3)
+        ells = np.arange(1, 400)
+        radius = pert.alpha_phi * s.gamma(ells)
+        for r in radius[1:300]:
+            for thr in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+                bounds = ActionBounds.uniform(2, -thr, thr)
+                assert compute_K0(s, pert, bounds, np.zeros(2)) == ells[radius <= thr][0]
+
     def test_boundary_optimum_rejected(self):
         s = reference_schedule()
         with pytest.raises(ValueError):
@@ -481,6 +494,23 @@ class TestRecurrenceEnvelope:
         product = 2.0 * np.cumprod(1.0 - params.A * params.theta[:149])
         np.testing.assert_allclose(out[1:], product, rtol=1e-12)
         assert np.all(np.diff(out) < 0)
+
+    @pytest.mark.parametrize("a_theta", [3.0, 1.5])
+    def test_negative_coefficient_takes_the_supremum(self, a_theta):
+        # A * theta > 1 on the first slots: each step is the supremum of the
+        # one-slot bound over d in [0, D], whether its vertex lies inside or not
+        _, _, params = _quadratic_params(k_max=200)
+        steep = dataclasses.replace(params, A=a_theta / params.theta[0])
+        out = recurrence_envelope(steep, 2.0, 1, 150)
+        base = 1.0 - steep.A * steep.theta[:149]
+        negative = np.flatnonzero(base < 0)
+        drive = steep.B * steep.psi
+        vertex_inside = (drive[negative] / (-2.0 * base[negative])) ** 2 < out[negative]
+        assert vertex_inside.any() and not vertex_inside.all()
+        for j in negative:
+            d = np.linspace(0.0, out[j], 100_001)
+            sup = np.max(base[j] * d + drive[j] * np.sqrt(d) + steep.C * steep.upsilon[j])
+            assert sup <= out[j + 1] <= sup * (1 + 1e-8)
 
     def test_injection_only_tail_positive(self):
         _, _, params = _quadratic_params(k_max=200)

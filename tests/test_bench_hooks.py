@@ -7,6 +7,7 @@ test makes such a rename fail instead.
 """
 
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -33,3 +34,24 @@ def test_end_to_end_hook_resolves(hook):
         assert spans.install([hook]) == []
     finally:
         spans.uninstall()
+
+
+# per-layer hook targets already gone; a later benchmark change re-points them
+RETIRED_LAYER_HOOKS = {"optimizer.ideal_gradient_slot", "analysis.averaged_steps_grid",
+                       "analysis.binomial_weights"}
+
+
+def test_layer_hooks_resolve():
+    # a refactor that drops a per-layer hook target would zero its figures unnoticed
+    spans = tracer.Tracer()
+    try:
+        assert set(spans.install(tracer.LAYER_HOOKS)) <= RETIRED_LAYER_HOOKS
+    finally:
+        spans.uninstall()
+
+
+def test_step_index_counter_reads_live_third():
+    # the tracer's index counter reads the live entries as the third positional argument
+    from dosp.optimizer import sample_step_index
+
+    assert list(inspect.signature(sample_step_index).parameters)[2] == "live"

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from dosp import ConfigError, StepSizeSchedule, optimizer
 from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
-from dosp.harness import ExperimentConfig
+from dosp.harness import ExperimentConfig, OptimumResult, save_optimum
 
 from conftest import power_config, quadratic_config
 
@@ -72,15 +73,30 @@ def test_malformed_yaml_is_config_error(tmp_path, capsys):
     ("f_mc_samples", 1),
     ("f_mc_samples", -5),
     ("index_mode", "bogus"),
+    ("algorithm", "sgd"),
+    ("baseline_step", "gamma"),
+    ("baseline_step", 0.0),
+    ("baseline_step", -0.5),
+    ("divergence", "sometimes"),
+    ("sigma_eta", -0.1),
+    ("horizon", 0),
+    ("replications", 0),
+    ("metrics_stride", 0),
+    ("model.kind", "cubic"),
+    ("bounds", {"lower": [-3.0] * 3, "upper": [3.0] * 3}),  # 5 nodes
 ])
 def test_bad_run_value_is_config_error(tmp_path, capsys, key, value):
     d = _small_cfg().to_dict()
-    d["run"][key] = value
+    # a run key, a dotted "section.key", or a whole section
+    section, _, name = key.rpartition(".")
+    (d if name in d else d[section or "run"])[name] = value
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -106,6 +122,8 @@ def test_negative_seed_bool_or_non_finite_is_config_error(tmp_path, capsys, sect
 
 @pytest.mark.parametrize("kind, section, key, value", [
     ("power", "model", "omega_1", 5.0),
+    ("power", "model", "n_nodes", 5),  # the network's, never the model's
+    ("quadratic", "model", "n_nodes", 5),
     ("quadratic", "model", "target", [0.0] * 5),
     ("quadratic", "perturbation", "kind", "gausian"),
     ("quadratic", "perturbation", "scale", 2.0),  # a rademacher scale is always 1
@@ -273,6 +291,56 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # a run without F_hat records starts no worker, so it needs no process machinery
     assert loaded([["run", "--out", out + "/plain"]], plain,
                   HEAVY_MODULES + ("multiprocessing", "concurrent")) == ("[0]", [])
+
+
+def _cache_optimum(directory, cfg, a_star):
+    return save_optimum(directory, cfg, OptimumResult(np.asarray(a_star, float), 0.0, 0))
+
+
+def _trajectory(tmp_path, path, name, *extra):
+    out = tmp_path / name
+    assert main(["run", "--config", path, "--out", str(out), *extra]) == 0
+    return (out / "trajectory.csv").read_bytes()
+
+
+def test_run_takes_the_models_optimum_before_a_cached_one(tmp_path, capsys):
+    # as `bounds` does: a cached a* does not replace the quadratic's known targets
+    cfg = _small_cfg()
+    path = _write_config(tmp_path, cfg)
+    _cache_optimum(tmp_path / "opt", cfg, np.zeros(5))
+    assert (_trajectory(tmp_path, path, "with", "--a-star-dir", str(tmp_path / "opt"))
+            == _trajectory(tmp_path, path, "without"))
+
+
+def test_run_divides_by_a_cached_optimum_without_a_known_one(tmp_path, capsys):
+    cfg = power_config(n_nodes=5, horizon=100, replications=2, seed=3, metrics_stride=50)
+    path = _write_config(tmp_path, cfg)
+    _cache_optimum(tmp_path / "opt", cfg, np.full(5, 0.5))
+    rows = _trajectory(tmp_path, path, "out", "--a-star-dir", str(tmp_path / "opt"))
+    assert rows.splitlines()[1].split(b",")[2] != b""  # d_k is recorded
+    assert (tmp_path / "out" / "divergence_mean.csv").exists()
+
+
+def test_run_loads_no_optimum_when_divergence_is_skipped(tmp_path, capsys):
+    cfg = power_config(n_nodes=5, horizon=100, replications=2, seed=3, metrics_stride=50,
+                       divergence="skip")
+    path = _write_config(tmp_path, cfg)
+    # no cache in the directory: reading one would be a config error
+    _trajectory(tmp_path, path, "out", "--a-star-dir", str(tmp_path / "empty"))
+    assert not (tmp_path / "out" / "divergence_mean.csv").exists()
+
+
+def test_stale_optimum_cache_is_config_error(tmp_path, capsys):
+    cfg = power_config(n_nodes=5, horizon=100, replications=2, seed=3, metrics_stride=50)
+    path = _write_config(tmp_path, cfg)
+    cache = _cache_optimum(tmp_path / "opt", cfg, np.zeros(5))
+    np.savez(cache, a_star=np.zeros(5), grad_norm=0.0, key="0123456789abcdef")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--a-star-dir", str(tmp_path / "opt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stale optimum cache") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bounds_emits_table(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from dosp import ActionBounds, NetworkConfig
 from dosp.core import NumericError, RngStream
-from dosp.harness import _mc_values, build_model, eval_F_batch, model_constants
+from dosp.harness import (ExperimentConfig, _mc_values, build_model, eval_F_batch,
+                          model_constants)
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import slot_block
 
-from conftest import power_config
+from conftest import power_config, quadratic_config
 from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
                      mask_of, reference_estimate_lipschitz, scatter)
 
@@ -280,3 +282,28 @@ class TestExpectedUtility:
     def test_quadratic_mean_one_gain_required(self):
         with pytest.raises(Exception):
             QuadraticModel(np.zeros(3), gain_low=0.9, gain_high=1.3)
+
+
+class TestConfiguredModel:
+    @pytest.mark.parametrize("kind", ["power", "quadratic"])
+    def test_empty_model_section_is_the_library_default(self, kind):
+        # the constructors own the defaults: a config that sets none runs the
+        # model a library caller gets from the node count alone
+        base = power_config(n_nodes=6) if kind == "power" else quadratic_config(n_nodes=6)
+        built = build_model(dataclasses.replace(base, model_params={}))
+        default = PowerControlModel(6) if kind == "power" else QuadraticModel(n_nodes=6)
+        assert type(built) is type(default)
+        for name, value in vars(default).items():
+            np.testing.assert_array_equal(getattr(built, name), value)
+
+    def test_null_targets_are_the_default_targets(self):
+        cfg = quadratic_config(n_nodes=6)
+        d = cfg.to_dict()
+        d["model"]["targets"] = None
+        model = build_model(ExperimentConfig.from_dict(d))
+        np.testing.assert_array_equal(model.targets, QuadraticModel.default_targets(6))
+        np.testing.assert_array_equal(model.targets, np.linspace(-1.5, 1.5, 6))
+
+    def test_channel_section_becomes_a_channel_spec(self):
+        m = PowerControlModel(3, {"noise_floor": 0.5, "fading": "complex_gaussian"})
+        assert m.channel == ChannelSpec(noise_floor=0.5, fading="complex_gaussian")

@@ -42,26 +42,24 @@ def _rows(trace, *names):
 
 class TestStepIndex:
     def test_first_slot_active_gets_one(self):
-        got = sample_step_index(1, 0.3, _live([True, True]), "sampled",
-                                RngStream(0, 0).generator())
+        got = sample_step_index(1, 0.3, _live([True, True]), RngStream(0, 0).generator())
         assert got.size == 2 and np.all(got == 1)
 
     def test_inactive_gets_zero(self):
         # inactive entries are not on the live list, so they get no index
-        got = sample_step_index(10, 0.3, _live([False]), "sampled",
-                                RngStream(0, 0).generator())
+        got = sample_step_index(10, 0.3, _live([False]), RngStream(0, 0).generator())
         assert got.size == 0
 
     def test_sampled_mean(self):
         rng = RngStream(1, 0).generator()
-        got = sample_step_index(101, 0.05, _live(np.ones(100_000, dtype=bool)), "sampled", rng)
+        got = sample_step_index(101, 0.05, _live(np.ones(100_000, dtype=bool)), rng)
         mean_tilde = (got - 1).mean()
         se = np.sqrt(100 * 0.05 * 0.95 / 100_000)
         assert abs(mean_tilde - 5.0) <= 3 * se
 
     def test_counted_uses_activation_history(self):
         counts = np.array([[0, 3, 7]])
-        got = sample_step_index(9, 0.5, _live([True, True, False]), "counted",
+        got = sample_step_index(9, 0.5, _live([True, True, False]),
                                 RngStream(2, 0).generator(), activations=counts)
         assert list(got) == [1, 4]
 
