@@ -180,9 +180,16 @@ def chernoff_step_bound(z, k: int, q_a: float, xi: float) -> float:
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    p = math.exp(-0.5 * xi * xi * q_a * (k - 1))
-    k_split = int(math.floor((1.0 - xi) * q_a * (k - 1))) + 2
-    return q_a * (float(z(1)) * p + float(z(k_split)))
+    p, k_split = _split_point(k, q_a, xi)
+    return q_a * (float(z(1)) * float(p) + float(z(k_split)))
+
+
+def _split_point(ks, q_a: float, xi: float):
+    """At each slot of ``ks``: the weight bound exp(-xi^2 q_a (k-1) / 2) of the index
+    law below (1 - xi) times its mean, and the split index floor((1 - xi) q_a (k-1)) + 2."""
+    ks = np.asarray(ks)
+    return (np.exp(-0.5 * xi * xi * q_a * (ks - 1)),
+            np.floor((1.0 - xi) * q_a * (ks - 1)).astype(int) + 2)
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,7 @@ def bias_diagnostics(
     psi = _psi(averages, n)
     w_bound = q_a * psi / averages["bg"]
 
-    p = np.exp(-0.5 * XI * XI * q_a * (ks - 1))
-    k_split = np.floor((1.0 - XI) * q_a * (ks - 1)).astype(int) + 2
+    p, k_split = _split_point(ks, q_a, XI)
     k_mean = 1.0 + q_a * (ks - 1)
     b1, g1 = schedule.beta(1), schedule.gamma(1)
     denom = schedule.beta(k_mean) * schedule.gamma(k_mean)
@@ -327,37 +333,38 @@ class RateBoundParams:
         return self.theta[idx], self.upsilon[idx], self.psi[idx]
 
 
-def lemma7_bounds(schedule: StepSizeSchedule, netcfg: NetworkConfig,
-                  xi: float, xi_prime: float) -> dict[str, callable]:
-    """Closed-form asymptotic dominators of the four rate-parameter ratios."""
+def _ratios(theta, upsilon, psi) -> dict[str, np.ndarray]:
+    """The four ratios of the rate sequences that the rate bounds rest on."""
+    return {
+        "upsilon_over_theta": upsilon / theta,
+        "psi2_over_theta2": psi**2 / theta**2,
+        "psi2_over_theta_upsilon": psi**2 / (theta * upsilon),
+        "theta_upsilon_over_psi2": theta * upsilon / psi**2,
+    }
+
+
+def _dominators(schedule: StepSizeSchedule, netcfg: NetworkConfig, ks,
+                xi: float, xi_prime: float) -> dict[str, np.ndarray]:
+    """The closed-form asymptotic dominators of the :func:`_ratios` at the
+    slots ``ks``, keyed alike."""
     q_a = netcfg.q_activity
     lam = netcfg.expected_active
     b0, g0, c1, c2 = schedule.beta0, schedule.gamma0, schedule.c1, schedule.c2
     one = 1.0 + xi_prime
     shrink = 1.0 - xi
-
-    def upsilon_over_theta(k):
-        return one * shrink ** (-2 * c1) * q_a * b0 / g0 * (q_a * np.asarray(k, float)) ** (-c1 + c2)
-
-    def psi2_over_theta2(k):
-        return (one**2 / shrink ** (2 * c1 + 4 * c2)) * (lam + 1.0) ** 4 * g0**2 \
-            * (q_a * np.asarray(k, float)) ** (-2 * c2)
-
-    def psi2_over_theta_upsilon(k):
-        base = q_a * (np.asarray(k, float) - 1.0) + 1.0
-        return (one**2 * (lam + 1.0) ** 4 * g0**3) / (shrink ** (2 * c1 + 4 * c2) * q_a * b0) \
-            * base ** (c1 - 3 * c2)
-
-    def theta_upsilon_over_psi2(k):
-        base = q_a * (np.asarray(k, float) - 1.0) + 1.0
-        return (one**2 * q_a * b0) / (shrink ** (3 * c1 + c2) * lam**4 * g0**3) \
-            * base ** (-c1 + 3 * c2)
-
+    k = np.asarray(ks, float)
+    base = q_a * (k - 1.0) + 1.0
     return {
-        "upsilon_over_theta": upsilon_over_theta,
-        "psi2_over_theta2": psi2_over_theta2,
-        "psi2_over_theta_upsilon": psi2_over_theta_upsilon,
-        "theta_upsilon_over_psi2": theta_upsilon_over_psi2,
+        "upsilon_over_theta":
+            one * shrink ** (-2 * c1) * q_a * b0 / g0 * (q_a * k) ** (-c1 + c2),
+        "psi2_over_theta2": (one**2 / shrink ** (2 * c1 + 4 * c2)) * (lam + 1.0) ** 4 * g0**2
+            * (q_a * k) ** (-2 * c2),
+        "psi2_over_theta_upsilon":
+            (one**2 * (lam + 1.0) ** 4 * g0**3) / (shrink ** (2 * c1 + 4 * c2) * q_a * b0)
+            * base ** (c1 - 3 * c2),
+        "theta_upsilon_over_psi2":
+            (one**2 * q_a * b0) / (shrink ** (3 * c1 + c2) * lam**4 * g0**3)
+            * base ** (-c1 + 3 * c2),
     }
 
 
@@ -401,15 +408,13 @@ def rate_params(
         C_proj, K1 = 0.0, K0
     else:
         C_proj = 1.0
-        K1 = None
-        for k in range(max(K0, 2), k_max + 1):
-            lhs = q_a * pert.alpha_phi**2 * schedule.gamma0**2 * math.exp(
-                -0.5 * q_a * (k - 1) + K0 - 1)
-            if lhs <= C_proj * upsilon[k - 2]:
-                K1 = k
-                break
-        if K1 is None:
+        k = np.arange(K0, k_max + 1)
+        lhs = q_a * pert.alpha_phi**2 * schedule.gamma0**2 * np.exp(
+            -0.5 * q_a * (k - 1) + K0 - 1)
+        engaged = np.flatnonzero(lhs <= C_proj * upsilon[k - 2])
+        if engaged.size == 0:
             raise ConfigError("projection-mismatch bound never engaged within k_max")
+        K1 = K0 + int(engaged[0])
 
     noise_moment = (1.0 + lam / netcfg.q_reception) * consts.sigma_eta**2
     util_moment = (
@@ -420,15 +425,12 @@ def rate_params(
     ) * consts.lipschitz**2 * consts.sigma_a_sq
     C = C_proj + pert.sigma_phi_sq * (noise_moment + util_moment)
 
-    K2 = None
-    for k in range(K1, k_max + 1) if alpha_F_ok else ():
-        if theta[k - 1] < 1.0 / A:
-            K2 = k
-            break
+    below = np.flatnonzero(theta[K1 - 1:] < 1.0 / A) if alpha_F_ok else ()
+    K2 = K1 + int(below[0]) if len(below) else None
 
     lo = K0 - 1  # grid offset of K0
-    ratio_tu = theta * upsilon / psi**2
-    ratio_ut = psi**2 / (theta * upsilon)
+    ratios = _ratios(theta, upsilon, psi)
+    ratio_tu, ratio_ut = ratios["theta_upsilon_over_psi2"], ratios["psi2_over_theta_upsilon"]
     chi = 1.0 / theta[:-1] - psi[1:] ** 2 * theta[:-1] / (psi[:-1] ** 2 * theta[1:] ** 2)
     varpi = 1.0 / theta[:-1] - upsilon[1:] / (upsilon[:-1] * theta[1:])
 
@@ -437,17 +439,12 @@ def rate_params(
     eps2 = float(np.max(ratio_tu[lo:]))
     eps4 = float(np.max(ratio_ut[lo:]))
 
-    tail = lemma7_bounds(schedule, netcfg, XI, XI_PRIME)
-    eps2_tail = None
-    if schedule.c1 >= 3 * schedule.c2:
-        cand = float(tail["theta_upsilon_over_psi2"](k_max))
-        if cand >= ratio_tu[-1]:
-            eps2_tail = cand
-    eps4_tail = None
-    if schedule.c1 <= 3 * schedule.c2:
-        cand = float(tail["psi2_over_theta_upsilon"](k_max))
-        if cand >= ratio_ut[-1]:
-            eps4_tail = cand
+    # a dominator certifies the tail where its exponent is nonincreasing and it
+    # bounds the last grid ratio
+    tail = _dominators(schedule, netcfg, k_max, XI, XI_PRIME)
+    cand2, cand4 = float(tail["theta_upsilon_over_psi2"]), float(tail["psi2_over_theta_upsilon"])
+    eps2_tail = cand2 if schedule.c1 >= 3 * schedule.c2 and cand2 >= ratio_tu[-1] else None
+    eps4_tail = cand4 if schedule.c1 <= 3 * schedule.c2 and cand4 >= ratio_ut[-1] else None
 
     d0 = float(np.mean((bounds.upper - bounds.lower) ** 2))
 
@@ -544,9 +541,7 @@ def rate_envelope(params: RateBoundParams, k_grid) -> EnvelopeTable:
         env_a[valid] = params.vartheta**2 * psi[valid] ** 2 / theta[valid] ** 2
     if params.envelope_b_valid and params.varrho is not None:
         env_b[valid] = params.varrho**2 * upsilon[valid] / theta[valid]
-    stacked = np.stack([env_a, env_b])
-    filled = np.where(np.isnan(stacked), np.inf, stacked)
-    envelope = filled.min(axis=0)
+    envelope = np.fmin(env_a, env_b)
     envelope[~np.isfinite(envelope)] = np.nan
 
     expo = asymptotic_exponent(params.c1, params.c2)
@@ -562,10 +557,7 @@ def rate_envelope(params: RateBoundParams, k_grid) -> EnvelopeTable:
             )
             xi_fit = float(np.exp(logxi))
             asymptotic = xi_fit / params.q_r * (params.q_a * ks) ** (-expo)
-    status = [
-        "ok" if np.isfinite(envelope[j]) else "no envelope"
-        for j in range(ks.size)
-    ]
+    status = np.where(np.isfinite(envelope), "ok", "no envelope").tolist()
     return EnvelopeTable(
         k=ks, envelope_a=env_a, envelope_b=env_b, envelope=envelope,
         asymptotic=asymptotic, status=status, xi_fit=xi_fit,
@@ -629,20 +621,13 @@ def verify_asymptotic_bounds(
     if xi_prime <= 0:
         raise ValueError("xi_prime must be positive")
     ks = np.asarray(k_grid, dtype=int)
-    theta, upsilon, psi = _rate_sequences(schedule, netcfg, ks)
-    ratios = {
-        "upsilon_over_theta": upsilon / theta,
-        "psi2_over_theta2": psi**2 / theta**2,
-        "psi2_over_theta_upsilon": psi**2 / (theta * upsilon),
-        "theta_upsilon_over_psi2": theta * upsilon / psi**2,
-    }
-    bounds_fn = lemma7_bounds(schedule, netcfg, xi, xi_prime)
+    ratios = _ratios(*_rate_sequences(schedule, netcfg, ks))
+    bounds = _dominators(schedule, netcfg, ks, xi, xi_prime)
     checks = []
     for name, ratio in ratios.items():
-        bound = np.asarray(bounds_fn[name](ks), dtype=float)
-        failing = np.flatnonzero(~(ratio <= bound))  # a nan ratio fails
+        failing = np.flatnonzero(~(ratio <= bounds[name]))  # a nan ratio fails
         j = int(failing[-1]) + 1 if failing.size else 0  # the bound holds from j on
         k_prime = int(ks[j]) if j < ks.size else None
-        checks.append(RatioBoundCheck(name=name, k=ks, ratio=ratio, bound=bound,
+        checks.append(RatioBoundCheck(name=name, k=ks, ratio=ratio, bound=bounds[name],
                                       k_prime=k_prime))
     return checks

@@ -1,4 +1,7 @@
-"""Command-line entry points.
+"""Command-line entry points: ``run`` (alias ``sweep``: with ``--vary
+<dotted.key>=<v1,v2,...>`` it builds one config per value before any run
+starts, and runs each into ``<out>/<key_with_underscores>=<value>``),
+``bounds``, ``verify`` and ``solve-optimum``.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
 failure (non-finite values during a run, or a performed action outside its
@@ -53,29 +56,21 @@ def _known_optimum(args, cfg: ExperimentConfig, model):
     return model.optimum_hint
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    a_star = None if cfg.divergence == "skip" else _known_optimum(args, cfg, build_model(cfg))
-    dataset = run_experiment(cfg, a_star=a_star, trace=args.trace)
-    paths = emit_outputs(dataset, args.out, svg=args.svg, loglog=args.loglog)
-    for p in paths:
-        print(p)
-    return EXIT_OK
-
-
-def _set_by_path(d: dict, dotted: str, value):
+def _set_by_path(d: dict, dotted: str, value) -> dict:
+    """``d`` with the value at ``dotted`` replaced by ``value`` parsed as YAML."""
     keys = dotted.split(".")
     node = d
     for key in keys[:-1]:
-        if key not in node:
+        if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"unknown config section {key!r} in {dotted!r}")
         node = node[key]
-    if keys[-1] not in node:
+    if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
     try:
         node[keys[-1]] = parse_yaml(value)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {dotted}={value!r}") from exc
+    return d
 
 
 def _split_values(raw: str) -> list[str]:
@@ -90,21 +85,22 @@ def _split_values(raw: str) -> list[str]:
     return values + [raw[start:]]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    param, _, raw = args.vary.partition("=")
-    if not raw:
-        raise ConfigError("--vary expects <dotted.param>=<v1,v2,...>")
-    base = cfg.to_dict()
-    # build every config before running any, so a bad value fails fast
-    subs = []
-    for value in _split_values(raw):
-        d = copy.deepcopy(base)
-        _set_by_path(d, param, value)
-        subs.append((value, ExperimentConfig.from_dict(d)))
-    for value, sub in subs:
-        out = os.path.join(args.out, f"{param.replace('.', '_')}={value}")
-        dataset = run_experiment(sub)
+    runs = [(args.out, cfg)]
+    if args.vary is not None:  # one config per value, each into its own directory
+        param, _, raw = args.vary.partition("=")
+        if not raw:
+            raise ConfigError("--vary expects <dotted.param>=<v1,v2,...>")
+        base = cfg.to_dict()
+        runs = [(os.path.join(args.out, f"{param.replace('.', '_')}={value}"),
+                 ExperimentConfig.from_dict(_set_by_path(copy.deepcopy(base), param, value)))
+                for value in _split_values(raw)]
+    # every config and optimum first, so a bad value or a missing cache fails fast
+    runs = [(out, cfg, None if cfg.divergence == "skip"
+             else _known_optimum(args, cfg, build_model(cfg))) for out, cfg in runs]
+    for out, cfg, a_star in runs:
+        dataset = run_experiment(cfg, a_star=a_star, trace=args.trace)
         for p in emit_outputs(dataset, out, svg=args.svg, loglog=args.loglog):
             print(p)
     return EXIT_OK
@@ -139,9 +135,8 @@ def _cmd_bounds(args) -> int:
                                      consts.alpha_G, grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bounds.csv")
-    theta, upsilon, psi = params.at(grid)
     write_csv(path, BOUNDS_COLUMNS, [
-        grid, theta, upsilon, psi, table.envelope_a, table.envelope_b, table.asymptotic,
+        grid, *params.at(grid), table.envelope_a, table.envelope_b, table.asymptotic,
         diag.w_bound, diag.omega, table.status])
     print(path)
     print(f"A={params.A:.6g} B={params.B:.6g} C={params.C:.6g} "
@@ -185,9 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "and bound analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment from a config file")
+    run = sub.add_parser("run", aliases=["sweep"],
+                         help="run an experiment from a config file, or once per --vary value")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default="out")
+    run.add_argument("--vary", default=None,
+                     help="dotted parameter and values, e.g. network.q_reception=1,0.5,0.1; "
+                          "each value runs into <out>/<parameter>=<value>")
     run.add_argument("--trace", action="store_true",
                      help="write per-active-node update traces")
     run.add_argument("--svg", action="store_true", help="also write SVG charts")
@@ -196,15 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--a-star-dir", default=None,
                      help="directory holding a cached optimum")
     run.set_defaults(func=_cmd_run)
-
-    sweep = sub.add_parser("sweep", help="run the config once per parameter value")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--vary", required=True,
-                       help="dotted parameter and values, e.g. network.q_reception=1,0.5,0.1")
-    sweep.add_argument("--out", default="out")
-    sweep.add_argument("--svg", action="store_true")
-    sweep.add_argument("--loglog", action="store_true")
-    sweep.set_defaults(func=_cmd_sweep)
 
     bounds = sub.add_parser("bounds", help="emit rate-bound and bias-envelope table")
     bounds.add_argument("--config", required=True)

@@ -32,7 +32,7 @@ from .core import (
     role_streams,
 )
 from .network import ActiveSet, NetworkConfig, sample_activity
-from .objectives import MODELS, ObjectiveModel, QuadraticModel
+from .objectives import MODELS, PowerControlModel, QuadraticModel
 from .optimizer import INDEX_MODES, TRACE_COLUMNS, block_slots, initialize_states, run_slots
 from . import chart
 
@@ -44,16 +44,13 @@ _MC_CHUNK_BLOCKS = 4  # single-row slot blocks per Monte-Carlo chunk
 _SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+SECTIONS = ("model", "network", "schedule", "perturbation", "bounds", "run")  # of a config
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
                   "envelope_th3_b", "envelope_th4", "w_bound", "omega", "status")
 
 
 class ConvergenceError(RuntimeError):
-    """Optimum search did not reach tolerance; carries the last iterate."""
-
-    def __init__(self, message, last_iterate):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Optimum search did not reach tolerance."""
 
 
 @dataclass
@@ -135,24 +132,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config is a mapping of the sections {', '.join(SECTIONS)}, "
+                              f"got {'an empty document' if d is None else type(d).__name__}")
         _check_numbers(d)
+        _check_keys("config", d, SECTIONS)
+        d = {"perturbation": {}, **d}  # rademacher by default
+        model, net, sched, pert, bounds, run = (_section(d, name) for name in SECTIONS)
+        if "kind" not in model:
+            raise ConfigError("missing config key 'model.kind'")
+        kind = model.pop("kind")
+        pert_kind = pert.pop("kind", "rademacher")
+        if pert_kind not in PerturbationSpec.KINDS:
+            raise ConfigError(f"unknown perturbation kind {pert_kind!r}")
         try:
-            _check_keys("config", d, ("model", "network", "schedule", "perturbation",
-                                      "bounds", "run"))
-            model = dict(d["model"])
-            kind = model.pop("kind")
-            net = NetworkConfig(**d["network"])
-            sched = StepSizeSchedule(**d["schedule"])
-            pert_d = dict(d.get("perturbation", {}))
-            pert_kind = pert_d.pop("kind", "rademacher")
-            if pert_kind not in PerturbationSpec.KINDS:
-                raise ConfigError(f"unknown perturbation kind {pert_kind!r}")
-            pert = getattr(PerturbationSpec, pert_kind)(**pert_d)
-            bounds = ActionBounds(**d["bounds"])
-            run = d["run"]
-            return cls(network=net, schedule=sched, perturbation=pert,
-                       bounds=bounds, model_kind=kind, model_params=model,
+            return cls(network=NetworkConfig(**net), schedule=StepSizeSchedule(**sched),
+                       perturbation=getattr(PerturbationSpec, pert_kind)(**pert),
+                       bounds=ActionBounds(**bounds), model_kind=kind, model_params=model,
                        **run)
+        except ConfigError:
+            raise  # it says what is wrong already
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -197,6 +196,16 @@ def _check_numbers(tree, path: str = "") -> None:
         raise ConfigError(f"{path} must be finite, got {tree}")
 
 
+def _section(d: dict, name: str) -> dict:
+    """A copy of the config's section ``name``, which must be there and be a mapping."""
+    if name not in d:
+        raise ConfigError(f"missing config section {name!r}")
+    if not isinstance(d[name], dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, "
+                          f"got {type(d[name]).__name__}")
+    return dict(d[name])
+
+
 def _check_keys(section: str, d: dict, known) -> None:
     """Reject a key of ``d`` outside ``known``: a misspelt key would leave its default in force."""
     if unknown := [str(key) for key in d if key not in known]:
@@ -204,7 +213,7 @@ def _check_keys(section: str, d: dict, known) -> None:
                           f"expected {', '.join(known)}")
 
 
-def build_model(cfg: ExperimentConfig) -> ObjectiveModel:
+def build_model(cfg: ExperimentConfig) -> PowerControlModel | QuadraticModel:
     """The configured objective model: the model section, "kind" aside, is
     the keyword arguments of the kind's constructor, n_nodes the network's."""
     model = MODELS[cfg.model_kind]
@@ -644,7 +653,7 @@ def solve_optimum(
             return OptimumResult(a_star=averaged, grad_norm=gnorm, iterations=iters)
     raise ConvergenceError(
         f"gradient norm {gnorm:.4g} above tolerance {tolerance} after "
-        f"{iters} iterations", a)
+        f"{iters} iterations")
 
 
 # -- optimum cache -----------------------------------------------------------

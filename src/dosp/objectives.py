@@ -52,33 +52,7 @@ class QuadraticEnv(NamedTuple):
         return QuadraticEnv(self.gain[entries], self.target[entries])
 
 
-class ObjectiveModel:
-    """Shared behaviour for pluggable objective models."""
-
-    n_nodes: int
-    pairwise_env = False  # env holds terms per pair of live.pairs, not only per live entry
-
-    @property
-    def optimum_hint(self):
-        """Known maximizer of the averaged global utility, if any."""
-        return None
-
-    def sample_env(self, live: ActiveSet, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def prepare_env(self, live: ActiveSet, gains: np.ndarray):
-        """The environment of ``live`` from its raw gains, as ``sample_env``
-        draws them."""
-        raise NotImplementedError
-
-    def local_utilities(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
-        raise NotImplementedError
-
-    def global_gradient(self, a_hat: np.ndarray, live: ActiveSet, env) -> np.ndarray:
-        raise NotImplementedError
-
-
-class PowerControlModel(ObjectiveModel):
+class PowerControlModel:
     """Log-SINR power-control utility under the change of variable p_i = exp(a_i).
 
     For an active node i the local utility is
@@ -92,7 +66,8 @@ class PowerControlModel(ObjectiveModel):
     every direct pair, and log s_ii per entry.
     """
 
-    pairwise_env = True
+    pairwise_env = True  # env holds terms per pair of live.pairs, not only per live entry
+    optimum_hint = None  # no known maximizer of the averaged global utility
 
     def __init__(self, n_nodes: int, channel: ChannelSpec | dict | None = None,
                  omega1: float = 20.0, omega2: float = 1.0):
@@ -183,13 +158,15 @@ class PowerControlModel(ObjectiveModel):
         return h
 
 
-class QuadraticModel(ObjectiveModel):
+class QuadraticModel:
     """Separable strongly-concave oracle u_i = -zeta_i * (a_i - t_i)^2.
 
     The random gain zeta is uniform on [gain_low, gain_high] with mean one, so
     the averaged global utility is F(a) = -q_a * sum_i (a_i - t_i)^2 with the
     unique maximizer a* = t and strong-concavity constant 2 * q_a.
     """
+
+    pairwise_env = False  # env holds terms per live entry only
 
     def __init__(self, targets=None, gain_low: float = 0.5, gain_high: float = 1.5, *,
                  n_nodes: int | None = None):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -426,6 +427,31 @@ class TestRateParams:
         after = vars(params)
         assert after.keys() == before.keys()
         assert all(after[key] is value for key, value in before.items())
+
+    @pytest.mark.parametrize("beta0, gamma0, c1, c2", [
+        (0.25, 6.0, 0.75, 0.25), (0.5, 8.0, 0.75, 0.25), (1.0, 12.0, 0.7, 0.3),
+        (0.2, 7.0, 0.6, 0.15), (1.5, 10.0, 0.75, 0.25), (4.0, 2.0, 0.75, 0.25)])
+    def test_K1_K2_match_slot_by_slot_search(self, beta0, gamma0, c1, c2):
+        # a perturbation radius wider than the bounds' slack (gamma0 > 4) puts K0
+        # past 1, so the projection-mismatch search runs; a large beta0 * gamma0
+        # puts K2 past K1.  The loops are the reference.
+        s = StepSizeSchedule(beta0, gamma0, c1, c2)
+        net = NetworkConfig(5, 0.2, 1.0)
+        bounds = ActionBounds.uniform(5, -3.0, 3.0)
+        targets = np.linspace(-1.0, 1.0, 5)
+        model = QuadraticModel(targets)
+        consts = ModelConstants(
+            alpha_F=model.alpha_F(0.2), alpha_G=model.alpha_G,
+            lipschitz=model.lipschitz(bounds), sigma_eta=0.5, sigma_a_sq=bounds.sigma_a_sq)
+        params = rate_params(s, net, consts, PerturbationSpec.rademacher(), 6000,
+                             bounds=bounds, a_star=targets)
+        K0, q_a = params.K0, net.q_activity
+        assert (K0 > 1) == (gamma0 > 4)
+        K1 = K0 if K0 <= 1 else next(k for k in range(K0, 6001) if q_a * gamma0**2 * math.exp(
+            -0.5 * q_a * (k - 1) + K0 - 1) <= params.upsilon[k - 2])
+        K2 = next((k for k in range(K1, 6001) if params.theta[k - 1] < 1.0 / params.A), None)
+        assert (params.K1, params.K2) == (K1, K2)
+        assert type(params.K1) is int and type(params.K2) is int
 
     def test_asymptotic_display_tracks_envelope_order(self):
         _, _, params = _quadratic_params()

@@ -97,6 +97,33 @@ def test_bad_run_value_is_config_error(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert "bad experiment config" not in err  # the check's own message, not wrapped again
+    assert not (tmp_path / "out").exists()
+
+
+def _without(section, key=None):
+    """The small config's dict, less a whole section or one key of it."""
+    d = _small_cfg().to_dict()
+    (d if key is None else d[section]).pop(key or section)
+    return d
+
+
+@pytest.mark.parametrize("document, named", [
+    ("", "model, network"),  # an empty file
+    ("- model\n- network\n", "model, network"),
+    (yaml.safe_dump({**_small_cfg().to_dict(), "network": 5}), "section 'network'"),
+    (yaml.safe_dump({**_small_cfg().to_dict(), "model": [1]}), "section 'model'"),
+    (yaml.safe_dump(_without("network")), "section 'network'"),
+    (yaml.safe_dump(_without("model", "kind")), "'model.kind'"),
+], ids=["empty-file", "top-level-list", "section-not-a-mapping", "model-a-list",
+        "missing-section", "model-without-kind"])
+def test_malformed_document_names_its_section_or_key(tmp_path, capsys, document, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(document)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
     assert not (tmp_path / "out").exists()
 
 
@@ -180,6 +207,13 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
 
 
+def test_vary_path_below_a_value_is_config_error(tmp_path, capsys):
+    # a key under a number, not a section, once raised a TypeError
+    path = _write_config(tmp_path, _small_cfg())
+    assert main(["run", "--config", path, "--vary", "run.horizon.below=1,2"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'run.horizon.below'\n"
+
+
 def test_sweep_values_are_parsed_as_yaml(tmp_path, capsys):
     # the old value "beta" is a string; a constant step must still be accepted
     path = _write_config(tmp_path, _small_cfg(algorithm="ideal_gradient"))
@@ -205,6 +239,69 @@ def test_sweep_uncoercible_value_is_config_error(tmp_path, capsys, key, value):
     assert rc == 2
     assert not out.exists()  # no value runs before every config is built
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_run_vary_is_the_sweep(tmp_path, capsys):
+    # the shipped reception sweep at a short horizon: same files, same bytes,
+    # same printed paths under either name
+    cfg = ExperimentConfig.from_yaml(os.path.join(CONFIGS, "power_utility_reception_sweep.yaml"))
+    cfg = dataclasses.replace(cfg, horizon=1000, replications=2, metrics_stride=500,
+                              f_mc_samples=50)
+    path = _write_config(tmp_path, cfg)
+    trees = {}
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out), "--svg",
+                     "--vary", "network.q_reception=1.0,0.5"]) == 0
+        printed = [os.path.relpath(p, out) for p in capsys.readouterr().out.split()]
+        files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+                 if f.is_file()}
+        trees[command] = printed, files
+    printed, files = trees["run"]
+    assert trees["sweep"] == trees["run"]
+    assert sorted(printed) == sorted(files)
+    assert "network_q_reception=0.5/utility.svg" in files
+
+
+def test_sweep_takes_trace(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_cfg(q_activity=0.5, replications=1))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", path, "--out", str(out), "--trace",
+                 "--vary", "network.q_reception=1.0,0.5"]) == 0
+    for value in ("1.0", "0.5"):
+        assert (out / f"network_q_reception={value}" / "trace_rep000.csv").exists()
+
+
+def test_sweep_takes_a_cached_optimum(tmp_path, capsys):
+    # q_r is not part of the optimum's cache key, so one cache serves every value
+    cfg = power_config(n_nodes=5, horizon=100, replications=2, seed=3, metrics_stride=50)
+    assert cfg.divergence == "auto"
+    path = _write_config(tmp_path, cfg)
+    _cache_optimum(tmp_path / "opt", cfg, np.zeros(5))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", path, "--out", str(out), "--a-star-dir",
+                 str(tmp_path / "opt"), "--vary", "network.q_reception=1.0,0.5"]) == 0
+    for value in ("1.0", "0.5"):
+        rows = (out / f"network_q_reception={value}" / "trajectory.csv").read_bytes()
+        assert rows.splitlines()[1].split(b",")[2] != b""  # d_k is recorded
+
+
+def test_sweep_without_vary_runs_once(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_cfg())
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+
+
+def test_schedule_wider_than_the_bounds_is_config_error(tmp_path, capsys):
+    # alpha_phi * gamma(1) = 4 is not below half the width of [-3, 3]
+    path = _write_config(tmp_path, _small_cfg(gamma0=4.0, bound=3.0))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha_phi * gamma(1) = 4.0 must be < half")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_passes_on_reference_setup(tmp_path, capsys):
