@@ -8,6 +8,7 @@ across concurrently running replications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -72,6 +73,9 @@ class StepSizeSchedule:
         return float(out) if out.ndim == 0 else out
 
 
+PerturbationKind = Literal["rademacher", "scaled_symmetric"]
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Distribution of the exploration perturbations.
@@ -84,9 +88,7 @@ class PerturbationSpec:
       sigma_phi != alpha_phi regime (sigma_phi_sq = scale**2 / 3).
     """
 
-    KINDS = ("rademacher", "scaled_symmetric")  # the constructors below, by name
-
-    kind: str
+    kind: PerturbationKind
     scale: float
     alpha_phi: float
     sigma_phi_sq: float
@@ -109,7 +111,7 @@ class PerturbationSpec:
         )
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in get_args(PerturbationKind):  # the constructors below, by name
             raise ConfigError(f"unknown perturbation kind {self.kind!r}")
         if not (self.alpha_phi > 0 and self.sigma_phi_sq > 0):
             raise ConfigError("alpha_phi and sigma_phi_sq must be positive")
@@ -165,7 +167,7 @@ class ActionBounds:
 # Named per-replication randomness roles.  Every source of randomness in a run
 # flows through exactly one of these streams; the draw layout within a stream
 # is a fixed function of (slot, replication, node), which makes runs bit
-# reproducible and lets tests reseed one role while freezing the others.
+# reproducible.
 ROLES = (
     "init",
     "activity",
@@ -176,7 +178,6 @@ ROLES = (
     "noise",
     "utility_mc",
 )
-_ROLE_INDEX = {name: i for i, name in enumerate(ROLES)}
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def role_streams(seed: int, overrides: dict[str, int] | None = None) -> dict[str, np.random.Generator]:
-    """One generator per randomness role for a run.
-
-    ``overrides`` maps a role name to an alternative seed, so e.g. only the
-    perturbation stream can be reseeded while all other roles stay frozen.
-    """
-    overrides = overrides or {}
-    streams = {}
-    for name, idx in _ROLE_INDEX.items():
-        streams[name] = RngStream(overrides.get(name, seed), idx).generator()
-    return streams
+def role_streams(seed: int) -> dict[str, np.random.Generator]:
+    """One generator per randomness role for a run."""
+    return {name: RngStream(seed, idx).generator() for idx, name in enumerate(ROLES)}

@@ -2,12 +2,12 @@
 replication runs, trajectory metrics, slope fits, and CSV/SVG emission.
 
 Replications are advanced together as one vectorized batch; a run is a pure
-function of its config (and optional per-role seed overrides), so outputs are
-byte-identical across reruns.
+function of its config, so outputs are byte-identical across reruns.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -15,8 +15,10 @@ import math
 import numbers
 import os
 import signal
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, is_dataclass
 from itertools import islice
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 import yaml
@@ -33,7 +35,7 @@ from .core import (
 )
 from .network import ActiveSet, NetworkConfig, sample_activity
 from .objectives import MODELS, PowerControlModel, QuadraticModel
-from .optimizer import INDEX_MODES, TRACE_COLUMNS, block_slots, initialize_states, run_slots
+from .optimizer import IndexMode, TRACE_COLUMNS, block_slots, initialize_states, run_slots
 from . import chart
 
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
@@ -45,6 +47,8 @@ _SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 SECTIONS = ("model", "network", "schedule", "perturbation", "bounds", "run")  # of a config
+# the fields of ExperimentConfig that the sections other than "run" give
+_SECTION_FIELDS = ("network", "schedule", "perturbation", "bounds", "model_kind", "model_params")
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
                   "envelope_th3_b", "envelope_th4", "w_bound", "omega", "status")
 
@@ -55,13 +59,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """Complete description of one experiment; round-trips through YAML."""
+    """Complete description of one experiment; round-trips through YAML.  Its
+    annotations, and the section classes' and model constructors', are the
+    schema that :meth:`from_dict` checks a config against."""
 
     network: NetworkConfig
     schedule: StepSizeSchedule
     perturbation: PerturbationSpec
     bounds: ActionBounds
-    model_kind: str  # "power" | "quadratic"
+    model_kind: Literal["power", "quadratic"]  # the keys of objectives.MODELS
     model_params: dict
     horizon: int
     replications: int
@@ -69,44 +75,28 @@ class ExperimentConfig:
     metrics_stride: int = 100
     f_mc_samples: int = 2000  # 0 disables utility estimation, else >= 2
     sigma_eta: float = 0.0
-    algorithm: str = "dosp_s"  # "dosp_s" | "ideal_gradient"
-    baseline_step: str | float = "beta"  # "beta" | "beta_gamma" | constant value
-    index_mode: str = "sampled"
-    divergence: str = "auto"  # "auto" | "require" | "skip"
+    algorithm: Literal["dosp_s", "ideal_gradient"] = "dosp_s"
+    baseline_step: Literal["beta", "beta_gamma"] | float = "beta"  # or a constant step
+    index_mode: IndexMode = "sampled"
+    divergence: Literal["auto", "require", "skip"] = "auto"
 
     def __post_init__(self):
-        for name in ("horizon", "replications", "seed", "metrics_stride", "f_mc_samples"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.algorithm not in ("dosp_s", "ideal_gradient"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if isinstance(self.baseline_step, str):
-            if self.baseline_step not in ("beta", "beta_gamma"):
-                raise ConfigError(f"unknown baseline step {self.baseline_step!r}")
-        elif not float(self.baseline_step) > 0:
+        if not isinstance(self.baseline_step, str) and not self.baseline_step > 0:
             raise ConfigError("constant baseline step must be positive")
         if self.f_mc_samples < 0 or self.f_mc_samples == 1:
             raise ConfigError(
                 f"f_mc_samples must be 0 (off) or >= 2, got {self.f_mc_samples}")
-        if self.index_mode not in INDEX_MODES:
-            raise ConfigError(f"unknown index mode {self.index_mode!r}")
-        if self.divergence not in ("auto", "require", "skip"):
-            raise ConfigError(f"unknown divergence mode {self.divergence!r}")
-        if self.model_kind not in MODELS:
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.sigma_eta < 0:
             raise ConfigError("sigma_eta must be >= 0")
         if self.bounds.n_nodes not in (1, self.network.n_nodes):
             raise ConfigError("bounds must be scalar or one interval per node")
         if self.bounds.n_nodes == 1:
-            lo = float(self.bounds.lower[0])
-            hi = float(self.bounds.upper[0])
-            object.__setattr__(
-                self, "bounds", ActionBounds.uniform(self.network.n_nodes, lo, hi))
+            self.bounds = ActionBounds.uniform(self.network.n_nodes, self.bounds.lower[0],
+                                               self.bounds.upper[0])
         build_model(self)  # rejects bad model parameters at load time, not mid-run
 
     # -- serialization ------------------------------------------------------
@@ -115,8 +105,6 @@ class ExperimentConfig:
         lower = self.bounds.lower
         upper = self.bounds.upper
         uniform = np.all(lower == lower[0]) and np.all(upper == upper[0])
-        names = [f.name for f in fields(self)]
-        run = names[names.index("model_params") + 1:]  # the fields of the "run" section
         return {
             "model": {"kind": self.model_kind, **self.model_params},
             "network": asdict(self.network),
@@ -127,7 +115,7 @@ class ExperimentConfig:
                 "lower": float(lower[0]) if uniform else [float(v) for v in lower],
                 "upper": float(upper[0]) if uniform else [float(v) for v in upper],
             },
-            "run": {name: getattr(self, name) for name in run},
+            "run": {name: getattr(self, name) for name in _table(type(self), _SECTION_FIELDS)},
         }
 
     @classmethod
@@ -135,25 +123,33 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"a config is a mapping of the sections {', '.join(SECTIONS)}, "
                               f"got {'an empty document' if d is None else type(d).__name__}")
-        _check_numbers(d)
-        _check_keys("config", d, SECTIONS)
+        if unknown := [str(key) for key in d if key not in SECTIONS]:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                              f"expected {', '.join(SECTIONS)}")
         d = {"perturbation": {}, **d}  # rademacher by default
-        model, net, sched, pert, bounds, run = (_section(d, name) for name in SECTIONS)
+        for name in SECTIONS:
+            if name not in d:
+                raise ConfigError(f"missing config section {name!r}")
+            if not isinstance(d[name], dict):
+                raise ConfigError(f"config section {name!r} must be a mapping, "
+                                  f"got {type(d[name]).__name__}")
+        model, net, sched, pert, bounds, run = (dict(d[name]) for name in SECTIONS)
         if "kind" not in model:
             raise ConfigError("missing config key 'model.kind'")
-        kind = model.pop("kind")
-        pert_kind = pert.pop("kind", "rademacher")
-        if pert_kind not in PerturbationSpec.KINDS:
-            raise ConfigError(f"unknown perturbation kind {pert_kind!r}")
-        try:
-            return cls(network=NetworkConfig(**net), schedule=StepSizeSchedule(**sched),
-                       perturbation=getattr(PerturbationSpec, pert_kind)(**pert),
-                       bounds=ActionBounds(**bounds), model_kind=kind, model_params=model,
-                       **run)
-        except ConfigError:
-            raise  # it says what is wrong already
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+        kind, pert_kind = model.pop("kind"), pert.pop("kind", "rademacher")
+        # a kind names the constructor whose parameters are the rest of its section
+        _check_value("model.kind", kind, _table(cls)["model_kind"].annotation)
+        _check_value("perturbation.kind", pert_kind, _table(PerturbationSpec)["kind"].annotation)
+        perturbation = getattr(PerturbationSpec, pert_kind)
+        for name, values, schema, skip in (
+                ("model", model, MODELS[kind], ("n_nodes",)),  # the network's n_nodes
+                ("network", net, NetworkConfig, ()), ("schedule", sched, StepSizeSchedule, ()),
+                ("perturbation", pert, perturbation, ()), ("bounds", bounds, ActionBounds, ()),
+                ("run", run, cls, _SECTION_FIELDS)):
+            _check_section(name, values, _table(schema, skip))
+        return cls(network=NetworkConfig(**net), schedule=StepSizeSchedule(**sched),
+                   perturbation=perturbation(**pert), bounds=ActionBounds(**bounds),
+                   model_kind=kind, model_params=model, **run)
 
     def to_yaml(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -180,46 +176,60 @@ def parse_yaml(source):
     return yaml.load(source, Loader=_YAML_LOADER)
 
 
-def _check_numbers(tree, path: str = "") -> None:
-    """Reject a bool or a non-finite float anywhere in a config mapping: no
-    config field is a flag, so a bool is a mistyped number, and every number
-    must be finite."""
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            _check_numbers(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(tree, list):
-        for i, value in enumerate(tree):
-            _check_numbers(value, f"{path}[{i}]")
-    elif isinstance(tree, bool):
-        raise ConfigError(f"{path} must not be a bool, got {tree}")
-    elif isinstance(tree, float) and not math.isfinite(tree):
-        raise ConfigError(f"{path} must be finite, got {tree}")
+@functools.cache
+def _table(schema, skip=()) -> dict[str, inspect.Parameter]:
+    """A config section's keys: the parameters of ``schema`` (a class or a
+    constructor), ``skip`` aside, by name, with their annotations evaluated."""
+    params = inspect.signature(schema, eval_str=True).parameters
+    return {name: param for name, param in params.items() if name not in skip}
 
 
-def _section(d: dict, name: str) -> dict:
-    """A copy of the config's section ``name``, which must be there and be a mapping."""
-    if name not in d:
-        raise ConfigError(f"missing config section {name!r}")
-    if not isinstance(d[name], dict):
-        raise ConfigError(f"config section {name!r} must be a mapping, "
-                          f"got {type(d[name]).__name__}")
-    return dict(d[name])
+def _check_section(path: str, values: dict, table: dict[str, inspect.Parameter]) -> None:
+    """Check the section ``values`` at ``path`` against its ``table``: no unknown
+    key (a misspelt key would leave its default in force), no missing required
+    one, and every value of its annotated type."""
+    if unknown := [str(key) for key in values if key not in table]:
+        raise ConfigError(f"unknown {path} key(s) {', '.join(unknown)}; expected {', '.join(table)}")
+    for name, param in table.items():
+        if name in values:
+            _check_value(f"{path}.{name}", values[name], param.annotation)
+        elif param.default is param.empty:
+            raise ConfigError(f"missing config key '{path}.{name}'")
 
 
-def _check_keys(section: str, d: dict, known) -> None:
-    """Reject a key of ``d`` outside ``known``: a misspelt key would leave its default in force."""
-    if unknown := [str(key) for key in d if key not in known]:
-        raise ConfigError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                          f"expected {', '.join(known)}")
+# the values of a scalar annotation: a bool is never a number, nothing is coerced
+_SCALARS = {int: numbers.Integral, float: numbers.Real, type(None): type(None)}
+_NAMES = {int: "an integer", float: "a number", type(None): "null", list: "a list"}
+
+
+def _check_value(path: str, value, kind) -> None:
+    """Raise a ConfigError naming ``path`` unless ``value`` is of a type that
+    ``kind`` annotates: a float is finite, a mapping a dataclass's section, a
+    list checked item by item, an array one number or a list, one per node."""
+    kind = float | list[float] if kind is np.ndarray else kind
+    members = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
+    for member in members:
+        if is_dataclass(member) and isinstance(value, dict):
+            return _check_section(path, value, _table(member))
+        if get_origin(member) is list and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_value(f"{path}[{i}]", item, get_args(member)[0])
+            return
+        literal = get_args(member) if get_origin(member) is Literal else ()
+        if (isinstance(value, str) and value in literal) or (
+                isinstance(value, _SCALARS.get(member, ())) and not isinstance(value, bool)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path} must be finite, got {value}")
+            return
+    names = ("one of " + ", ".join(map(repr, get_args(member))) if get_origin(member) is Literal
+             else _NAMES.get(get_origin(member) or member, "a mapping") for member in members)
+    raise ConfigError(f"{path} must be {' or '.join(dict.fromkeys(names))}, got {value!r}")
 
 
 def build_model(cfg: ExperimentConfig) -> PowerControlModel | QuadraticModel:
     """The configured objective model: the model section, "kind" aside, is
     the keyword arguments of the kind's constructor, n_nodes the network's."""
-    model = MODELS[cfg.model_kind]
-    keys = [name for name in inspect.signature(model).parameters if name != "n_nodes"]
-    _check_keys("model", cfg.model_params, keys)
-    return model(n_nodes=cfg.network.n_nodes, **cfg.model_params)
+    return MODELS[cfg.model_kind](n_nodes=cfg.network.n_nodes, **cfg.model_params)
 
 
 # stream of the config's seed that the sampled model constants draw from
@@ -508,7 +518,6 @@ def run_experiment(
     a_star=None,
     trace: bool = False,
     keep_actions: bool = False,
-    seed_overrides: dict[str, int] | None = None,
 ) -> TrajectoryDataset:
     """Run all replications of an experiment and collect trajectory metrics.
 
@@ -523,7 +532,7 @@ def run_experiment(
     model = build_model(cfg)
     a_star = resolve_optimum(cfg, model, a_star)
 
-    rngs = role_streams(cfg.seed, seed_overrides)
+    rngs = role_streams(cfg.seed)
     states = initialize_states(cfg.bounds, cfg.schedule, cfg.perturbation,
                                cfg.network, cfg.replications, rngs, cfg.index_mode)
     ks = record_slots(cfg.horizon, cfg.metrics_stride)

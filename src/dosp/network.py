@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal, get_args
 
 import numpy as np
 
 from .core import ConfigError
 
 
-NOISE_KINDS = ("gaussian", "uniform")  # observation-noise laws
+NoiseKind = Literal["gaussian", "uniform"]  # observation-noise laws
+NOISE_KINDS = get_args(NoiseKind)
 
 # Working-set budget, in 8-byte cells, of one batch of draws: it sets the
 # rows of a binomial activity chunk (``_BLOCK_CELLS // N``), the slots of an
@@ -42,8 +44,8 @@ class NetworkConfig:
     n_nodes: int
     q_activity: float
     q_reception: float
-    activity: str = "binomial"  # "binomial" | "poisson" (large-N regime, n_k capped at N)
-    noise: str = "gaussian"  # "gaussian" | "uniform" observation-noise law
+    activity: Literal["binomial", "poisson"] = "binomial"  # poisson: large N, n_k capped at N
+    noise: NoiseKind = "gaussian"  # observation-noise law
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -52,10 +54,6 @@ class NetworkConfig:
             raise ConfigError(f"q_activity must lie in (0, 1], got {self.q_activity}")
         if not 0.0 < self.q_reception <= 1.0:
             raise ConfigError(f"q_reception must lie in (0, 1], got {self.q_reception}")
-        if self.activity not in ("binomial", "poisson"):
-            raise ConfigError(f"unknown activity model {self.activity!r}")
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise model {self.noise!r}")
 
     @property
     def expected_active(self) -> float:
@@ -76,13 +74,11 @@ class ChannelSpec:
     var_direct: float = 1.0
     var_cross: float = 0.1
     noise_floor: float = 0.2
-    fading: str = "real_gaussian"
+    fading: Literal["real_gaussian", "complex_gaussian"] = "real_gaussian"
 
     def __post_init__(self):
         if min(self.var_direct, self.var_cross, self.noise_floor) <= 0:
             raise ConfigError("channel variances and noise floor must be positive")
-        if self.fading not in ("real_gaussian", "complex_gaussian"):
-            raise ConfigError(f"unknown fading model {self.fading!r}")
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -76,7 +76,9 @@ class PowerControlModel:
         self.n_nodes = int(n_nodes)
         if isinstance(channel, dict):  # a config's channel section
             channel = ChannelSpec(**channel)
-        self.channel = channel or ChannelSpec()
+        elif not isinstance(channel, ChannelSpec | None):
+            raise ConfigError(f"channel must be a ChannelSpec, a mapping or None, got {channel!r}")
+        self.channel = ChannelSpec() if channel is None else channel
         self.omega1 = float(omega1)
         self.omega2 = float(omega2)
 
@@ -168,8 +170,8 @@ class QuadraticModel:
 
     pairwise_env = False  # env holds terms per live entry only
 
-    def __init__(self, targets=None, gain_low: float = 0.5, gain_high: float = 1.5, *,
-                 n_nodes: int | None = None):
+    def __init__(self, targets: list[float] | None = None, gain_low: float = 0.5,
+                 gain_high: float = 1.5, *, n_nodes: int | None = None):
         """No ``targets`` means :meth:`default_targets` of ``n_nodes``."""
         targets = np.asarray(self.default_targets(n_nodes) if targets is None else targets,
                              dtype=float)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .core import (
 from .estimator import estimate_global_utility, sample_reception
 from .network import _BLOCK_CELLS, ActiveSet, NetworkConfig, sample_activity, sample_obs_noise
 
-INDEX_MODES = ("sampled", "counted")
+IndexMode = Literal["sampled", "counted"]
 
 # A slot block's size S keeps it within the working-set budget
 # network._BLOCK_CELLS.  A slot costs the dense (B, N) uniforms of a binomial
@@ -158,14 +158,14 @@ def initialize_states(
     netcfg: NetworkConfig,
     batch: int,
     rngs: dict[str, np.random.Generator],
-    index_mode: str = "sampled",
+    index_mode: IndexMode = "sampled",
 ) -> NodeStates:
     """Slot-1 state: random feasible actions, first-slot activity and indices.
 
     Live entries start inside their shrunk interval, the others anywhere in
     their bounds.  ``counted`` ``index_mode`` keeps activation counts.
     """
-    if index_mode not in INDEX_MODES:
+    if index_mode not in get_args(IndexMode):
         raise ConfigError(f"unknown index mode {index_mode!r}")
     validate_schedule_fits_bounds(schedule, pert, bounds)
     shape = (batch, bounds.n_nodes)

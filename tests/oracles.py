@@ -2,8 +2,8 @@
 batched library code against, the Monte-Carlo gradient-bias oracle that
 runs the slot engine's own estimate, the row-by-row csv.writer loops that
 the columnar CSV writer must match byte for byte, the model constants as
-separate samplers drew them, and the Monte-Carlo averages drawn and
-evaluated on all their rows at once."""
+separate samplers drew them, the Monte-Carlo averages drawn and evaluated
+on all their rows at once, and the role streams with one role reseeded."""
 
 from __future__ import annotations
 
@@ -25,6 +25,17 @@ from dosp.harness import (
 from dosp.objectives import QuadraticModel
 from dosp.network import ActiveSet, _offsets, sample_activity
 from dosp.optimizer import learner_estimate, sample_step_index, slot_block
+
+
+def reseeded_role_streams(overrides: dict[str, int]):
+    """A stand-in for ``role_streams`` that draws each role named in
+    ``overrides`` from its own seed and every other role as ``role_streams``
+    does; patched onto ``dosp.harness.role_streams``, it reseeds one role of a
+    run while freezing the others."""
+    def streams(seed: int) -> dict[str, np.random.Generator]:
+        return {name: RngStream(overrides.get(name, seed), idx).generator()
+                for idx, name in enumerate(ROLES)}
+    return streams
 
 
 def scatter(live: ActiveSet, values) -> np.ndarray:

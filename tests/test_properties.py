@@ -2,14 +2,16 @@
 performed actions stay in the box, reruns are byte-identical, waves of slots
 give the same bytes as slots run one by one, the estimate f~ is unbiased,
 Poisson activity comes out as a well-formed live-entry list, configs
-round-trip through dicts and YAML bit for bit, and a bool or a non-finite
-value in a numeric field is a config error."""
+round-trip through dicts and YAML bit for bit, and a bool, a non-finite
+value, a string, null or a list in a numeric field is a config error that
+names the field."""
 
 import copy
 import filecmp
 import json
 import math
 import os
+import re
 import tempfile
 from types import SimpleNamespace
 from unittest import mock
@@ -260,14 +262,22 @@ def _numeric_leaves(tree, path=()):
         yield path
 
 
+def _dotted(path) -> str:
+    """``path`` as the config error names it, e.g. ``model.targets[3]``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(valid_configs(), st.data())
 def test_bool_or_non_finite_number_is_a_config_error(cfg, data):
     d = copy.deepcopy(cfg.to_dict())
-    *parents, last = data.draw(st.sampled_from(list(_numeric_leaves(d))))
+    path = data.draw(st.sampled_from(list(_numeric_leaves(d))))
+    *parents, last = path
     node = d
     for key in parents:
         node = node[key]
-    node[last] = data.draw(st.sampled_from([True, False, math.nan, math.inf, -math.inf]))
-    with pytest.raises(ConfigError):
+    # a list holding a non-number is no number, nor one number per node
+    node[last] = data.draw(st.sampled_from([True, False, math.nan, math.inf, -math.inf,
+                                            "a", None, [1.0, "a"]]))
+    with pytest.raises(ConfigError, match=re.escape(_dotted(path))):
         ExperimentConfig.from_dict(d)
