@@ -57,16 +57,17 @@ def _known_optimum(args, cfg: ExperimentConfig, model):
 
 
 def _set_by_path(d: dict, dotted: str, value) -> dict:
-    """``d`` with the value at ``dotted`` set to ``value`` parsed as YAML; the
-    config's schema then judges the key, as it judges the file's."""
-    *sections, key = dotted.split(".")
+    """``d`` with the value at ``dotted`` replaced by ``value`` parsed as YAML."""
+    keys = dotted.split(".")
     node = d
-    for name in sections:  # a section the file leaves out starts empty
-        node = node.setdefault(name, {}) if isinstance(node, dict) else None
-    if not isinstance(node, dict):
+    for key in keys[:-1]:
+        if not isinstance(node, dict) or key not in node:
+            raise ConfigError(f"unknown config section {key!r} in {dotted!r}")
+        node = node[key]
+    if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
     try:
-        node[key] = parse_yaml(value)
+        node[keys[-1]] = parse_yaml(value)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {dotted}={value!r}") from exc
     return d

@@ -124,12 +124,17 @@ class PerturbationSpec:
         return rng.uniform(-self.scale, self.scale, size=size)
 
 
+# a bound as a config gives it: one number for every node, or one per node
+Bound = float | list[float]
+
+
 @dataclass(frozen=True)
 class ActionBounds:
-    """Per-node feasible intervals [lower_i, upper_i] for the actions."""
+    """Per-node feasible intervals [lower_i, upper_i] for the actions, kept
+    as read-only float arrays, one entry per node."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: Bound
+    upper: Bound
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
@@ -197,4 +202,7 @@ class RngStream:
 
 def role_streams(seed: int) -> dict[str, np.random.Generator]:
     """One generator per randomness role for a run."""
-    return {name: RngStream(seed, idx).generator() for idx, name in enumerate(ROLES)}
+    streams = {}
+    for idx, name in enumerate(ROLES):
+        streams[name] = RngStream(seed, idx).generator()
+    return streams

@@ -47,8 +47,6 @@ _SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 SECTIONS = ("model", "network", "schedule", "perturbation", "bounds", "run")  # of a config
-# the fields of ExperimentConfig that the sections other than "run" give
-_SECTION_FIELDS = ("network", "schedule", "perturbation", "bounds", "model_kind", "model_params")
 BOUNDS_COLUMNS = ("k", "theta", "upsilon", "psi", "envelope_th3_a",
                   "envelope_th3_b", "envelope_th4", "w_bound", "omega", "status")
 
@@ -81,6 +79,9 @@ class ExperimentConfig:
     divergence: Literal["auto", "require", "skip"] = "auto"
 
     def __post_init__(self):
+        table = _table(type(self))  # a config built in Python is checked as a file's is
+        for name in ("model_kind", *_run_table(type(self))):
+            _check_value(name, getattr(self, name), table[name].annotation)
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
         if self.seed < 0:
@@ -95,8 +96,10 @@ class ExperimentConfig:
         if self.bounds.n_nodes not in (1, self.network.n_nodes):
             raise ConfigError("bounds must be scalar or one interval per node")
         if self.bounds.n_nodes == 1:
-            self.bounds = ActionBounds.uniform(self.network.n_nodes, self.bounds.lower[0],
-                                               self.bounds.upper[0])
+            lo = float(self.bounds.lower[0])
+            hi = float(self.bounds.upper[0])
+            object.__setattr__(
+                self, "bounds", ActionBounds.uniform(self.network.n_nodes, lo, hi))
         build_model(self)  # rejects bad model parameters at load time, not mid-run
 
     # -- serialization ------------------------------------------------------
@@ -115,7 +118,7 @@ class ExperimentConfig:
                 "lower": float(lower[0]) if uniform else [float(v) for v in lower],
                 "upper": float(upper[0]) if uniform else [float(v) for v in upper],
             },
-            "run": {name: getattr(self, name) for name in _table(type(self), _SECTION_FIELDS)},
+            "run": {name: getattr(self, name) for name in _run_table(type(self))},
         }
 
     @classmethod
@@ -141,12 +144,14 @@ class ExperimentConfig:
         _check_value("model.kind", kind, _table(cls)["model_kind"].annotation)
         _check_value("perturbation.kind", pert_kind, _table(PerturbationSpec)["kind"].annotation)
         perturbation = getattr(PerturbationSpec, pert_kind)
-        for name, values, schema, skip in (
-                ("model", model, MODELS[kind], ("n_nodes",)),  # the network's n_nodes
-                ("network", net, NetworkConfig, ()), ("schedule", sched, StepSizeSchedule, ()),
-                ("perturbation", pert, perturbation, ()), ("bounds", bounds, ActionBounds, ()),
-                ("run", run, cls, _SECTION_FIELDS)):
-            _check_section(name, values, _table(schema, skip))
+        for name, values, table in (
+                ("model", model, _table(MODELS[kind], ("n_nodes",))),  # the network's n_nodes
+                ("network", net, _table(NetworkConfig)),
+                ("schedule", sched, _table(StepSizeSchedule)),
+                ("perturbation", pert, _table(perturbation)),
+                ("bounds", bounds, _table(ActionBounds)),
+                ("run", run, _run_table(cls))):
+            _check_section(name, values, table)
         return cls(network=NetworkConfig(**net), schedule=StepSizeSchedule(**sched),
                    perturbation=perturbation(**pert), bounds=ActionBounds(**bounds),
                    model_kind=kind, model_params=model, **run)
@@ -184,6 +189,13 @@ def _table(schema, skip=()) -> dict[str, inspect.Parameter]:
     return {name: param for name, param in params.items() if name not in skip}
 
 
+def _run_table(cls) -> dict[str, inspect.Parameter]:
+    """The "run" section's keys: the fields of ``cls`` after ``model_params``;
+    the other sections give the fields up to it."""
+    names = list(_table(cls))
+    return _table(cls, tuple(names[:names.index("model_params") + 1]))
+
+
 def _check_section(path: str, values: dict, table: dict[str, inspect.Parameter]) -> None:
     """Check the section ``values`` at ``path`` against its ``table``: no unknown
     key (a misspelt key would leave its default in force), no missing required
@@ -204,9 +216,8 @@ _NAMES = {int: "an integer", float: "a number", type(None): "null", list: "a lis
 
 def _check_value(path: str, value, kind) -> None:
     """Raise a ConfigError naming ``path`` unless ``value`` is of a type that
-    ``kind`` annotates: a float is finite, a mapping a dataclass's section, a
-    list checked item by item, an array one number or a list, one per node."""
-    kind = float | list[float] if kind is np.ndarray else kind
+    ``kind`` annotates: a float is finite, a mapping is checked as the section
+    of a dataclass and a list item by item."""
     members = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
     for member in members:
         if is_dataclass(member) and isinstance(value, dict):
@@ -215,15 +226,21 @@ def _check_value(path: str, value, kind) -> None:
             for i, item in enumerate(value):
                 _check_value(f"{path}[{i}]", item, get_args(member)[0])
             return
-        literal = get_args(member) if get_origin(member) is Literal else ()
-        if (isinstance(value, str) and value in literal) or (
-                isinstance(value, _SCALARS.get(member, ())) and not isinstance(value, bool)):
+        if get_origin(member) is Literal and isinstance(value, str) and value in get_args(member):
+            return
+        if isinstance(value, _SCALARS.get(member, ())) and not isinstance(value, bool):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{path} must be finite, got {value}")
             return
-    names = ("one of " + ", ".join(map(repr, get_args(member))) if get_origin(member) is Literal
-             else _NAMES.get(get_origin(member) or member, "a mapping") for member in members)
-    raise ConfigError(f"{path} must be {' or '.join(dict.fromkeys(names))}, got {value!r}")
+    names = []
+    for member in members:
+        if get_origin(member) is Literal:
+            name = "one of " + ", ".join(map(repr, get_args(member)))
+        else:
+            name = _NAMES.get(get_origin(member) or member, "a mapping")
+        if name not in names:  # a dataclass and a dict are both a mapping
+            names.append(name)
+    raise ConfigError(f"{path} must be {' or '.join(names)}, got {value!r}")
 
 
 def build_model(cfg: ExperimentConfig) -> PowerControlModel | QuadraticModel:

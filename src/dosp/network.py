@@ -21,8 +21,10 @@ import numpy as np
 from .core import ConfigError
 
 
+Activity = Literal["binomial", "poisson"]  # poisson: large N, n_k capped at N
 NoiseKind = Literal["gaussian", "uniform"]  # observation-noise laws
 NOISE_KINDS = get_args(NoiseKind)
+Fading = Literal["real_gaussian", "complex_gaussian"]
 
 # Working-set budget, in 8-byte cells, of one batch of draws: it sets the
 # rows of a binomial activity chunk (``_BLOCK_CELLS // N``), the slots of an
@@ -44,7 +46,7 @@ class NetworkConfig:
     n_nodes: int
     q_activity: float
     q_reception: float
-    activity: Literal["binomial", "poisson"] = "binomial"  # poisson: large N, n_k capped at N
+    activity: Activity = "binomial"
     noise: NoiseKind = "gaussian"  # observation-noise law
 
     def __post_init__(self):
@@ -54,6 +56,10 @@ class NetworkConfig:
             raise ConfigError(f"q_activity must lie in (0, 1], got {self.q_activity}")
         if not 0.0 < self.q_reception <= 1.0:
             raise ConfigError(f"q_reception must lie in (0, 1], got {self.q_reception}")
+        if self.activity not in get_args(Activity):
+            raise ConfigError(f"unknown activity model {self.activity!r}")
+        if self.noise not in NOISE_KINDS:
+            raise ConfigError(f"unknown noise model {self.noise!r}")
 
     @property
     def expected_active(self) -> float:
@@ -74,11 +80,13 @@ class ChannelSpec:
     var_direct: float = 1.0
     var_cross: float = 0.1
     noise_floor: float = 0.2
-    fading: Literal["real_gaussian", "complex_gaussian"] = "real_gaussian"
+    fading: Fading = "real_gaussian"
 
     def __post_init__(self):
         if min(self.var_direct, self.var_cross, self.noise_floor) <= 0:
             raise ConfigError("channel variances and noise floor must be positive")
+        if self.fading not in get_args(Fading):
+            raise ConfigError(f"unknown fading model {self.fading!r}")
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

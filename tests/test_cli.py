@@ -257,21 +257,6 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
 
 
-@pytest.mark.parametrize("d, vary, last", [
-    (_without("model", "targets"), "model.targets=[0,1,2,3,4],[4,3,2,1,0]", "[4,3,2,1,0]"),
-    (power_config(n_nodes=5, horizon=200, replications=2, seed=3, metrics_stride=50,
-                  f_mc_samples=0).to_dict(), "model.channel.var_direct=1.0,2.0", "2.0"),
-], ids=["targets", "channel-section"])
-def test_vary_key_left_at_its_default(tmp_path, capsys, d, vary, last):
-    # a key the file leaves out is judged by the config's key check, not refused
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(d))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out), "--vary", vary]) == 0
-    key = vary.partition("=")[0].replace(".", "_")
-    assert (out / f"{key}={last}" / "trajectory.csv").exists()
-
-
 def test_vary_path_below_a_value_is_config_error(tmp_path, capsys):
     # a key under a number, not a section, once raised a TypeError
     path = _write_config(tmp_path, _small_cfg())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dosp import (ConfigError, FeasibilityError, ModelConstants, NumericError,
-                  StepSizeSchedule)
+                  PerturbationSpec, StepSizeSchedule)
 from dosp.cli import main
 from dosp.core import RngStream, role_streams
 from dosp.harness import (
@@ -63,6 +63,24 @@ class TestConfigSerialization:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"model": {"kind": "power"}})
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: NetworkConfig(6, 0.5, 1.0, activity="binomal"), "activity"),
+        (lambda: NetworkConfig(6, 0.5, 1.0, noise="gausian"), "noise"),
+        (lambda: ChannelSpec(fading="real"), "fading"),
+        (lambda: dataclasses.replace(PerturbationSpec.rademacher(), kind="gauss"), "kind"),
+        (lambda: dataclasses.replace(quadratic_config(n_nodes=4), model_kind="quad"), "model_kind"),
+        (lambda: quadratic_config(n_nodes=4, algorithm="dosp-s"), "algorithm"),
+        (lambda: quadratic_config(n_nodes=4, baseline_step="gamma"), "baseline_step"),
+        (lambda: quadratic_config(n_nodes=4, index_mode="count"), "index_mode"),
+        (lambda: quadratic_config(n_nodes=4, divergence="requre"), "divergence"),
+        (lambda: quadratic_config(n_nodes=4, horizon=2.5), "horizon"),
+    ], ids=["activity", "noise", "fading", "perturbation-kind", "model-kind", "algorithm",
+            "baseline-step", "index-mode", "divergence", "horizon"])
+    def test_config_built_in_python_rejects_a_misspelt_value(self, build, named):
+        # a config that does not come through from_dict gets the same checks
+        with pytest.raises(ConfigError, match=named):
+            build()
 
     def test_shipped_configs_keep_their_key_order(self):
         # to_dict lays the sections and keys out in the order the files list them
