@@ -21,6 +21,7 @@ import yaml
 from . import analysis
 from .core import ConfigError, FeasibilityError, NumericError
 from .harness import (
+    _SOLVE_BLOCK,
     BOUNDS_COLUMNS,
     ConvergenceError,
     ExperimentConfig,
@@ -212,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve-optimum", help="locate the optimum by averaged gradients")
     solve.add_argument("--config", required=True)
     solve.add_argument("--tol", type=float, default=0.02)
-    solve.add_argument("--max-iters", type=int, default=4000)
+    solve.add_argument("--max-iters", type=int, default=4000,
+                       help=f"iteration budget, a positive multiple of {_SOLVE_BLOCK} "
+                            "(the iterations averaged and certified at once)")
     solve.add_argument("--out", default="out")
     solve.set_defaults(func=_cmd_solve_optimum)
     return parser

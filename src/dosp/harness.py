@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import signal
+from collections import deque
 from dataclasses import asdict, dataclass, is_dataclass
 from itertools import islice
 from types import UnionType
@@ -43,6 +44,11 @@ TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active"
 TRACE_HEADER = (*TRACE_COLUMNS[1:3], "delta", *TRACE_COLUMNS[3:])
 _CSV_CHUNK = 1024  # rows formatted, and written, at once
 _MC_CHUNK_BLOCKS = 4  # single-row slot blocks per Monte-Carlo chunk
+# Monte-Carlo chunks the F_hat worker draws before a record's actions arrive:
+# all 16 of power-repro's record (20 x 2000 rows, N = 50, q_a = 0.05).  They
+# hold 10.2 MB beside the record's 1.9 MB activity (tracemalloc, numpy 2.4),
+# and the worker's peak resident set rises from about 31 to 40 MB.
+_MC_AHEAD_CHUNKS = 16
 _SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -342,41 +348,76 @@ def record_slots(horizon: int, stride: int) -> np.ndarray:
     return np.array(sorted(ks), dtype=int)
 
 
-def _mc_values(evaluate, model, actions: np.ndarray, netcfg: NetworkConfig,
-               n_samples: int, rng) -> tuple[ActiveSet, np.ndarray]:
-    """``evaluate`` (``model.local_utilities`` or ``model.global_gradient``)
-    at ``n_samples`` fresh (activity, environment) draws per row of
-    ``actions``, row r's on sample rows r * n_samples onward.  Returns the
-    draws' live entries and the values, one per entry in the list's order.
-
-    The activity of all rows is drawn in one call, then the environment and
-    the values chunk by chunk, ``_MC_CHUNK_BLOCKS`` single-row slot blocks'
-    worth of rows (:func:`dosp.optimizer.block_slots`) at a time.  The
-    chunks' environment draws concatenate to one call's, and each entry's
-    value sums only over its own row, so no value depends on the chunk size.
-    """
-    rows = actions.shape[0] * n_samples
+def _mc_draws(model, netcfg: NetworkConfig, rows: int, rng):
+    """The random inputs of a Monte-Carlo average over ``rows`` sample rows,
+    drawn lazily in stream order: first the activity of all rows, then, per
+    chunk of ``_MC_CHUNK_BLOCKS`` single-row slot blocks' worth of rows
+    (:func:`dosp.optimizer.block_slots`), the chunk's slice of the
+    activity's entries, its rows and their environment.  The chunks'
+    environment draws concatenate to one call's, so no draw depends on the
+    chunk size."""
     live = sample_activity(netcfg, rng, rows)
-    values = np.empty(live.size)
+    yield live
     chunk = _MC_CHUNK_BLOCKS * block_slots(netcfg, 1, model.pairwise_env)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
         part = live.rows(lo, hi)
-        e = slice(live.offsets[lo], live.offsets[hi])
+        yield slice(live.offsets[lo], live.offsets[hi]), part, model.sample_env(part, rng)
+
+
+def _mc_values(evaluate, actions: np.ndarray, n_samples: int,
+               draws) -> tuple[ActiveSet, np.ndarray]:
+    """``evaluate`` (``model.local_utilities`` or ``model.global_gradient``)
+    on ``draws`` (:func:`_mc_draws`), one chunk at a time: row r of
+    ``actions`` on sample rows r * n_samples onward.  Returns the draws'
+    live entries and the values, one per entry in the list's order; each
+    entry's value sums only over its own row, so no value depends on the
+    chunk size.
+    """
+    live = next(draws)
+    values = np.empty(live.size)
+    for e, part, env in draws:
         a = actions[live.batch_idx[e] // n_samples, part.node_idx]
-        values[e] = evaluate(a, part, model.sample_env(part, rng))
+        values[e] = evaluate(a, part, env)
     return live, values
 
 
+def _draw_ahead(draws):
+    """``draws`` (:func:`_mc_draws`) with its activity and up to
+    ``_MC_AHEAD_CHUNKS`` chunks drawn now and the rest drawn as they are
+    reached.  A failure while drawing ahead is raised where its draw comes."""
+    held, failure = deque(), None
+    try:
+        held.extend(islice(draws, 1 + _MC_AHEAD_CHUNKS))
+    except Exception as exc:  # raised at its own record, when it is evaluated
+        failure = exc
+    return _replay(held, failure, draws)
+
+
+def _replay(held: deque, failure, draws):
+    """The ``held`` draws, each let go once taken, then ``failure`` or the
+    rest of ``draws``."""
+    while held:
+        yield held.popleft()
+    if failure is not None:
+        raise failure
+    yield from draws
+
+
 def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
-                 n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
+                 n_samples: int, rng, draws=None) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo averaged-utility estimate and its standard error for each
-    action row, over ``n_samples`` fresh (activity, environment) draws.
+    action row, over ``n_samples`` fresh (activity, environment) draws from
+    ``rng``: those of ``draws`` where it is given (:func:`_mc_draws` of
+    ``rng`` for every action row's samples, perhaps partly drawn ahead),
+    else drawn here, chunk by chunk.
 
     Raises :class:`NumericError` on a non-finite estimate, as the slot does.
     """
     b = actions.shape[0]
-    live, u = _mc_values(model.local_utilities, model, actions, netcfg, n_samples, rng)
+    if draws is None:
+        draws = _mc_draws(model, netcfg, b * n_samples, rng)
+    live, u = _mc_values(model.local_utilities, actions, n_samples, draws)
     f = np.bincount(live.batch_idx, weights=u, minlength=b * n_samples).reshape(b, n_samples)
     est, err = f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
     finite = np.isfinite(est) & np.isfinite(err)
@@ -404,19 +445,23 @@ def _at_slot(exc: Exception, k: int) -> Exception:
     return exc
 
 
-def _f_worker(conn, parent_end, model, netcfg, n_samples, rng) -> None:
-    """The Monte-Carlo worker: evaluates each action array it receives on
-    ``conn`` with :func:`eval_F_batch`, in order, and sends back the result,
-    or the exception and stops.  Closing the inherited ``parent_end`` makes
-    the parent's exit, even by SIGKILL, an EOF here, so the worker never
-    outlives the run."""
+def _f_worker(conn, parent_end, model, netcfg, n_samples, rng, rows, n_records) -> None:
+    """The Monte-Carlo worker of a run's ``n_records`` F_hat records, of
+    ``rows`` sample rows each.  For each record in turn it draws the
+    record's samples ahead (:func:`_draw_ahead`) while the parent's slot
+    loop runs on, then evaluates the action array it receives on ``conn`` on
+    them with :func:`eval_F_batch` and sends back the result, or the
+    exception and stops.  It draws nothing after its last reply.  Closing
+    the inherited ``parent_end`` makes the parent's exit, even by SIGKILL,
+    an EOF here, so the worker never outlives the run."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
     try:
-        while True:
+        for _ in range(n_records):
+            draws = _draw_ahead(_mc_draws(model, netcfg, rows, rng))
             actions = conn.recv()
             try:
-                reply = eval_F_batch(model, actions, netcfg, n_samples, rng)
+                reply = eval_F_batch(model, actions, netcfg, n_samples, rng, draws)
             except Exception as exc:  # the parent raises it at its record
                 conn.send(exc)
                 return
@@ -426,22 +471,27 @@ def _f_worker(conn, parent_end, model, netcfg, n_samples, rng) -> None:
 
 
 class _FRecords:
-    """The F_hat records of one run: :func:`eval_F_batch` on each record's
-    actions, on one ``utility_mc`` stream in record order.
+    """The F_hat records of one run: :func:`eval_F_batch` on each of its
+    ``n_records`` records' actions, ``replications`` rows each, on one
+    ``utility_mc`` stream in record order.
 
     Where the ``fork`` start method exists and at least 2 CPUs are usable, a
-    forked worker (:func:`_f_worker`) owns the stream and evaluates each
-    record while the slot loop runs on; otherwise every record is evaluated
-    inline.  The estimates are the same bits either way.  The worker holds
-    one record at a time: handing it the next one first collects the last,
-    so neither end of the pipe can block on a full buffer while the other
-    does.  ``fork``, not ``spawn``, because the worker starts from this
-    process's model and generator state.
+    forked worker (:func:`_f_worker`) owns the stream; it draws each
+    record's samples, up to ``_MC_AHEAD_CHUNKS`` chunks of them, before the
+    record's actions arrive, and evaluates them while the slot loop runs on.
+    Otherwise every record is drawn and evaluated inline when it comes.  The
+    estimates are the same bits either way.  The worker holds one record at
+    a time: handing it the next one first collects the last, so neither end
+    of the pipe can block on a full buffer while the other does.  ``fork``,
+    not ``spawn``, because the worker starts from this process's model and
+    generator state.
     """
 
-    def __init__(self, model, netcfg: NetworkConfig, n_samples: int, rng):
+    def __init__(self, model, netcfg: NetworkConfig, n_samples: int, rng,
+                 replications: int, n_records: int):
         self.args = (netcfg, n_samples, rng)
         self.model = model
+        self.n_records = n_records
         self.values: list[tuple[np.ndarray, np.ndarray]] = []  # (est, err) per record
         self.conn = self.proc = None
         self.pending = None  # slot of the record in flight on the worker
@@ -452,8 +502,8 @@ class _FRecords:
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
             self.conn, child_end = ctx.Pipe()
-            self.proc = ctx.Process(target=_f_worker, name="dosp-F_hat",
-                                    args=(child_end, self.conn, model, *self.args))
+            self.proc = ctx.Process(target=_f_worker, name="dosp-F_hat", args=(
+                child_end, self.conn, model, *self.args, replications * n_samples, n_records))
             self.proc.start()
             child_end.close()  # so that the worker's exit is an EOF here
 
@@ -494,11 +544,13 @@ class _FRecords:
         return np.stack(est, axis=1), np.stack(err, axis=1)
 
     def close(self) -> None:
-        """Stop the worker, if there is one, and wait for it to exit."""
+        """Stop the worker, if there is one, and wait for it to exit.  A run
+        that stopped before its last record terminates the worker rather
+        than wait for a record or a draw ahead that nobody wants."""
         if self.proc is None:
             return
         self.conn.close()  # the worker reads EOF and exits
-        if self.pending is not None:  # an interrupt: the record is not wanted
+        if len(self.values) < self.n_records:
             self.proc.terminate()
         self.proc.join()
 
@@ -542,7 +594,8 @@ def run_experiment(
     on each record's actions, on the ``utility_mc`` stream in record order.
     Where the ``fork`` start method exists and at least 2 CPUs are usable,
     they are computed on one forked worker process while the slot loop runs
-    on, and inline otherwise; their bits are the same either way.  A record's
+    on, each record's samples drawn before its actions arrive, and inline
+    otherwise; their bits are the same either way.  A record's
     failure is raised as a :class:`NumericError` naming its slot, before any
     failure of a later slot, as the inline order gives.
     """
@@ -569,8 +622,8 @@ def run_experiment(
 
     slots = run_slots(states, cfg.horizon, model, cfg.network, cfg.bounds, rngs,
                       set(ks.tolist()), **algorithm)
-    records = (_FRecords(model, cfg.network, cfg.f_mc_samples, rngs["utility_mc"])
-               if cfg.f_mc_samples > 0 else None)
+    records = (_FRecords(model, cfg.network, cfg.f_mc_samples, rngs["utility_mc"],
+                         reps, n_rec) if cfg.f_mc_samples > 0 else None)
     try:
         for rec_idx, (k, counts) in enumerate(slots):
             n_active[:, rec_idx] = counts
@@ -626,7 +679,8 @@ def avg_gradient(model, point: np.ndarray, netcfg: NetworkConfig, n_samples: int
                  rng) -> np.ndarray:
     """Monte-Carlo average over ``n_samples`` fresh (activity, environment)
     draws of the exact global gradient at ``point``, per node."""
-    live, g = _mc_values(model.global_gradient, model, point[None, :], netcfg, n_samples, rng)
+    draws = _mc_draws(model, netcfg, n_samples, rng)
+    live, g = _mc_values(model.global_gradient, point[None, :], n_samples, draws)
     return np.bincount(live.node_idx, weights=g, minlength=netcfg.n_nodes) / n_samples
 
 
@@ -653,8 +707,15 @@ def solve_optimum(
     of ``_SOLVE_BLOCK`` iterations and the certificate is the sup-norm of a
     fresh large-batch gradient estimate at the averaged point, so ``n_cert``
     must be large enough to resolve ``tolerance`` against the gradient's
-    sampling noise.
+    sampling noise.  The tolerance must be positive and finite, and
+    ``max_iters`` a positive multiple of ``_SOLVE_BLOCK``: a budget this
+    loop could not honour is a :class:`ConfigError` before any draw.
     """
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ConfigError(f"tolerance must be a positive finite number, got {tolerance}")
+    if max_iters < _SOLVE_BLOCK or max_iters % _SOLVE_BLOCK:
+        raise ConfigError(
+            f"max_iters must be a positive multiple of {_SOLVE_BLOCK}, got {max_iters}")
     model = build_model(cfg)
     rng = role_streams(cfg.seed)["utility_mc"]
     net = cfg.network

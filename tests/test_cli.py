@@ -559,6 +559,22 @@ def test_solve_optimum_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("budget", [["--tol", "0.05", "--max-iters", "5"],
+                                    ["--tol", "-1", "--max-iters", "100"],
+                                    ["--tol", "nan", "--max-iters", "100"],
+                                    ["--max-iters", "0"]],
+                         ids=["partial-block", "negative-tol", "nan-tol", "no-iterations"])
+def test_solve_optimum_budget_it_cannot_honour_is_config_error(budget, tmp_path, capsys):
+    # solve_optimum runs whole blocks of 100 iterations and stops below a
+    # positive tolerance: these budgets ran a block or the whole budget
+    path = _write_config(tmp_path, _small_cfg(q_activity=0.4))
+    out = tmp_path / "opt"
+    assert main(["solve-optimum", "--config", path, *budget, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: (tolerance|max_iters) must be a positive .*\n", err)
+    assert not out.exists()
+
+
 def test_infeasible_action_exit_code(tmp_path, capsys, monkeypatch):
     def beyond_the_bounds(bounds, nodes, alpha_phi, gamma_tilde):
         # a projection interval past the upper bound: every performed action leaves it

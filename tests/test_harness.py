@@ -35,7 +35,7 @@ from dosp.harness import (
     solve_optimum,
 )
 from dosp import harness, network, optimizer
-from dosp.network import ChannelSpec, NetworkConfig
+from dosp.network import ChannelSpec, NetworkConfig, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import initialize_states
 
@@ -404,16 +404,54 @@ class TestMonteCarloChunks:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_worker_draw_ahead_is_bounded(self):
+        # power-repro's record: 20 action rows x 2000 samples, N = 50, q_a = 0.05,
+        # 16 chunks of 2632 rows, all drawn ahead.  tracemalloc: the chunks hold
+        # 10.2 MB beside the activity's 1.9 MB, peak 12.6 MB (numpy 2.4).  A
+        # record of twice the rows holds 16 chunks (10.7 MB) beside an activity
+        # of twice the size.  The bound on the chunks allows 1.5 times that.
+        model = PowerControlModel(50)
+        net = NetworkConfig(50, 0.05, 1.0)
+        drawn = []
 
-def _mc_run_config(kind, activity, replications=3):
-    """A short run with 4 F_hat records (slots 1, 100, 200, 300)."""
+        def counted(draws):
+            for item in draws:
+                drawn.append(None)
+                yield item
+
+        for rows, chunks in ((40_000, 16), (80_000, 31)):
+            live = sample_activity(net, np.random.default_rng(6), rows)
+            activity = live.batch_idx.nbytes + live.node_idx.nbytes + live.offsets.nbytes
+            rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+            drawn.clear()
+            tracemalloc.start()
+            try:
+                ahead = harness._draw_ahead(counted(harness._mc_draws(model, net, rows, rng)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(drawn) == 1 + min(chunks, harness._MC_AHEAD_CHUNKS)
+            assert peak - activity < 16e6
+            # the rest of a record larger than the cap is drawn at its actions
+            actions = np.random.default_rng(5).uniform(-12.0, 12.0, (rows // 2000, 50))
+            got = eval_F_batch(model, actions, net, 2000, rng, ahead)
+            assert len(drawn) == 1 + chunks
+            for g, w in zip(got, eval_F_batch(model, actions, net, 2000, twin)):
+                np.testing.assert_array_equal(g, w)
+            assert rng.random() == twin.random()
+
+
+def _mc_run_config(kind, activity, replications=3, metrics_stride=100):
+    """A short run with 4 F_hat records (slots 1, 100, 200, 300) at the
+    default stride, one per slot at ``metrics_stride=1``."""
     if kind == "quadratic":
         cfg = quadratic_config(n_nodes=6, q_activity=0.3, horizon=300,
-                               replications=replications, seed=8, f_mc_samples=40)
+                               replications=replications, seed=8,
+                               metrics_stride=metrics_stride, f_mc_samples=40)
     else:
         cfg = power_config(n_nodes=6, q_activity=0.3, horizon=300,
-                           replications=replications, seed=8, metrics_stride=100,
-                           f_mc_samples=40)
+                           replications=replications, seed=8,
+                           metrics_stride=metrics_stride, f_mc_samples=40)
         cfg = dataclasses.replace(
             cfg, model_params={**cfg.model_params, "channel": {"fading": kind}})
     return dataclasses.replace(cfg, network=dataclasses.replace(cfg.network, activity=activity))
@@ -437,6 +475,16 @@ def _run_on(monkeypatch, cpus, cfg, **kwargs):
         assert forked == [cpus >= 2], "the run did not reach its F_hat records"
 
 
+def _slots_failing_after_record_2(failure):
+    """``optimizer.run_slots`` that raises ``failure`` after its 2nd record."""
+    def slots(*args, **kwargs):
+        for i, record in enumerate(optimizer.run_slots(*args, **kwargs)):
+            yield record
+            if i == 1:
+                raise failure
+    return slots
+
+
 def _failing_eval(at_call, exc):
     """``eval_F_batch`` that raises ``exc`` at its ``at_call``-th call (a
     forked worker counts its own calls from the fork on)."""
@@ -457,13 +505,46 @@ class TestFRecordsWorker:
     @pytest.mark.parametrize("activity", ["binomial", "poisson"])
     @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
     def test_worker_matches_inline(self, kind, activity, monkeypatch):
-        cfg = _mc_run_config(kind, activity)
-        inline = _run_on(monkeypatch, 1, cfg)
-        worker = _run_on(monkeypatch, 2, cfg)
-        assert inline.f_hat.shape == (3, 4)
-        np.testing.assert_array_equal(worker.f_hat, inline.f_hat)
-        np.testing.assert_array_equal(worker.f_stderr, inline.f_stderr)
-        np.testing.assert_array_equal(worker.final_actions, inline.final_actions)
+        # at stride 1 a record's actions arrive while the worker is still
+        # drawing that record's samples ahead
+        for stride, records in ((100, 4), (1, 300)):
+            cfg = _mc_run_config(kind, activity, metrics_stride=stride)
+            inline = _run_on(monkeypatch, 1, cfg)
+            worker = _run_on(monkeypatch, 2, cfg)
+            assert inline.f_hat.shape == (3, records)
+            np.testing.assert_array_equal(worker.f_hat, inline.f_hat)
+            np.testing.assert_array_equal(worker.f_stderr, inline.f_stderr)
+            np.testing.assert_array_equal(worker.final_actions, inline.final_actions)
+            assert multiprocessing.active_children() == []
+
+    def test_worker_draws_each_record_once(self, tmp_path, monkeypatch):
+        # a forked worker's counters never reach the parent: each draw ahead
+        # leaves a file; the third of a run stopped after record 2 would take
+        # a minute, and close() must not wait for it
+        draw_ahead = harness._draw_ahead
+
+        def logged(draws):
+            calls = len(os.listdir(tmp_path))
+            (tmp_path / f"draw{calls + 1}").touch()
+            if stop_after_two and calls == 2:
+                time.sleep(60)
+            return draw_ahead(draws)
+
+        monkeypatch.setattr(harness, "_draw_ahead", logged)
+        stop_after_two = False
+        _run_on(monkeypatch, 2, _mc_run_config("quadratic", "binomial"))
+        assert len(os.listdir(tmp_path)) == 4
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+        slot_failure = FeasibilityError("slot failure after the 2nd record")
+        monkeypatch.setattr(harness, "run_slots", _slots_failing_after_record_2(slot_failure))
+        stop_after_two = True
+        start = time.monotonic()
+        with pytest.raises(FeasibilityError):
+            _run_on(monkeypatch, 2, _mc_run_config("quadratic", "binomial"))
+        assert time.monotonic() - start < 30
+        assert 2 <= len(os.listdir(tmp_path)) <= 3
         assert multiprocessing.active_children() == []
 
     def test_utility_mc_seed_override_reaches_the_worker(self, monkeypatch):
@@ -482,17 +563,33 @@ class TestFRecordsWorker:
                              ids=["numeric", "other", "records-succeed"])
     def test_record_failure_comes_before_later_slot_failures(self, cpus, exc, monkeypatch):
         slot_failure = FeasibilityError("slot failure after the 2nd record")
-
-        def slots_failing_after_second_record(*args, **kwargs):
-            for i, record in enumerate(optimizer.run_slots(*args, **kwargs)):
-                yield record
-                if i == 1:
-                    raise slot_failure
-
-        monkeypatch.setattr(harness, "run_slots", slots_failing_after_second_record)
+        monkeypatch.setattr(harness, "run_slots", _slots_failing_after_record_2(slot_failure))
         if exc is not None:
             monkeypatch.setattr(harness, "eval_F_batch", _failing_eval(2, exc))
         expected = slot_failure if exc is None else exc
+        with pytest.raises(type(expected)) as info:
+            _run_on(monkeypatch, cpus, _mc_run_config("quadratic", "binomial"))
+        assert str(info.value) == str(expected)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+    @pytest.mark.parametrize("at_record", [2, 3])
+    def test_draw_failure_comes_out_at_its_record(self, cpus, at_record, monkeypatch):
+        # the worker draws record 3's samples after its 2nd reply, while the
+        # run is failing at its slot: only a failure of records 1-2 is raised
+        draw_failure = KeyError("draw boom")
+        slot_failure = FeasibilityError("slot failure after the 2nd record")
+        mc_draws, calls = harness._mc_draws, []
+
+        def failing_draws(*args):
+            calls.append(None)
+            if len(calls) == at_record:
+                raise draw_failure
+            yield from mc_draws(*args)
+
+        monkeypatch.setattr(harness, "_mc_draws", failing_draws)
+        monkeypatch.setattr(harness, "run_slots", _slots_failing_after_record_2(slot_failure))
+        expected = draw_failure if at_record == 2 else slot_failure
         with pytest.raises(type(expected)) as info:
             _run_on(monkeypatch, cpus, _mc_run_config("quadratic", "binomial"))
         assert str(info.value) == str(expected)

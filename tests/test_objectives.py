@@ -6,7 +6,7 @@ import pytest
 
 from dosp import ActionBounds, NetworkConfig
 from dosp.core import NumericError, RngStream
-from dosp.harness import (ExperimentConfig, _mc_values, build_model, eval_F_batch,
+from dosp.harness import (ExperimentConfig, _mc_draws, _mc_values, build_model, eval_F_batch,
                           model_constants)
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
@@ -135,7 +135,8 @@ class TestOneEvaluationPath:
              else PowerControlModel(n, ChannelSpec(fading=kind)))
         point = _gen(14).uniform(-2.0, 2.0, n)
         for method in ("local_utilities", "global_gradient"):
-            live, values = _mc_values(getattr(m, method), m, point[None, :], net, rows, _gen(15))
+            live, values = _mc_values(getattr(m, method), point[None, :], rows,
+                                      _mc_draws(m, net, rows, _gen(15)))
             rng = _gen(15)
             assert np.array_equal(sample_activity(net, rng, rows).offsets, live.offsets)
             block = slot_block(live, np.ones(live.size, dtype=np.int64), 1, m, net,
