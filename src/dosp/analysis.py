@@ -299,7 +299,6 @@ class RateBoundParams:
     A: float
     B: float
     C: float
-    C_proj: float  # projection-mismatch constant folded into C
     k: np.ndarray
     theta: np.ndarray
     upsilon: np.ndarray
@@ -308,14 +307,11 @@ class RateBoundParams:
     eps2: float
     eps3: float
     eps4: float
-    eps2_tail: float | None
-    eps4_tail: float | None
     vartheta: float | None
     varrho: float | None
     K0: int
     K1: int
     K2: int | None
-    d0: float
     q_a: float
     q_r: float
     c1: float
@@ -382,9 +378,10 @@ def rate_params(
 
     The epsilon maxima are exact over the grid [K0, k_max]; the tail beyond
     k_max is certified with the closed-form ratio dominators (at ``XI`` and
-    ``XI_PRIME``) where their exponent is nonincreasing; otherwise
-    ``eps2_tail`` / ``eps4_tail`` stay None and only the grid maxima hold.
-    The initial divergence d0 is the mean squared width of the bounds.  An
+    ``XI_PRIME``) where their exponent is nonincreasing, and the envelopes'
+    eps2 and eps4 take the larger of grid maximum and tail value; otherwise
+    only the grid maxima hold.  The initial divergence d0 is the mean
+    squared width of the bounds.  An
     alpha_F that is nan or not positive leaves both envelopes invalid, and
     ``status`` names it.
     """
@@ -483,12 +480,11 @@ def rate_params(
             " (a larger beta0 * gamma0 shrinks the transient ratios)"
 
     return RateBoundParams(
-        A=A, B=B, C=C, C_proj=C_proj,
+        A=A, B=B, C=C,
         k=ks, theta=theta, upsilon=upsilon, psi=psi,
         eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
-        eps2_tail=eps2_tail, eps4_tail=eps4_tail,
         vartheta=vartheta, varrho=varrho,
-        K0=K0, K1=K1, K2=K2, d0=d0,
+        K0=K0, K1=K1, K2=K2,
         q_a=q_a, q_r=netcfg.q_reception,
         c1=schedule.c1, c2=schedule.c2,
         envelope_a_valid=env_a_valid, envelope_b_valid=env_b_valid,

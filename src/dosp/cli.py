@@ -44,10 +44,14 @@ EXIT_NUMERIC = 3
 EXIT_BOUND_INAPPLICABLE = 4
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    return ExperimentConfig.from_yaml(path)
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot become a directory, before any work
+    starts: its nearest existing ancestor must be a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {path}: {probe} is not a directory")
 
 
 def _known_optimum(args, cfg: ExperimentConfig, model):
@@ -87,7 +91,8 @@ def _split_values(raw: str) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    _check_out(args.out)
+    cfg = ExperimentConfig.from_yaml(args.config)
     runs = [(args.out, cfg)]
     if args.vary is not None:  # one config per value, each into its own directory
         param, _, raw = args.vary.partition("=")
@@ -115,9 +120,11 @@ def _check_kmax(kmax: int, smallest: int) -> None:
 
 def _cmd_bounds(args) -> int:
     _check_kmax(args.kmax, analysis.MIN_RATE_K)
-    if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
-    cfg = _load_config(args.config)
+    # a grid of distinct slots in [1, kmax] has at most kmax points
+    if not 1 <= args.points <= args.kmax:
+        raise ConfigError(f"--points must lie in [1, --kmax = {args.kmax}], got {args.points}")
+    _check_out(args.out)
+    cfg = ExperimentConfig.from_yaml(args.config)
     model = build_model(cfg)
     a_star = _known_optimum(args, cfg, model)
     if a_star is None:
@@ -154,7 +161,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_kmax(args.kmax, 1)
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_yaml(args.config)
     results = verification_suite(cfg, k_max=args.kmax)
     failed = 0
     for res in results:
@@ -166,7 +173,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_optimum(args) -> int:
-    cfg = _load_config(args.config)
+    _check_out(args.out)
+    cfg = ExperimentConfig.from_yaml(args.config)
     result = solve_optimum(cfg, tolerance=args.tol, max_iters=args.max_iters)
     path = save_optimum(args.out, cfg, result)
     print(path)

@@ -168,11 +168,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 d = parse_yaml(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"malformed YAML in {path}: {exc}".replace("\n", " ")) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config file {path}: {reason}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed YAML in {path}: {exc}".replace("\n", " ")) from exc
         return cls.from_dict(d)
 
     def __eq__(self, other):

@@ -74,16 +74,14 @@ _PAIR_CELLS = 8
 class NodeStates:
     """Per-node learner state for a batch of replications.
 
-    ``live`` lists the entries of the next slot to run and ``step_index``
-    the schedule position each of them uses.  ``activations`` counts the
-    slots each node was live in, up to that slot; only the ``counted`` index
-    mode keeps it, so it alone says which mode runs.  The slot engine
-    advances ``actions`` in place.
+    ``live`` lists the entries of the next slot to run.  ``activations``
+    counts the slots each node was live in, up to that slot; only the
+    ``counted`` index mode keeps it, so it alone says which mode runs.  The
+    slot engine advances ``actions`` in place.
     """
 
     actions: np.ndarray  # (B, N)
     live: ActiveSet  # next slot
-    step_index: np.ndarray  # (A,) int
     activations: np.ndarray | None = None  # (B, N) int, counted mode only
 
 
@@ -160,7 +158,7 @@ def initialize_states(
     rngs: dict[str, np.random.Generator],
     index_mode: IndexMode = "sampled",
 ) -> NodeStates:
-    """Slot-1 state: random feasible actions, first-slot activity and indices.
+    """Slot-1 state: random feasible actions and first-slot activity.
 
     Live entries start inside their shrunk interval, the others anywhere in
     their bounds.  ``counted`` ``index_mode`` keeps activation counts.
@@ -170,17 +168,16 @@ def initialize_states(
     validate_schedule_fits_bounds(schedule, pert, bounds)
     shape = (batch, bounds.n_nodes)
     live = sample_activity(netcfg, rngs["activity"], batch)
-    step_index = np.ones(live.size, dtype=np.int64)
     entries = (live.batch_idx, live.node_idx)
-    lo = np.tile(bounds.lower, (batch, 1))
-    hi = np.tile(bounds.upper, (batch, 1))
-    lo[entries], hi[entries] = _shrunk_interval(
-        bounds, live.node_idx, pert.alpha_phi, schedule.gamma(step_index))
-    actions = lo + rngs["init"].random(shape) * (hi - lo)
+    actions = rngs["init"].random(shape)
+    u = actions[entries]
+    actions *= bounds.upper - bounds.lower
+    actions += bounds.lower
+    lo, hi = _shrunk_interval(bounds, live.node_idx, pert.alpha_phi, schedule.gamma(1))
+    actions[entries] = lo + u * (hi - lo)
     return NodeStates(
         actions=actions,
         live=live,
-        step_index=step_index,
         activations=np.zeros(shape, dtype=np.int64) if index_mode == "counted" else None,
     )
 
@@ -199,26 +196,19 @@ def block_slots(netcfg: NetworkConfig, batch: int, pairwise: bool) -> int:
 
 def _advance(states: NodeStates, k0: int, slots: int, netcfg: NetworkConfig,
              rngs: dict[str, np.random.Generator]) -> tuple[ActiveSet, np.ndarray]:
-    """Draw the activity and step indices of slots k0+1 .. k0+slots.
-
-    Returns the live entries and indices of slots k0 .. k0+slots-1, the
-    pending slot k0 of ``states`` first, and leaves slot k0+slots pending.
-    """
+    """Draw the activity of slots k0+1 .. k0+slots; return the live entries
+    of slots k0 .. k0+slots-1, the pending slot k0 of ``states`` first, with
+    their step indices, and leave slot k0+slots pending."""
     batch, n = states.actions.shape
     drawn = sample_activity(netcfg, rngs["activity"], slots * batch)
     split = (slots - 1) * batch
+    live, states.live = states.live.stack(drawn.rows(0, split)), drawn.rows(split, slots * batch)
     activations = states.activations
+    indices = sample_step_index(k0 + live.batch_idx // batch, netcfg.q_activity, live,
+                                rngs["index"], activations)
     if activations is not None:
-        activations[states.live.batch_idx, states.live.node_idx] += 1
-    step_index = sample_step_index(k0 + 1 + drawn.batch_idx // batch, netcfg.q_activity,
-                                   drawn, rngs["index"], activations)
-    ran = drawn.rows(0, split)
-    if activations is not None:
-        cells = (ran.batch_idx % batch) * n + ran.node_idx
+        cells = (live.batch_idx % batch) * n + live.node_idx
         activations += np.bincount(cells, minlength=batch * n).reshape(batch, n)
-    live = states.live.stack(ran)
-    indices = np.concatenate((states.step_index, step_index[:ran.size]))
-    states.live, states.step_index = drawn.rows(split, slots * batch), step_index[ran.size:]
     return live, indices
 
 
@@ -554,8 +544,10 @@ def run_slots(
         k0 += slots
     if learner:
         nxt = states.live
+        ell = sample_step_index(horizon + 1, netcfg.q_activity, nxt, rngs["index"],
+                                states.activations)
         entries = (nxt.batch_idx, nxt.node_idx)
         states.actions[entries] = project(states.actions[entries], nxt.node_idx, bounds,
-                                          pert.alpha_phi, schedule.gamma(states.step_index))
+                                          pert.alpha_phi, schedule.gamma(ell))
     if blocks:
         traces.update(zip(TRACE_COLUMNS, map(np.concatenate, zip(*blocks))))

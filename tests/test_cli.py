@@ -55,6 +55,37 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+@pytest.mark.parametrize("what", ["directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, what):
+    path = tmp_path / "cfg.yaml"
+    if what == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"model: {kind: power}  # \xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["bounds", "--kmax", "2000"],
+                                     ["solve-optimum", "--max-iters", "100"]],
+                         ids=["run", "bounds", "solve-optimum"])
+def test_out_below_a_file_is_config_error(tmp_path, capsys, command):
+    # found before the run, bound or solve starts, and nothing is created
+    path = _write_config(tmp_path, _small_cfg(q_activity=0.4))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(command + ["--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out}: {blocker} is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "file"]
+    assert blocker.read_text() == ""
+
+
 def test_malformed_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"model": {"kind": "power"}}))
@@ -382,10 +413,11 @@ def test_verify_uses_the_power_models_sampled_curvature(tmp_path, capsys):
     ["bounds", "--kmax", str(MAX_AVERAGE_K + 1)],
     ["bounds", "--kmax", "2000000"],
     ["bounds", "--points", "0"],
+    ["bounds", "--kmax", "2000", "--points", "2001"],
     ["verify", "--kmax", "0"],
     ["verify", "--kmax", "3000000"],
 ], ids=["bounds-kmax-3", "bounds-kmax-above-cap", "bounds-kmax-2e6", "bounds-points-0",
-        "verify-kmax-0", "verify-kmax-3e6"])
+        "bounds-points-above-kmax", "verify-kmax-0", "verify-kmax-3e6"])
 def test_out_of_range_horizon_is_config_error(tmp_path, capsys, argv):
     path = _write_config(tmp_path, _small_cfg(q_activity=0.2))
     out = tmp_path / "bounds"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -106,7 +107,6 @@ class TestSlotSemantics:
         states = NodeStates(
             actions=model.targets[None, :].copy(),
             live=_live([True, False, True, True]),
-            step_index=np.array([1, 1, 1]),
         )
         before = states.actions.copy()
         inactive = ~mask_of(states.live)[0]
@@ -129,7 +129,6 @@ class TestSlotSemantics:
         states = NodeStates(
             actions=np.array([[0.5, -0.25, 1.0, 2.0]]),
             live=_live(np.zeros(4, dtype=bool)),
-            step_index=np.zeros(0, dtype=int),
         )
         before = states.actions.copy()
         trace = {}
@@ -250,15 +249,33 @@ class TestDrawCounts:
         assert rngs["noise"].total() == live_total
         assert rngs["channel"].total() == (live_total if kind == "quadratic" else pairs)
         assert rngs["reception"].total() == pairs
-        # activity and indices are drawn for slots 2 .. horizon + 1
+        # activity is drawn for slots 2 .. horizon + 1, indices for slots
+        # 1 .. horizon + 1 (slot 1's are Binomial(0, q_a) values)
         drawn = live_total - first_slot + states.live.size
-        assert rngs["index"].total() == drawn
+        assert rngs["index"].total() == live_total + states.live.size
         if activity == "binomial":
             assert rngs["activity"].total() == horizon * batch * n
         else:
             # B counts per slot, then one node per live entry plus redraws
             assert rngs["activity"].total() <= horizon * batch + 2 * drawn < horizon * batch * n
         assert live_total > 0
+
+
+def test_initialize_states_working_set_is_bounded():
+    # B * N = 2e6 at q_a = 0.05.  tracemalloc peak: 4.15 times the action
+    # array with the interval bounds tiled to (B, N), 1.40 times with the
+    # uniforms scaled in place (numpy 2.4); the bound allows 2 times
+    batch, n = 20, 100_000
+    net = NetworkConfig(n, 0.05, 1.0)
+    args = (ActionBounds.uniform(n, -5.0, 5.0), StepSizeSchedule(0.1, 0.5, 0.75, 0.25),
+            PerturbationSpec.rademacher(), net, batch, role_streams(3))
+    tracemalloc.start()
+    try:
+        states = initialize_states(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * states.actions.nbytes
 
 
 def _digest_run(cfg, out_dir):
@@ -593,7 +610,6 @@ class TestIdealGradient:
         states = NodeStates(
             actions=np.tile(targets, (1, 1)),
             live=_live(np.ones(n, dtype=bool)),
-            step_index=np.ones(n, dtype=int),
         )
         list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta))
         np.testing.assert_allclose(states.actions[0], targets, atol=1e-14)
@@ -608,8 +624,7 @@ class TestIdealGradient:
         rngs = role_streams(4)
         start = np.full((1, n), 0.8)
         states = NodeStates(actions=start.copy(),
-                            live=_live(np.ones(n, dtype=bool)),
-                            step_index=np.ones(n, dtype=int))
+                            live=_live(np.ones(n, dtype=bool)))
         traces = {}
         list(run_slots(states, 1, model, netcfg, bounds, rngs, step_fn=schedule.beta,
                        traces=traces))
