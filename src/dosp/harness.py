@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import signal
+import zipfile
 from collections import deque
 from dataclasses import asdict, dataclass, is_dataclass
 from itertools import islice
@@ -770,16 +771,24 @@ def save_optimum(directory, cfg: ExperimentConfig, result: OptimumResult) -> str
     return path
 
 def load_optimum(directory, cfg: ExperimentConfig) -> np.ndarray:
-    """Load a cached optimum; refuses caches written for a different config."""
+    """Load a cached optimum; refuses unreadable, malformed and stale caches."""
     path = os.path.join(directory, f"a_star_{optimum_cache_key(cfg)}.npz")
     if not os.path.exists(path):
         raise ConfigError(
             f"no cached optimum for this config under {directory}; "
             "run `dosp solve-optimum` first")
-    data = np.load(path, allow_pickle=False)
-    if str(data["key"]) != optimum_cache_key(cfg):
-        raise ConfigError("stale optimum cache (config hash mismatch); re-solve")
-    return data["a_star"]
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("not an .npz archive")
+        with data:
+            key, a_star = str(data["key"]), np.asarray(data["a_star"], dtype=float)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"unreadable optimum cache {path} ({' '.join(str(exc).split())}); "
+                          "re-solve") from exc
+    if key != optimum_cache_key(cfg) or a_star.shape != (cfg.network.n_nodes,):
+        raise ConfigError("stale optimum cache (config hash or length mismatch); re-solve")
+    return a_star
 
 
 # -- output emission ---------------------------------------------------------

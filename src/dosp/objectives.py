@@ -208,7 +208,11 @@ class QuadraticModel:
         return QuadraticEnv(gains, self.targets[live.node_idx])
 
     def local_utilities(self, a_hat, live, env):
-        return -env.gain * (a_hat - env.target) ** 2
+        # -zeta * (a - t)^2, in place: negating the product gives the same bits
+        u = a_hat - env.target
+        u *= u
+        u *= env.gain
+        return np.negative(u, out=u)
 
     def global_gradient(self, a_hat, live, env):
         return -2.0 * env.gain * (a_hat - env.target)

@@ -20,10 +20,13 @@ actions of its own live entries: each entry's arithmetic is elementwise, and
 its utility, estimate and gradient sum only over entries of its own row
 (replication and slot).  So consecutive slots in which no (replication,
 node) cell is live twice commute, and the step runs once per such run of
-slots, a *wave*, on the wave's contiguous run of entries.  Every per-row sum
-(``bincount``) adds its terms in the same order as the one-slot step does,
-so the results are bit-identical to running the slots one by one, and the
-nodes of a slot, which read only the slot-start state, one by one.
+slots, a *wave*, on the wave's contiguous run of entries: a block's waves
+are laid out once (:class:`WavePlan`), and one :class:`WaveView`, which the
+model reads as an :class:`ActiveSet`, takes slices for each wave.  Every
+per-row sum (``bincount``) adds its terms in the same order as the one-slot
+step does, so the results are bit-identical to running the slots one by
+one, and the nodes of a slot, which read only the slot-start state, one by
+one.
 
 The learner and the baseline share the block layout and the step,
 :func:`dosp_slot`; :func:`slot_block` picks the algorithm once per block.
@@ -40,9 +43,10 @@ comes first.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, get_args
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -136,8 +140,9 @@ def _shrunk_interval(bounds: ActionBounds, nodes, alpha_phi: float, gamma_tilde)
     if (lo > hi).any():
         raise ConfigError("projection interval is empty; gamma0 too large for bounds")
     pos = shrink > 0
-    return (np.where(pos, np.nextafter(lo, np.inf), lo),
-            np.where(pos, np.nextafter(hi, -np.inf), hi))
+    np.nextafter(lo, np.inf, out=lo, where=pos)
+    np.nextafter(hi, -np.inf, out=hi, where=pos)
+    return lo, hi
 
 
 def project(values, nodes, bounds: ActionBounds, alpha_phi: float, gamma_tilde):
@@ -212,19 +217,6 @@ def _advance(states: NodeStates, k0: int, slots: int, netcfg: NetworkConfig,
     return live, indices
 
 
-class SlotView(NamedTuple):
-    """A run of consecutive slots of a block, from slot ``k`` on: its live
-    entries as their own list of rows (row r is replication r % B at slot
-    k + r // B), their range ``entries`` of the block's entries, and their
-    environment and arrived reception pairs, renumbered to match."""
-
-    k: int
-    live: ActiveSet
-    entries: slice
-    env: object
-    heard: tuple[np.ndarray, np.ndarray] | None
-
-
 @dataclass(eq=False)
 class SlotBlock:
     """Every exogenous draw of slots k0, k0 + 1, ... for B replications.
@@ -234,9 +226,9 @@ class SlotBlock:
     and so are those of a run of consecutive slots.  Per-entry arrays follow
     ``live``; ``env`` is ``model``'s environment of ``live``, and the
     arrived reception pairs ``heard`` number the block's entries, sorted by
-    receiver.  :meth:`runs` cuts the block into runs of slots, each with its
-    own view.  Both algorithms fill the fields up to ``start``, the learner
-    also those after it.  The waves write ``start`` and, in a traced run,
+    receiver.  A :class:`WavePlan` cuts the block into waves.  Both
+    algorithms fill the fields up to ``start``, the learner also those after
+    it.  The waves write ``start`` and, in a traced run,
     ``f_tilde``.
     """
 
@@ -269,47 +261,68 @@ class SlotBlock:
     def slots(self) -> int:
         return len(self.entry_at) - 1
 
-    def runs(self, bounds: list[int]) -> Iterator[SlotView]:
-        """The views of the runs of slots ``bounds[w]`` .. ``bounds[w + 1] - 1``,
-        in order; ``bounds`` ascends from 0 to :attr:`slots`.
 
-        Rows, row offsets and pairs are renumbered from their run's start
-        once for all runs, so a view costs slices of the block's arrays only.
-        """
-        b = self.batch
-        live = self.live
-        pairwise, heard_on = self.model.pairwise_env, self.heard is not None
-        bounds = np.asarray(bounds)
-        first = self.entry_at[bounds]
-        rows = live.batch_idx - np.repeat(bounds[:-1] * b, first[1:] - first[:-1])
-        # every run's row offsets from its first entry, its end included: run
-        # w's are offsets[bounds[w] * b + w:bounds[w + 1] * b + w + 1]
-        run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds) * b + 1)
-        offsets = live.offsets[np.arange(run.size) - run] - first[run]
-        if pairwise:
-            pair_i, pair_j, pair_at = _per_run(live.pairs, first)
-        if heard_on:
-            receiver, sender, heard_at = _per_run(self.heard, first)
-        first, bounds = first.tolist(), bounds.tolist()
-        n, nodes, env, k0 = live.shape[1], live.node_idx, self.env, self.k0
-        pairs = heard = None
-        for w in range(len(bounds) - 1):
-            s0, s1 = bounds[w], bounds[w + 1]
-            entries = slice(first[w], first[w + 1])
-            view = ActiveSet(((s1 - s0) * b, n), rows[entries], nodes[entries],
-                             offsets[s0 * b + w:s1 * b + w + 1])
-            if pairwise:
-                pairs = slice(pair_at[w], pair_at[w + 1])
-                view.pairs = (pair_i[pairs], pair_j[pairs])
-            if heard_on:
-                h = slice(heard_at[w], heard_at[w + 1])
-                heard = (receiver[h], sender[h])
-            yield SlotView(k0 + s0, view, entries, env.part(entries, pairs), heard)
+class WaveView:
+    """One wave of a block: its range ``entries`` of the block's entries,
+    its ``env`` and arrived reception pairs ``heard``, and its live entries
+    as the models and :func:`dosp.estimator.estimate_global_utility` read an
+    :class:`ActiveSet`: ``size`` entries, ``shape[0]`` rows, the row
+    ``batch_idx`` of each and the entry ``pairs`` of every row, numbered
+    from the wave's start.  ``node_idx`` and ``offsets``, which the step
+    does not read, are computed on demand."""
+
+    __slots__ = ("entries", "env", "heard", "size", "shape", "batch_idx", "pairs", "_nodes")
+
+    @property
+    def node_idx(self) -> np.ndarray:
+        return self._nodes[self.entries]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.searchsorted(self.batch_idx, np.arange(self.shape[0] + 1))
 
 
-def _per_run(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
+class WavePlan:
+    """The waves of ``block`` that start at slots ``bounds[:-1]`` (``bounds``
+    ascends from 0 to the block's slot count): every wave's entry, pair and
+    heard-pair bounds as lists, and the rows, pairs and heard pairs
+    renumbered from their wave's start, once for all waves.  :meth:`view`
+    points the block's one :class:`WaveView` at a wave."""
+
+    def __init__(self, block: SlotBlock, bounds: list[int]):
+        b, live = block.batch, block.live
+        first = block.entry_at[bounds]
+        self.bounds, self.first, self.env = bounds, first.tolist(), block.env
+        self.rows = live.batch_idx - np.repeat(np.asarray(bounds[:-1]) * b, first[1:] - first[:-1])
+        self.pairs = _per_wave(live.pairs, first) if block.model.pairwise_env else None
+        self.heard = None if block.heard is None else _per_wave(block.heard, first)
+        self.shapes = [((s1 - s0) * b, live.shape[1]) for s0, s1 in zip(bounds, bounds[1:])]
+        view = self._view = WaveView()
+        view._nodes, view.pairs, view.heard = live.node_idx, None, None
+
+    def view(self, w: int) -> WaveView:
+        """The view of wave ``w``, valid until the next call."""
+        view = self._view
+        e0, e1 = self.first[w], self.first[w + 1]
+        view.entries = slice(e0, e1)
+        view.size, view.shape = e1 - e0, self.shapes[w]
+        view.batch_idx = self.rows[e0:e1]
+        p = None
+        if self.pairs is not None:
+            first, second, at = self.pairs
+            p = slice(at[w], at[w + 1])
+            view.pairs = (first[p], second[p])
+        view.env = self.env.part(view.entries, p)
+        if self.heard is not None:
+            receiver, sender, at = self.heard
+            h = slice(at[w], at[w + 1])
+            view.heard = (receiver[h], sender[h])
+        return view
+
+
+def _per_wave(pairs: tuple[np.ndarray, np.ndarray], entry_at: np.ndarray):
     """A block's (i, j) entry pairs, sorted by i, renumbered from the first
-    entry of their run (runs start at ``entry_at``); and where each run's
+    entry of their wave (waves start at ``entry_at``); and where each wave's
     pairs start."""
     first, second = pairs
     at = np.searchsorted(first, entry_at)
@@ -363,26 +376,26 @@ def slot_block(
         lo=lo, hi=hi, direction=learner_estimate, what="utility estimate")
 
 
-def learner_estimate(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """The perturb -> act -> observe -> exchange step of a run of slots, for
-    its live entries.
+def learner_estimate(a: np.ndarray, block: SlotBlock, wave: WaveView) -> np.ndarray:
+    """The perturb -> act -> observe -> exchange step of a wave, for its live
+    entries.
 
-    ``a`` holds the slot-start actions of ``slot.live``.  Returns the
+    ``a`` holds the slot-start actions of the wave's entries.  Returns the
     estimates f~ at the performed actions a + gamma~ * phi.  Without noise
     nothing is added: adding zeros would only turn a utility of -0.0 into
     +0.0, and every f~ sums from +0.0, so no estimate would change.
     """
-    e = slot.entries
-    u_tilde = block.model.local_utilities(a + block.gamma_phi[e], slot.live, slot.env)
+    e = wave.entries
+    u_tilde = block.model.local_utilities(a + block.gamma_phi[e], wave, wave.env)
     if block.noise is not None:
-        u_tilde = u_tilde + block.noise[e]
-    return estimate_global_utility(u_tilde, slot.live, block.q_r, slot.heard)
+        u_tilde += block.noise[e]
+    return estimate_global_utility(u_tilde, wave, block.q_r, wave.heard)
 
 
-def exact_gradient(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """The baseline's direction on a run of slots: the exact gradient of each
-    slot's global utility at the slot-start actions ``a``."""
-    return block.model.global_gradient(a, slot.live, slot.env)
+def exact_gradient(a: np.ndarray, block: SlotBlock, wave: WaveView) -> np.ndarray:
+    """The baseline's direction on a wave: the exact gradient of each slot's
+    global utility at the slot-start actions ``a``."""
+    return block.model.global_gradient(a, wave, wave.env)
 
 
 def _flagged(block: SlotBlock, entry: int, what: str) -> str:
@@ -410,28 +423,31 @@ def assert_feasible(block: SlotBlock, start: int, stop: int) -> None:
                                         "performed action left its interval"))
 
 
-def dosp_slot(a: np.ndarray, block: SlotBlock, slot: SlotView) -> np.ndarray:
-    """The step of either algorithm on a run of slots of ``block``, from
-    slot-start actions ``a``.
+def dosp_slot(a: np.ndarray, block: SlotBlock, wave: WaveView) -> np.ndarray:
+    """The step of either algorithm on a wave of ``block``, from slot-start
+    actions ``a``.
 
     Takes the block's direction d (f~ or the exact gradient), writes it to
     ``block.f_tilde`` in a traced run, and returns clip(a + gain * d) to the
-    bounds.  A non-finite d raises :class:`NumericError` naming its slot,
-    after :func:`assert_feasible` on the block's entries up to that slot's
-    end: an infeasible performed action in an earlier slot or the same one
-    fails first, as it would in slots run one by one.
+    bounds, as a new array.  A non-finite d raises :class:`NumericError`
+    naming its slot, after :func:`assert_feasible` on the block's entries up
+    to that slot's end: an infeasible performed action in an earlier slot or
+    the same one fails first, as it would in slots run one by one.
     """
-    d = block.direction(a, block, slot)
-    e = slot.entries
-    finite = np.isfinite(d)
-    if not finite.all():
+    d = block.direction(a, block, wave)
+    e = wave.entries
+    # d . d is finite only if every d is, and costs less than an elementwise test
+    if not math.isfinite(d.dot(d)) and not (finite := np.isfinite(d)).all():
         j = e.start + int(finite.argmin())
         slot_end = block.entry_at[block.live.batch_idx[j] // block.batch + 1]
         assert_feasible(block, 0, int(slot_end))
         raise NumericError(_flagged(block, j, f"non-finite {block.what}"))
     if block.f_tilde is not None:
         block.f_tilde[e] = d
-    return np.minimum(np.maximum(a + block.gain[e] * d, block.lower[e]), block.upper[e])
+    step = block.gain[e] * d
+    step += a
+    np.maximum(step, block.lower[e], out=step)
+    return np.minimum(step, block.upper[e], out=step)
 
 
 def _waves(block: SlotBlock, record_at) -> list[int]:
@@ -478,18 +494,21 @@ def _run_block(block: SlotBlock, acts: np.ndarray, record_at, traces):
     it is a list; see :func:`run_slots`."""
     if traces is not None:
         block.f_tilde = np.empty(block.live.size)
+    b, k0, offsets = block.batch, block.k0, block.live.offsets
+    plan = WavePlan(block, _waves(block, record_at))
     checked = 0  # the entries before this one performed feasible actions
-    for wave in block.runs(_waves(block, record_at)):
+    for w, s in enumerate(plan.bounds[:-1]):
+        wave = plan.view(w)
         e = wave.entries
         cells = block.cells[e]
         a = np.minimum(np.maximum(acts[cells], block.lo[e]), block.hi[e], out=block.start[e])
-        if wave.k in record_at:
+        if k0 + s in record_at:
             assert_feasible(block, checked, e.start)
             checked = e.start
             # the record slot opens its wave: only its own entries are projected yet
-            own = int(wave.live.offsets[block.batch])
+            own = offsets[(s + 1) * b] - e.start
             acts[cells[:own]] = a[:own]
-            yield wave.k, wave.live.counts[:block.batch]
+            yield k0 + s, np.diff(offsets[s * b:(s + 1) * b + 1])
         acts[cells] = dosp_slot(a, block, wave)
     assert_feasible(block, checked, block.live.size)
     if traces is not None:

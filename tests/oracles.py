@@ -13,6 +13,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from dosp.harness import (
     BOUNDS_COLUMNS, CONSTANTS_STREAM, TRACE_COLUMNS, TRACE_HEADER, TRAJECTORY_COLUMNS)
 from dosp.objectives import QuadraticModel
 from dosp.network import ActiveSet, _offsets, sample_activity
-from dosp.optimizer import learner_estimate, sample_step_index, slot_block
+from dosp.optimizer import WavePlan, WaveView, learner_estimate, sample_step_index, slot_block
 
 
 def reseeded_role_streams(overrides: dict[str, int]):
@@ -262,9 +263,16 @@ def dense_hessian(model, a_hat, delta, channel) -> np.ndarray:
 # -- gradient-estimate bias of the learner's slot -----------------------------
 
 def block_slot(block, s: int):
-    """Slot k0 + s of a :class:`dosp.optimizer.SlotBlock`, as a run of one slot."""
-    views = block.runs(sorted({0, s, s + 1, block.slots}))
-    return next(view for view in views if view.k == block.k0 + s)
+    """Slot k0 + s of a :class:`dosp.optimizer.SlotBlock` as a wave of one
+    slot: a copy of its :class:`dosp.optimizer.WaveView`, with the slot
+    ``k`` and its live entries ``live`` as their own list for the checks
+    that read them."""
+    bounds = sorted({0, s, s + 1, block.slots})
+    view = WavePlan(block, bounds).view(bounds.index(s))
+    b = block.batch
+    fields = [name for name in WaveView.__slots__ if not name.startswith("_")]
+    return SimpleNamespace(**{name: getattr(view, name) for name in fields},
+                           k=block.k0 + s, live=block.live.rows(s * b, (s + 1) * b))
 
 
 def mc_gradient_bias(model, schedule, netcfg, pert, sigma_eta, a, node, k,

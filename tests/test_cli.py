@@ -522,6 +522,32 @@ def test_stale_optimum_cache_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _bare_array(path, key):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(5))
+
+
+@pytest.mark.parametrize("write, reason", [
+    (lambda path, key: path.write_text("not a zip\n"), "unreadable optimum cache"),
+    (_bare_array, "unreadable optimum cache"),
+    (lambda path, key: np.savez(path, a_star=np.zeros(5)), "unreadable optimum cache"),
+    (lambda path, key: np.savez(path, key=key), "unreadable optimum cache"),
+    (lambda path, key: np.savez(path, a_star=np.zeros(4), key=key), "stale optimum cache"),
+], ids=["text", "npy", "no-key", "no-a_star", "wrong-length"])
+def test_malformed_optimum_cache_is_config_error(write, reason, tmp_path, capsys):
+    cfg = power_config(n_nodes=5, horizon=100, replications=2, seed=3, metrics_stride=50)
+    path = _write_config(tmp_path, cfg)
+    cache = _cache_optimum(tmp_path / "opt", cfg, np.zeros(5))
+    key = str(np.load(cache)["key"])
+    write(tmp_path / "opt" / os.path.basename(cache), key)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--a-star-dir", str(tmp_path / "opt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {reason}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bounds_emits_table(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg(q_activity=0.2, beta0=0.25,
                                               gamma0=2.0, bound=3.0))

@@ -268,9 +268,9 @@ class TestTraceFiles:
         seen = []
         step = optimizer.dosp_slot
 
-        def counted(a, block, slot):
-            new = step(a, block, slot)
-            assert type(new) is np.ndarray and new.shape == (slot.live.size,)
+        def counted(a, block, wave):
+            new = step(a, block, wave)
+            assert type(new) is np.ndarray and new.shape == (wave.size,)
             seen.append(new.size)
             return new
 

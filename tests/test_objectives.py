@@ -10,7 +10,7 @@ from dosp.harness import (ExperimentConfig, _mc_draws, _mc_values, build_model, 
                           model_constants)
 from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
-from dosp.optimizer import slot_block
+from dosp.optimizer import WavePlan, slot_block
 
 from conftest import power_config, quadratic_config
 from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
@@ -126,7 +126,7 @@ class TestOneEvaluationPath:
 
     @pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "quadratic"])
     def test_slot_views_equal_the_monte_carlo_path(self, kind):
-        """A slot block's per-run views (environment parts included) give the
+        """A slot block's wave views (environment parts included) give the
         Monte-Carlo path's utilities and gradients on the same draws, bit for
         bit."""
         n, rows = 8, 300
@@ -142,12 +142,14 @@ class TestOneEvaluationPath:
             block = slot_block(live, np.ones(live.size, dtype=np.int64), 1, m, net,
                                {"channel": rng}, ActionBounds.uniform(n, -2.0, 2.0),
                                step_fn=np.ones_like)
-            # runs of 1, 2, 3, ... slots
+            # waves of 1, 2, 3, ... slots
             cuts = np.cumsum(np.arange(1, rows))
-            views = block.runs([0, *cuts[cuts < rows].tolist(), rows])
-            got = np.concatenate([getattr(m, method)(point[v.live.node_idx], v.live, v.env)
-                                  for v in views])
-            assert got.tobytes() == values.tobytes()
+            plan = WavePlan(block, [0, *cuts[cuts < rows].tolist(), rows])
+            got = []
+            for w in range(len(plan.bounds) - 1):
+                v = plan.view(w)
+                got.append(getattr(m, method)(point[live.node_idx[v.entries]], v, v.env))
+            assert np.concatenate(got).tobytes() == values.tobytes()
 
 
 class TestGradients:

@@ -324,6 +324,38 @@ class TestSlotBlocks:
         if cfg.algorithm == "dosp_s":
             assert any(f.startswith("trace_rep") for f in runs[0][1])
 
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_one_model_evaluation_per_wave(self, name, monkeypatch):
+        """The slot loop evaluates each wave through the model's own method,
+        once: the learner's local utilities or the baseline's gradient.  A
+        copy of a model's formula inside the slot engine would skip it."""
+        # no F_hat: its Monte-Carlo average evaluates the utilities too
+        cfg = dataclasses.replace(BLOCK_CASES[name], f_mc_samples=0)
+        waves, calls = [], Counter()
+        find = optimizer._waves
+
+        def counted_waves(*args):
+            bounds = find(*args)
+            waves.append(len(bounds) - 1)
+            return bounds
+
+        def counting(model, method):
+            evaluate = getattr(model, method)
+
+            def counted(self, *args):
+                calls[method] += 1
+                return evaluate(self, *args)
+            return counted
+
+        monkeypatch.setattr(optimizer, "_waves", counted_waves)
+        for model in (QuadraticModel, PowerControlModel):
+            for method in ("local_utilities", "global_gradient"):
+                monkeypatch.setattr(model, method, counting(model, method))
+        run_experiment(cfg)
+        used = "local_utilities" if cfg.algorithm == "dosp_s" else "global_gradient"
+        assert sum(waves) > 1
+        assert calls == {used: sum(waves)}
+
     @pytest.mark.parametrize("slots", [1, 7, None])
     def test_poisson_blocks_are_well_formed_and_rerun_identically(self, slots, monkeypatch,
                                                                   tmp_path):
