@@ -307,8 +307,8 @@ class RateBoundParams:
     eps2: float
     eps3: float
     eps4: float
-    vartheta: float | None
-    varrho: float | None
+    vartheta: float | None  # envelope A's constant; None where that envelope does not hold
+    varrho: float | None  # envelope B's constant; None where that envelope does not hold
     K0: int
     K1: int
     K2: int | None
@@ -316,8 +316,6 @@ class RateBoundParams:
     q_r: float
     c1: float
     c2: float
-    envelope_a_valid: bool
-    envelope_b_valid: bool
     status: str
 
     def at(self, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,7 +485,6 @@ def rate_params(
         K0=K0, K1=K1, K2=K2,
         q_a=q_a, q_r=netcfg.q_reception,
         c1=schedule.c1, c2=schedule.c2,
-        envelope_a_valid=env_a_valid, envelope_b_valid=env_b_valid,
         status=status,
     )
 
@@ -533,9 +530,9 @@ def rate_envelope(params: RateBoundParams, k_grid) -> EnvelopeTable:
     env_a = np.full(ks.size, np.nan)
     env_b = np.full(ks.size, np.nan)
     valid = ks >= params.K0
-    if params.envelope_a_valid and params.vartheta is not None:
+    if params.vartheta is not None:
         env_a[valid] = params.vartheta**2 * psi[valid] ** 2 / theta[valid] ** 2
-    if params.envelope_b_valid and params.varrho is not None:
+    if params.varrho is not None:
         env_b[valid] = params.varrho**2 * upsilon[valid] / theta[valid]
     envelope = np.fmin(env_a, env_b)
     envelope[~np.isfinite(envelope)] = np.nan

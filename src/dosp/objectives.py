@@ -10,6 +10,9 @@ All evaluation entry points run on the flat list of live entries of a batch
 of slots (:class:`dosp.network.ActiveSet`, B = replications or Monte-Carlo
 samples): actions, utilities and gradients are (A,) arrays in the list's
 order, and callers scatter or sum by row or node where they need to.
+``local_utilities`` and ``global_gradient`` read only the list's row
+structure (``size``, ``shape``, ``batch_idx``, ``pairs``); per-node terms
+reach them through the environment, as :attr:`QuadraticEnv.target` does.
 
 An environment holds, besides the draws, every term that does not depend on
 the actions, in the form the evaluations read (:class:`PowerEnv`,

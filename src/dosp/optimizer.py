@@ -21,8 +21,9 @@ its utility, estimate and gradient sum only over entries of its own row
 (replication and slot).  So consecutive slots in which no (replication,
 node) cell is live twice commute, and the step runs once per such run of
 slots, a *wave*, on the wave's contiguous run of entries: a block's waves
-are laid out once (:class:`WavePlan`), and one :class:`WaveView`, which the
-model reads as an :class:`ActiveSet`, takes slices for each wave.  Every
+are laid out once (:class:`WavePlan`), and one :class:`WaveView` takes
+slices for each wave: the row structure that a model's evaluation reads of
+an :class:`ActiveSet`, per-node terms being in the wave's environment.  Every
 per-row sum (``bincount``) adds its terms in the same order as the one-slot
 step does, so the results are bit-identical to running the slots one by
 one, and the nodes of a slot, which read only the slot-start state, one by
@@ -127,21 +128,23 @@ def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator,
     return activations.reshape(-1)[cells] + earlier + 1
 
 
-def _shrunk_interval(bounds: ActionBounds, nodes, alpha_phi: float, gamma_tilde):
-    """[lower + alpha_phi * gamma~, upper - alpha_phi * gamma~] of each entry's node.
+def _shrunk_interval(lower: np.ndarray, upper: np.ndarray, alpha_phi: float, gamma_tilde):
+    """[lower + alpha_phi * gamma~, upper - alpha_phi * gamma~] of each entry,
+    ``lower`` and ``upper`` being the bounds of the entries' nodes.
 
     Where gamma~ > 0 the interval is nudged one ulp inward so the performed
     action a + gamma~ * phi stays feasible in float arithmetic, not just in
-    exact arithmetic.
+    exact arithmetic.  An interval that is empty after the nudge is rejected.
     """
     shrink = alpha_phi * np.asarray(gamma_tilde, dtype=float)
-    lo = bounds.lower[nodes] + shrink
-    hi = bounds.upper[nodes] - shrink
-    if (lo > hi).any():
-        raise ConfigError("projection interval is empty; gamma0 too large for bounds")
+    lo = lower + shrink
+    hi = upper - shrink
     pos = shrink > 0
     np.nextafter(lo, np.inf, out=lo, where=pos)
     np.nextafter(hi, -np.inf, out=hi, where=pos)
+    if (lo > hi).any():
+        raise ConfigError("projection interval is empty: alpha_phi * gamma~ is too large "
+                          "for the bounds")
     return lo, hi
 
 
@@ -150,7 +153,7 @@ def project(values, nodes, bounds: ActionBounds, alpha_phi: float, gamma_tilde):
 
     With gamma~ = 0 this is a plain clamp to the bounds.
     """
-    lo, hi = _shrunk_interval(bounds, nodes, alpha_phi, gamma_tilde)
+    lo, hi = _shrunk_interval(bounds.lower[nodes], bounds.upper[nodes], alpha_phi, gamma_tilde)
     return np.clip(values, lo, hi)
 
 
@@ -178,7 +181,8 @@ def initialize_states(
     u = actions[entries]
     actions *= bounds.upper - bounds.lower
     actions += bounds.lower
-    lo, hi = _shrunk_interval(bounds, live.node_idx, pert.alpha_phi, schedule.gamma(1))
+    lower, upper = bounds.lower[live.node_idx], bounds.upper[live.node_idx]
+    lo, hi = _shrunk_interval(lower, upper, pert.alpha_phi, schedule.gamma(1))
     actions[entries] = lo + u * (hi - lo)
     return NodeStates(
         actions=actions,
@@ -264,22 +268,14 @@ class SlotBlock:
 
 class WaveView:
     """One wave of a block: its range ``entries`` of the block's entries,
-    its ``env`` and arrived reception pairs ``heard``, and its live entries
-    as the models and :func:`dosp.estimator.estimate_global_utility` read an
-    :class:`ActiveSet`: ``size`` entries, ``shape[0]`` rows, the row
-    ``batch_idx`` of each and the entry ``pairs`` of every row, numbered
-    from the wave's start.  ``node_idx`` and ``offsets``, which the step
-    does not read, are computed on demand."""
+    its ``env`` and arrived reception pairs ``heard``, and the row structure
+    of its live entries, which is all of an :class:`ActiveSet` that the
+    models' evaluations and :func:`dosp.estimator.estimate_global_utility`
+    read: ``size`` entries, ``shape[0]`` rows, the row ``batch_idx`` of each
+    and the entry ``pairs`` of every row, numbered from the wave's start.
+    An entry's node is ``block.live.node_idx[entries]``."""
 
-    __slots__ = ("entries", "env", "heard", "size", "shape", "batch_idx", "pairs", "_nodes")
-
-    @property
-    def node_idx(self) -> np.ndarray:
-        return self._nodes[self.entries]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.searchsorted(self.batch_idx, np.arange(self.shape[0] + 1))
+    __slots__ = ("entries", "env", "heard", "size", "shape", "batch_idx", "pairs")
 
 
 class WavePlan:
@@ -298,7 +294,7 @@ class WavePlan:
         self.heard = None if block.heard is None else _per_wave(block.heard, first)
         self.shapes = [((s1 - s0) * b, live.shape[1]) for s0, s1 in zip(bounds, bounds[1:])]
         view = self._view = WaveView()
-        view._nodes, view.pairs, view.heard = live.node_idx, None, None
+        view.pairs, view.heard = None, None
 
     def view(self, w: int) -> WaveView:
         """The view of wave ``w``, valid until the next call."""
@@ -366,7 +362,7 @@ def slot_block(
                          direction=exact_gradient, what="gradient")
     beta, gamma = schedule.beta(step_index), schedule.gamma(step_index)
     phi = pert.sample(rngs["perturbation"], size=live.size)
-    lo, hi = _shrunk_interval(bounds, nodes, pert.alpha_phi, gamma)
+    lo, hi = _shrunk_interval(lower, upper, pert.alpha_phi, gamma)
     return SlotBlock(
         **common, beta=beta, gamma=gamma, phi=phi, gain=beta * phi, gamma_phi=gamma * phi,
         env=model.sample_env(live, rngs["channel"]),

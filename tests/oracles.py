@@ -270,8 +270,7 @@ def block_slot(block, s: int):
     bounds = sorted({0, s, s + 1, block.slots})
     view = WavePlan(block, bounds).view(bounds.index(s))
     b = block.batch
-    fields = [name for name in WaveView.__slots__ if not name.startswith("_")]
-    return SimpleNamespace(**{name: getattr(view, name) for name in fields},
+    return SimpleNamespace(**{name: getattr(view, name) for name in WaveView.__slots__},
                            k=block.k0 + s, live=block.live.rows(s * b, (s + 1) * b))
 
 

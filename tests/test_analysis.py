@@ -385,7 +385,6 @@ class TestRateParams:
     def test_balanced_exponents_enable_both_envelopes(self):
         # c1 = 3 * c2 keeps both ratio families bounded
         _, _, params = _quadratic_params()
-        assert params.envelope_a_valid and params.envelope_b_valid
         assert params.vartheta is not None and params.varrho is not None
         assert params.status == "applicable"
 
@@ -407,7 +406,6 @@ class TestRateParams:
             sigma_a_sq=bounds.sigma_a_sq)
         params = rate_params(s, net, consts, PerturbationSpec.rademacher(),
                              3000, bounds=bounds, a_star=targets)
-        assert params.envelope_a_valid and not params.envelope_b_valid
         assert params.vartheta is not None and params.varrho is None
         table = rate_envelope(params, np.arange(params.K2, 3000))
         assert np.all(np.isnan(table.envelope_b))
@@ -507,7 +505,6 @@ def test_status_names_a_non_positive_alpha_F(alpha_F, shown):
     # the step sizes are not to blame: no schedule makes A = 2 sigma_phi^2 alpha_F positive
     params = _divergence_rate_params(alpha_F=alpha_F)
     assert params.status == f"inapplicable: alpha_F = {shown} is not positive and finite"
-    assert not params.envelope_a_valid and not params.envelope_b_valid
     assert params.vartheta is None and params.varrho is None and params.K2 is None
 
 

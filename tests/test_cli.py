@@ -634,9 +634,9 @@ def test_solve_optimum_budget_it_cannot_honour_is_config_error(budget, tmp_path,
 
 
 def test_infeasible_action_exit_code(tmp_path, capsys, monkeypatch):
-    def beyond_the_bounds(bounds, nodes, alpha_phi, gamma_tilde):
+    def beyond_the_bounds(lower, upper, alpha_phi, gamma_tilde):
         # a projection interval past the upper bound: every performed action leaves it
-        hi = bounds.upper[nodes] + 1.0
+        hi = upper + 1.0
         return hi, hi
 
     monkeypatch.setattr(optimizer, "_shrunk_interval", beyond_the_bounds)

@@ -148,7 +148,7 @@ class TestOneEvaluationPath:
             got = []
             for w in range(len(plan.bounds) - 1):
                 v = plan.view(w)
-                got.append(getattr(m, method)(point[v.node_idx], v, v.env))
+                got.append(getattr(m, method)(point[block.live.node_idx[v.entries]], v, v.env))
             assert np.concatenate(got).tobytes() == values.tobytes()
 
 

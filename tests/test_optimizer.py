@@ -21,6 +21,7 @@ from dosp.optimizer import (
     TRACE_COLUMNS,
     NodeStates,
     assert_feasible,
+    exact_gradient,
     initialize_states,
     project,
     run_slots,
@@ -83,9 +84,11 @@ class TestProjection:
         out = project(np.array([-9.0, 9.0, 0.5]), np.arange(3), self.bounds, 1.0, np.zeros(3))
         np.testing.assert_allclose(out, [-1.0, 2.0, 0.5], rtol=1e-15)
 
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            project(np.zeros(3), np.arange(3), self.bounds, 1.0, np.full(3, 5.0))
+    @pytest.mark.parametrize("gamma", [5.0, 1.5], ids=["inverted", "zero-width"])
+    def test_empty_interval_rejected(self, gamma):
+        # at gamma~ = 1.5 the interval is the one point 0.5, which the one-ulp nudge empties
+        with pytest.raises(ConfigError, match="alpha_phi \\* gamma~"):
+            project(np.zeros(3), np.arange(3), self.bounds, 1.0, np.full(3, gamma))
 
 
 def _tiny_setup(q_a=0.5, n=4, seed=77, q_r=1.0, gamma0=0.5):
@@ -458,7 +461,7 @@ class TestGuards:
                 u = super().local_utilities(a_hat, live, env)
                 self.calls += 1
                 if self.calls == 5:  # slot 5 of the first 16-slot block
-                    u[live.offsets[1]] = np.nan  # replication 1's first entry
+                    u[np.searchsorted(live.batch_idx, 1)] = np.nan  # replication 1's first entry
                 return u
 
         model = Faulty(np.zeros(3))
@@ -509,11 +512,13 @@ class TestGuards:
                     j = later[0]
                     u[j] = np.nan
                     s, rep = divmod(int(live.batch_idx[j]), batch)
-                    self.planted = (self.slots_run + 1 + s, rep, int(live.node_idx[j]))
+                    # the targets are distinct, so an entry's target names its node
+                    node = int(np.flatnonzero(self.targets == env.target[j])[0])
+                    self.planted = (self.slots_run + 1 + s, rep, node)
                 self.slots_run += live.shape[0] // batch
                 return u
 
-        model = Faulty(np.zeros(20))
+        model = Faulty(np.linspace(-1.0, 1.0, 20))
         rngs = role_streams(8)
         states = initialize_states(bounds, schedule, pert, net, batch, rngs)
         with pytest.raises(NumericError) as failure:
@@ -524,7 +529,7 @@ class TestGuards:
                                       f"(replication, node) = ({rep}, {node})")
 
     @pytest.mark.parametrize("record_at", [set(), {40}], ids=["no-record", "after-a-record"])
-    def test_non_finite_gradient_inside_a_wave(self, record_at):
+    def test_non_finite_gradient_inside_a_wave(self, monkeypatch, record_at):
         # the baseline on a sparse B = 1 power run: most waves hold several
         # slots, and the NaN goes to the first entry of a wave that is not in
         # the wave's first slot, in a wave that opens at or after every record
@@ -533,30 +538,33 @@ class TestGuards:
         bounds = ActionBounds.uniform(20, -12.0, 12.0)
         after = max(record_at, default=1)
 
-        class Faulty(PowerControlModel):
+        class Faulty:
+            """The baseline's direction, with a NaN planted in one wave."""
+
             slots_run = 0  # slots of the waves before this call
             planted = None  # (slot, replication, node) of the NaN
 
-            def global_gradient(self, a, live, env):
-                g = super().global_gradient(a, live, env)
-                later = np.flatnonzero(live.batch_idx >= 1)
+            def __call__(self, a, block, wave):
+                g = exact_gradient(a, block, wave)
+                later = np.flatnonzero(wave.batch_idx >= 1)
                 if self.planted is None and later.size and self.slots_run + 1 >= after:
                     j = later[0]
                     g[j] = np.nan
-                    self.planted = (self.slots_run + 1 + int(live.batch_idx[j]), 0,
-                                    int(live.node_idx[j]))
-                self.slots_run += live.shape[0]
+                    self.planted = (self.slots_run + 1 + int(wave.batch_idx[j]), 0,
+                                    int(block.live.node_idx[wave.entries][j]))
+                self.slots_run += wave.shape[0]
                 return g
 
-        model = Faulty(20)
+        faulty = Faulty()
+        monkeypatch.setattr(optimizer, "exact_gradient", faulty)
         rngs = role_streams(8)
         states = initialize_states(bounds, schedule, PerturbationSpec.rademacher(), net, 1, rngs)
         seen = []
         with pytest.raises(NumericError) as failure:
-            for k, _ in run_slots(states, 400, model, net, bounds, rngs, record_at,
+            for k, _ in run_slots(states, 400, PowerControlModel(20), net, bounds, rngs, record_at,
                                   step_fn=schedule.beta):
                 seen.append(k)
-        k, rep, node = model.planted
+        k, rep, node = faulty.planted
         assert k > after
         assert seen == sorted(record_at)
         assert str(failure.value) == (f"slot {k}: non-finite gradient at "
