@@ -13,17 +13,18 @@ block of S slots it draws each role with one call on one list of S * B rows
 (:class:`SlotBlock`).  For every role but Poisson activity one call consumes
 the role's stream exactly as S per-slot calls would (one draw per entry or
 pair; a dead direct channel gain is floored, not redrawn), so outputs do
-not depend on the block size.
+not depend on the block size.  A ``counted`` index is counted, not drawn.
 
 Only the step reads the state, and a slot's step reads and writes just the
 actions of its own live entries: each entry's arithmetic is elementwise, and
 its utility, estimate and gradient sum only over entries of its own row
 (replication and slot).  So consecutive slots in which no (replication,
 node) cell is live twice commute, and the step runs once per such run of
-slots, a *wave*, on the wave's contiguous run of entries: a block's waves
-are laid out once (:class:`WavePlan`), and one :class:`WaveView` takes
-slices for each wave: the row structure that a model's evaluation reads of
-an :class:`ActiveSet`, per-node terms being in the wave's environment.  Every
+slots, a *wave*, on the wave's contiguous run of entries: one sort of a
+block's cells finds its waves and ``counted`` indices (:func:`_sort_cells`),
+a :class:`WavePlan` lays the waves out, and one :class:`WaveView` slices
+each wave: the row structure that a model's evaluation reads of an
+:class:`ActiveSet`, per-node terms being in the wave's environment.  Every
 per-row sum (``bincount``) adds its terms in the same order as the one-slot
 step does, so the results are bit-identical to running the slots one by
 one, and the nodes of a slot, which read only the slot-start state, one by
@@ -81,8 +82,8 @@ class NodeStates:
 
     ``live`` lists the entries of the next slot to run.  ``activations``
     counts the slots each node was live in, up to that slot; only the
-    ``counted`` index mode keeps it, so it alone says which mode runs.  The
-    slot engine advances ``actions`` in place.
+    ``counted`` index mode keeps it (:func:`_sort_cells`), so it alone says
+    which mode runs.  The slot engine advances ``actions`` in place.
     """
 
     actions: np.ndarray  # (B, N)
@@ -102,30 +103,14 @@ def validate_schedule_fits_bounds(schedule: StepSizeSchedule, pert: Perturbation
         )
 
 
-def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator,
-                      activations=None) -> np.ndarray:
-    """Schedule index of each live entry: 1 + a past-activity surrogate.
-
-    ``k`` is the slot, one for all of ``live`` or one per entry.  ``sampled``
-    (no ``activations``) draws a fresh Binomial(k - 1, q_a) per live entry;
-    ``counted`` uses the node's actual number of past active slots, which
-    has the same marginal law but is correlated across slots.  Its (B, N)
-    ``activations`` count the slots before ``live``'s first; ``live`` may
-    span consecutive slots, slot-major (row r is replication r % B), and a
-    node's earlier entries in ``live`` count too.
-    """
+def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator) -> np.ndarray:
+    """The ``sampled`` index of each live entry: 1 + a fresh Binomial(k - 1,
+    q_a), ``k`` being the slot, one for all of ``live`` or one per entry.  It
+    has the law of the ``counted`` index (:func:`_sort_cells`), the node's
+    own count of past active slots, which is correlated across slots."""
     if np.any(np.asarray(k) < 1):
         raise ValueError("slot index starts at 1")
-    if activations is None:
-        return rng.binomial(np.asarray(k) - 1, q_a, size=live.size) + 1
-    batch, n = activations.shape
-    cells = (live.batch_idx % batch) * n + live.node_idx
-    order = np.argsort(cells, kind="stable")
-    ranked = cells[order]
-    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    earlier = np.empty(live.size, dtype=np.int64)
-    earlier[order] = np.arange(live.size) - np.repeat(first, np.diff(np.r_[first, live.size]))
-    return activations.reshape(-1)[cells] + earlier + 1
+    return rng.binomial(np.asarray(k) - 1, q_a, size=live.size) + 1
 
 
 def _shrunk_interval(lower: np.ndarray, upper: np.ndarray, alpha_phi: float, gamma_tilde):
@@ -203,22 +188,48 @@ def block_slots(netcfg: NetworkConfig, batch: int, pairwise: bool) -> int:
     return max(1, int(_BLOCK_CELLS // (batch * cells)))
 
 
-def _advance(states: NodeStates, k0: int, slots: int, netcfg: NetworkConfig,
-             rngs: dict[str, np.random.Generator]) -> tuple[ActiveSet, np.ndarray]:
-    """Draw the activity of slots k0+1 .. k0+slots; return the live entries
-    of slots k0 .. k0+slots-1, the pending slot k0 of ``states`` first, with
-    their step indices, and leave slot k0+slots pending."""
+def _sort_cells(cells: np.ndarray, n_cells: int, counts: np.ndarray | None = None):
+    """One stable sort of a block's ``cells`` (below ``n_cells``) lists each
+    cell's entries in slot order.  Returns each entry's latest earlier entry
+    of its cell (-1 if none, one more -1 at the end) and, given the cells'
+    ``counts`` before the block, the ``counted`` indices (count + rank among
+    the cell's earlier entries + 1; else None), adding the entries to ``counts``."""
+    keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells  # 16-bit keys sort by radix
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    head = np.ones(cells.size, dtype=bool)  # the first entry of its cell
+    head[1:] = ranked[1:] != ranked[:-1]
+    again = np.flatnonzero(~head)
+    previous = np.full(cells.size + 1, -1)
+    previous[order[again]] = order[again - 1]
+    if counts is None:
+        return previous, None
+    first = np.flatnonzero(head)
+    runs = np.diff(first, append=cells.size)
+    flat = counts.reshape(-1)  # a view: the counts grow in place
+    indices = np.empty(cells.size, dtype=np.int64)
+    indices[order] = flat[ranked] + np.arange(1, cells.size + 1) - np.repeat(first, runs)
+    flat[ranked[first]] += runs
+    return previous, indices
+
+
+def _advance(states: NodeStates, k0: int, slots: int, model, netcfg: NetworkConfig,
+             rngs: dict[str, np.random.Generator], bounds: ActionBounds, **algorithm) -> SlotBlock:
+    """Draw the activity of slots k0+1 .. k0+slots, leave slot k0+slots
+    pending, and return the :func:`slot_block` of slots k0 .. k0+slots-1,
+    the pending slot k0 first, with its cells and their :func:`_sort_cells`."""
     batch, n = states.actions.shape
     drawn = sample_activity(netcfg, rngs["activity"], slots * batch)
     split = (slots - 1) * batch
     live, states.live = states.live.stack(drawn.rows(0, split)), drawn.rows(split, slots * batch)
-    activations = states.activations
-    indices = sample_step_index(k0 + live.batch_idx // batch, netcfg.q_activity, live,
-                                rngs["index"], activations)
-    if activations is not None:
-        cells = (live.batch_idx % batch) * n + live.node_idx
-        activations += np.bincount(cells, minlength=batch * n).reshape(batch, n)
-    return live, indices
+    cells = live.batch_idx % batch * n + live.node_idx
+    previous, indices = _sort_cells(cells, batch * n, states.activations)
+    if indices is None:
+        indices = sample_step_index(k0 + live.batch_idx // batch, netcfg.q_activity, live,
+                                    rngs["index"])
+    block = slot_block(live, indices, batch, model, netcfg, rngs, bounds, k0=k0, **algorithm)
+    block.cells, block.previous = cells, previous
+    return block
 
 
 @dataclass(eq=False)
@@ -231,9 +242,9 @@ class SlotBlock:
     ``live``; ``env`` is ``model``'s environment of ``live``, and the
     arrived reception pairs ``heard`` number the block's entries, sorted by
     receiver.  A :class:`WavePlan` cuts the block into waves.  Both
-    algorithms fill the fields up to ``start``, the learner also those after
-    it.  The waves write ``start`` and, in a traced run,
-    ``f_tilde``.
+    algorithms fill the fields up to ``start``, the learner also those up to
+    ``heard``, and :func:`_advance` sets ``cells`` and ``previous``.  The
+    waves write ``start`` and, in a traced run, ``f_tilde``.
     """
 
     k0: int
@@ -241,7 +252,6 @@ class SlotBlock:
     model: object
     live: ActiveSet
     step_index: np.ndarray
-    cells: np.ndarray  # rep * N + node: the entry's cell of the raveled (B, N) actions
     entry_at: np.ndarray  # (S + 1,) first entry of each slot
     env: object  # model.sample_env(live, ...): PowerEnv or QuadraticEnv
     lower: np.ndarray  # bounds
@@ -260,6 +270,8 @@ class SlotBlock:
     q_r: float = 1.0
     heard: tuple[np.ndarray, np.ndarray] | None = None
     f_tilde: np.ndarray | None = None  # f~ once the step ran; traced learner runs only
+    cells: np.ndarray | None = None  # rep * N + node: the entry's cell of the raveled actions
+    previous: np.ndarray | None = None  # the latest earlier entry of each entry's cell
 
     @property
     def slots(self) -> int:
@@ -350,10 +362,8 @@ def slot_block(
     (``step_fn`` given) draws only the environment, and projects onto the
     bounds with no perturbation.
     """
-    nodes = live.node_idx
-    lower, upper = bounds.lower[nodes], bounds.upper[nodes]
+    lower, upper = bounds.lower[live.node_idx], bounds.upper[live.node_idx]
     common = dict(k0=k0, batch=batch, model=model, live=live, step_index=step_index,
-                  cells=live.batch_idx % batch * live.shape[1] + nodes,
                   entry_at=live.offsets[::batch], lower=lower, upper=upper,
                   start=np.full(live.size, np.nan))
     if pert is None:
@@ -452,19 +462,10 @@ def _waves(block: SlotBlock, record_at) -> list[int]:
     every slot in ``record_at``.
 
     Slot s joins the open wave unless the latest earlier entry of one of its
-    cells lies in the wave.  One stable sort of the cells lists each cell's
-    entries in slot order, and so gives every entry that latest earlier
-    entry.
+    cells lies in the wave: the slot's maximum of ``block.previous`` (junk if
+    the slot is empty; the -1 past the last entry keeps it in range).
     """
-    cells = block.cells
-    # 16-bit keys sort by radix
-    keys = cells.astype(np.uint16) if block.batch * block.live.shape[1] <= 1 << 16 else cells
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    again = np.flatnonzero(ranked[1:] == ranked[:-1])
-    previous = np.full(cells.size + 1, -1)  # -1 past the last entry keeps reduceat in range
-    previous[order[again + 1]] = order[again]
-    latest = np.maximum.reduceat(previous, block.entry_at[:-1]).tolist()  # junk if slot empty
+    latest = np.maximum.reduceat(block.previous, block.entry_at[:-1]).tolist()
     entry_at = block.entry_at.tolist()
     bounds = [0]
     for s in range(1, block.slots):
@@ -552,16 +553,15 @@ def run_slots(
         slots = min(size, horizon - k0 + 1)
         # no reference to a block outlives its run, so blocks never overlap in memory
         yield from _run_block(
-            slot_block(*_advance(states, k0, slots, netcfg, rngs), batch, model, netcfg, rngs,
-                       bounds, k0=k0, schedule=schedule, pert=pert, sigma_eta=sigma_eta,
-                       step_fn=step_fn),
+            _advance(states, k0, slots, model, netcfg, rngs, bounds, schedule=schedule,
+                     pert=pert, sigma_eta=sigma_eta, step_fn=step_fn),
             acts, record_at, blocks)
         k0 += slots
     if learner:
         nxt = states.live
-        ell = sample_step_index(horizon + 1, netcfg.q_activity, nxt, rngs["index"],
-                                states.activations)
         entries = (nxt.batch_idx, nxt.node_idx)
+        ell = (sample_step_index(horizon + 1, netcfg.q_activity, nxt, rngs["index"])
+               if states.activations is None else states.activations[entries] + 1)
         states.actions[entries] = project(states.actions[entries], nxt.node_idx, bounds,
                                           pert.alpha_phi, schedule.gamma(ell))
     if blocks:

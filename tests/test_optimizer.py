@@ -60,10 +60,32 @@ class TestStepIndex:
         assert abs(mean_tilde - 5.0) <= 3 * se
 
     def test_counted_uses_activation_history(self):
-        counts = np.array([[0, 3, 7]])
-        got = sample_step_index(9, 0.5, _live([True, True, False]),
-                                RngStream(2, 0).generator(), activations=counts)
+        counts = np.array([0, 3, 7])
+        live = _live([True, True, False])
+        _, got = optimizer._sort_cells(live.node_idx, counts.size, counts)
         assert list(got) == [1, 4]
+
+    @pytest.mark.parametrize("slots", [7, None])
+    def test_counted_index_is_the_cells_own_count(self, slots, monkeypatch):
+        # across block boundaries and the pending slot each block starts with
+        if slots:
+            monkeypatch.setattr(optimizer, "block_slots", lambda *args: slots)
+        batch, net = 3, NetworkConfig(5, 0.3, 0.5)
+        schedule, pert = StepSizeSchedule(0.1, 0.5, 0.75, 0.25), PerturbationSpec.rademacher()
+        bounds, rngs = ActionBounds.uniform(5, -5.0, 5.0), role_streams(12)
+        states = initialize_states(bounds, schedule, pert, net, batch, rngs, index_mode="counted")
+        trace = {}
+        list(run_slots(states, 50, QuadraticModel(np.zeros(5)), net, bounds, rngs,
+                       schedule=schedule, pert=pert, traces=trace))
+        rows = Counter()
+        for rep, node, ell in _rows(trace, "replication", "node", "ell"):
+            assert ell - 1 == rows[rep, node]
+            rows[rep, node] += 1
+        counts = np.zeros((batch, 5), dtype=np.int64)
+        for (rep, node), c in rows.items():
+            counts[rep, node] = c
+        np.testing.assert_array_equal(states.activations, counts)
+        assert max(rows.values()) > 7
 
 
 class TestProjection:
@@ -226,10 +248,13 @@ class TestDrawCounts:
     network costs draws in proportion to its live entries.  A block draws each
     role once for all its slots, so the counts are whole-run totals."""
 
-    @pytest.mark.parametrize("kind, activity", [("quadratic", "binomial"), ("power", "binomial"),
-                                                ("quadratic", "poisson")],
-                             ids=["quadratic", "power", "poisson"])
-    def test_draws_follow_live_entries(self, kind, activity):
+    @pytest.mark.parametrize("kind, activity, index_mode",
+                             [("quadratic", "binomial", "sampled"),
+                              ("power", "binomial", "sampled"),
+                              ("quadratic", "poisson", "sampled"),
+                              ("quadratic", "binomial", "counted")],
+                             ids=["quadratic", "power", "poisson", "counted"])
+    def test_draws_follow_live_entries(self, kind, activity, index_mode):
         n, batch, horizon = 2000, 4, 40
         netcfg = NetworkConfig(n, 0.005, 0.5, activity=activity)
         schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
@@ -237,14 +262,19 @@ class TestDrawCounts:
         bounds = ActionBounds.uniform(n, -5.0, 5.0)
         model = (QuadraticModel(QuadraticModel.default_targets(n)) if kind == "quadratic"
                  else PowerControlModel(n))
-        rngs = {role: CountingGenerator(g) for role, g in role_streams(11).items()}
-        states = initialize_states(bounds, schedule, pert, netcfg, batch, rngs)
-        first_slot = states.live.size
-        for gen in rngs.values():
-            gen.counts.clear()
-        trace = {}
-        list(run_slots(states, horizon, model, netcfg, bounds, rngs, schedule=schedule,
-                       pert=pert, sigma_eta=0.3, traces=trace))
+
+        def run(mode):
+            rngs = {role: CountingGenerator(g) for role, g in role_streams(11).items()}
+            states = initialize_states(bounds, schedule, pert, netcfg, batch, rngs, mode)
+            first_slot = states.live.size
+            for gen in rngs.values():
+                gen.counts.clear()
+            trace = {}
+            list(run_slots(states, horizon, model, netcfg, bounds, rngs, schedule=schedule,
+                           pert=pert, sigma_eta=0.3, traces=trace))
+            return rngs, states, first_slot, trace
+
+        rngs, states, first_slot, trace = run(index_mode)
         live_total = trace["k"].size  # sum over slots of the live entries A
         per_row = Counter(_rows(trace, "replication", "k"))  # live entries of each row
         pairs = sum(c * c for c in per_row.values())
@@ -255,7 +285,15 @@ class TestDrawCounts:
         # activity is drawn for slots 2 .. horizon + 1, indices for slots
         # 1 .. horizon + 1 (slot 1's are Binomial(0, q_a) values)
         drawn = live_total - first_slot + states.live.size
-        assert rngs["index"].total() == live_total + states.live.size
+        if index_mode == "sampled":
+            assert rngs["index"].total() == live_total + states.live.size
+        else:
+            # the counted index is read off the counts: the index stream is
+            # never called, and every other role draws as in a sampled run
+            assert not rngs["index"].counts
+            sampled = run("sampled")[0]
+            assert all(rngs[role].counts == sampled[role].counts
+                       for role in rngs if role != "index")
         if activity == "binomial":
             assert rngs["activity"].total() == horizon * batch * n
         else:
@@ -279,6 +317,27 @@ def test_initialize_states_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * states.actions.nbytes
+
+
+def test_counted_slot_loop_working_set_follows_live_entries():
+    # B * N = 1e7 at 10 live nodes per row: the counted index mode keeps
+    # (B, N) counts, but a block adds to them per live cell, so the slot loop
+    # holds about what the sampled mode does (0.7 MB), not a (B, N) temporary
+    batch, n = 10, 1_000_000
+    net = NetworkConfig(n, 10 / n, 1.0, activity="poisson")
+    schedule, pert = StepSizeSchedule(0.1, 0.5, 0.75, 0.25), PerturbationSpec.rademacher()
+    bounds, rngs = ActionBounds.uniform(n, -5.0, 5.0), role_streams(5)
+    states = initialize_states(bounds, schedule, pert, net, batch, rngs, index_mode="counted")
+    model = QuadraticModel(np.zeros(n))
+    tracemalloc.start()
+    try:
+        for _ in run_slots(states, 200, model, net, bounds, rngs, schedule=schedule, pert=pert):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.activations.sum() > 0
+    assert peak < 0.05 * states.actions.nbytes
 
 
 def _digest_run(cfg, out_dir):
@@ -395,7 +454,7 @@ def _planted_run(monkeypatch, net, batch, plant, record_at=()):
     ``plant(block)`` has edited the first block's draws; returns the record
     slots yielded before the run stopped, and the error it stopped with."""
     monkeypatch.setattr(optimizer, "block_slots", lambda *args: 16)
-    build = optimizer.slot_block
+    build = optimizer._advance
 
     def planted(*args, **kwargs):
         block = build(*args, **kwargs)
@@ -403,7 +462,7 @@ def _planted_run(monkeypatch, net, batch, plant, record_at=()):
             plant(block)
         return block
 
-    monkeypatch.setattr(optimizer, "slot_block", planted)
+    monkeypatch.setattr(optimizer, "_advance", planted)
     schedule = StepSizeSchedule(0.1, 0.5, 0.75, 0.25)
     pert = PerturbationSpec.rademacher()
     bounds = ActionBounds.uniform(net.n_nodes, -5.0, 5.0)

@@ -124,7 +124,9 @@ def test_waves_are_the_greedy_runs_of_disjoint_slots(slots, batch, n, q, first, 
     live = ActiveSet((slots * batch, n * spread), dense.batch_idx, dense.node_idx * spread,
                      dense.offsets)
     cells = live.batch_idx % batch * live.shape[1] + live.node_idx
-    block = SimpleNamespace(k0=first, batch=batch, live=live, slots=slots, cells=cells,
+    counts = np.zeros(batch * live.shape[1], dtype=np.int64)
+    previous, indices = optimizer._sort_cells(cells, counts.size, counts)
+    block = SimpleNamespace(k0=first, batch=batch, live=live, slots=slots, previous=previous,
                             entry_at=live.offsets[::batch])
     record_at = set(range(stride, first + slots, stride))
     # the greedy cut that keeps each wave's cells distinct, on sets
@@ -137,6 +139,13 @@ def test_waves_are_the_greedy_runs_of_disjoint_slots(slots, batch, n, q, first, 
         seen |= own
     bounds.append(slots)
     assert optimizer._waves(block, record_at) == bounds
+    # the same sort ranks each entry among the earlier entries of its cell
+    earlier = {}
+    for j, cell in enumerate(cells.tolist()):
+        assert indices[j] - 1 == earlier.get(cell, 0)
+        earlier[cell] = earlier.get(cell, 0) + 1
+    assert counts[list(earlier)].tolist() == list(earlier.values())
+    assert counts.sum() == cells.size
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
