@@ -16,9 +16,8 @@ import numbers
 import os
 import signal
 import zipfile
-from collections import deque
 from dataclasses import asdict, dataclass, is_dataclass
-from itertools import islice
+from itertools import chain, islice
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin
 
@@ -48,7 +47,7 @@ _MC_CHUNK_BLOCKS = 4  # single-row slot blocks per Monte-Carlo chunk
 # Monte-Carlo chunks the F_hat worker draws before a record's actions arrive:
 # all 16 of power-repro's record (20 x 2000 rows, N = 50, q_a = 0.05).  They
 # hold 10.2 MB beside the record's 1.9 MB activity (tracemalloc, numpy 2.4),
-# and the worker's peak resident set rises from about 31 to 40 MB.
+# and the worker's peak resident set rises from about 32 to 40 MB.
 _MC_AHEAD_CHUNKS = 16
 _SOLVE_BLOCK = 100  # solve_optimum's iterations per averaged, certified block
 # PyYAML's safe loader, on libyaml when PyYAML was built with it
@@ -354,74 +353,51 @@ def record_slots(horizon: int, stride: int) -> np.ndarray:
 
 def _mc_draws(model, netcfg: NetworkConfig, rows: int, rng):
     """The random inputs of a Monte-Carlo average over ``rows`` sample rows,
-    drawn lazily in stream order: first the activity of all rows, then, per
-    chunk of ``_MC_CHUNK_BLOCKS`` single-row slot blocks' worth of rows
-    (:func:`dosp.optimizer.block_slots`), the chunk's slice of the
-    activity's entries, its rows and their environment.  The chunks'
+    in stream order: the activity of all rows, drawn now, and a generator
+    that draws, per chunk of ``_MC_CHUNK_BLOCKS`` single-row slot blocks'
+    worth of rows (:func:`dosp.optimizer.block_slots`), the chunk's slice of
+    the activity's entries, its rows and their environment.  The chunks'
     environment draws concatenate to one call's, so no draw depends on the
     chunk size."""
     live = sample_activity(netcfg, rng, rows)
-    yield live
-    chunk = _MC_CHUNK_BLOCKS * block_slots(netcfg, 1, model.pairwise_env)
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        part = live.rows(lo, hi)
-        yield slice(live.offsets[lo], live.offsets[hi]), part, model.sample_env(part, rng)
+    step = _MC_CHUNK_BLOCKS * block_slots(netcfg, 1, model.pairwise_env)
+
+    def chunks():
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            part = live.rows(lo, hi)
+            yield slice(live.offsets[lo], live.offsets[hi]), part, model.sample_env(part, rng)
+    return live, chunks()
 
 
-def _mc_values(evaluate, actions: np.ndarray, n_samples: int,
-               draws) -> tuple[ActiveSet, np.ndarray]:
+def _mc_values(evaluate, actions: np.ndarray, n_samples: int, live: ActiveSet,
+               chunks) -> np.ndarray:
     """``evaluate`` (``model.local_utilities`` or ``model.global_gradient``)
-    on ``draws`` (:func:`_mc_draws`), one chunk at a time: row r of
-    ``actions`` on sample rows r * n_samples onward.  Returns the draws'
-    live entries and the values, one per entry in the list's order; each
-    entry's value sums only over its own row, so no value depends on the
-    chunk size.
+    on the ``live`` entries of :func:`_mc_draws`, one of its ``chunks`` at a
+    time: row r of ``actions`` on sample rows r * n_samples onward.  Returns
+    one value per entry in the list's order; each entry's value sums only
+    over its own row, so no value depends on the chunk size.
     """
-    live = next(draws)
     values = np.empty(live.size)
-    for e, part, env in draws:
+    for e, part, env in chunks:
         a = actions[live.batch_idx[e] // n_samples, part.node_idx]
         values[e] = evaluate(a, part, env)
-    return live, values
-
-
-def _draw_ahead(draws):
-    """``draws`` (:func:`_mc_draws`) with its activity and up to
-    ``_MC_AHEAD_CHUNKS`` chunks drawn now and the rest drawn as they are
-    reached.  A failure while drawing ahead is raised where its draw comes."""
-    held, failure = deque(), None
-    try:
-        held.extend(islice(draws, 1 + _MC_AHEAD_CHUNKS))
-    except Exception as exc:  # raised at its own record, when it is evaluated
-        failure = exc
-    return _replay(held, failure, draws)
-
-
-def _replay(held: deque, failure, draws):
-    """The ``held`` draws, each let go once taken, then ``failure`` or the
-    rest of ``draws``."""
-    while held:
-        yield held.popleft()
-    if failure is not None:
-        raise failure
-    yield from draws
+    return values
 
 
 def eval_F_batch(model, actions: np.ndarray, netcfg: NetworkConfig,
                  n_samples: int, rng, draws=None) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo averaged-utility estimate and its standard error for each
     action row, over ``n_samples`` fresh (activity, environment) draws from
-    ``rng``: those of ``draws`` where it is given (:func:`_mc_draws` of
-    ``rng`` for every action row's samples, perhaps partly drawn ahead),
-    else drawn here, chunk by chunk.
+    ``rng``: the ``(live, chunks)`` pair ``draws`` where it is given
+    (:func:`_mc_draws` of ``rng`` for every action row's samples, some
+    chunks perhaps drawn ahead), else drawn here, chunk by chunk.
 
     Raises :class:`NumericError` on a non-finite estimate, as the slot does.
     """
     b = actions.shape[0]
-    if draws is None:
-        draws = _mc_draws(model, netcfg, b * n_samples, rng)
-    live, u = _mc_values(model.local_utilities, actions, n_samples, draws)
+    live, chunks = draws or _mc_draws(model, netcfg, b * n_samples, rng)
+    u = _mc_values(model.local_utilities, actions, n_samples, live, chunks)
     f = np.bincount(live.batch_idx, weights=u, minlength=b * n_samples).reshape(b, n_samples)
     est, err = f.mean(axis=1), f.std(axis=1, ddof=1) / math.sqrt(n_samples)
     finite = np.isfinite(est) & np.isfinite(err)
@@ -452,25 +428,32 @@ def _at_slot(exc: Exception, k: int) -> Exception:
 def _f_worker(conn, parent_end, model, netcfg, n_samples, rng, rows, n_records) -> None:
     """The Monte-Carlo worker of a run's ``n_records`` F_hat records, of
     ``rows`` sample rows each.  For each record in turn it draws the
-    record's samples ahead (:func:`_draw_ahead`) while the parent's slot
-    loop runs on, then evaluates the action array it receives on ``conn`` on
-    them with :func:`eval_F_batch` and sends back the result, or the
-    exception and stops.  It draws nothing after its last reply.  Closing
-    the inherited ``parent_end`` makes the parent's exit, even by SIGKILL,
-    an EOF here, so the worker never outlives the run."""
+    record's activity and a list of its first ``_MC_AHEAD_CHUNKS`` chunks
+    (:func:`_mc_draws`) while the parent's slot loop runs on, then receives
+    the record's actions on ``conn``, evaluates them on those chunks and the
+    rest with :func:`eval_F_batch` and sends back the result.  A failure of
+    a record's draw or evaluation is sent back at once, and the worker
+    stops; the parent raises it at that record.  It draws nothing after its
+    last reply.  Closing the inherited ``parent_end`` makes the parent's
+    exit, even by SIGKILL, an EOF here, so the worker never outlives the
+    run."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
     try:
         for _ in range(n_records):
-            draws = _draw_ahead(_mc_draws(model, netcfg, rows, rng))
+            try:
+                live, chunks = _mc_draws(model, netcfg, rows, rng)
+                chunks = chain(list(islice(chunks, _MC_AHEAD_CHUNKS)), chunks)
+            except Exception as exc:
+                return conn.send(exc)
             actions = conn.recv()
             try:
-                reply = eval_F_batch(model, actions, netcfg, n_samples, rng, draws)
-            except Exception as exc:  # the parent raises it at its record
-                conn.send(exc)
-                return
+                reply = eval_F_batch(model, actions, netcfg, n_samples, rng, (live, chunks))
+            except Exception as exc:
+                return conn.send(exc)
+            del live, chunks  # not held while the next record is drawn
             conn.send(reply)
-    except (EOFError, OSError):  # the parent is gone
+    except (EOFError, OSError):  # the pipe's only: the parent is gone
         return
 
 
@@ -480,15 +463,13 @@ class _FRecords:
     ``utility_mc`` stream in record order.
 
     Where the ``fork`` start method exists and at least 2 CPUs are usable, a
-    forked worker (:func:`_f_worker`) owns the stream; it draws each
-    record's samples, up to ``_MC_AHEAD_CHUNKS`` chunks of them, before the
-    record's actions arrive, and evaluates them while the slot loop runs on.
-    Otherwise every record is drawn and evaluated inline when it comes.  The
-    estimates are the same bits either way.  The worker holds one record at
-    a time: handing it the next one first collects the last, so neither end
-    of the pipe can block on a full buffer while the other does.  ``fork``,
-    not ``spawn``, because the worker starts from this process's model and
-    generator state.
+    forked worker (:func:`_f_worker`) owns the stream and evaluates each
+    record while the slot loop runs on; otherwise every record is drawn and
+    evaluated inline when it comes.  The estimates are the same bits either
+    way.  The worker holds one record at a time: handing it the next one
+    first collects the last, so neither end of the pipe can block on a full
+    buffer while the other does.  ``fork``, not ``spawn``, because the
+    worker starts from this process's model and generator state.
     """
 
     def __init__(self, model, netcfg: NetworkConfig, n_samples: int, rng,
@@ -522,7 +503,7 @@ class _FRecords:
         self.collect()
         self.pending = k
         try:
-            self.conn.send(actions.copy())  # the slot loop updates the actions in place
+            self.conn.send(actions)  # pickled now, before the slot loop updates them in place
         except OSError:  # the worker is gone; collect() reports it
             pass
 
@@ -595,13 +576,13 @@ def run_experiment(
     """Run all replications of an experiment and collect trajectory metrics.
 
     F_hat and F_stderr (when ``cfg.f_mc_samples > 0``) are :func:`eval_F_batch`
-    on each record's actions, on the ``utility_mc`` stream in record order.
-    Where the ``fork`` start method exists and at least 2 CPUs are usable,
-    they are computed on one forked worker process while the slot loop runs
-    on, each record's samples drawn before its actions arrive, and inline
-    otherwise; their bits are the same either way.  A record's
-    failure is raised as a :class:`NumericError` naming its slot, before any
-    failure of a later slot, as the inline order gives.
+    on each record's actions, on the ``utility_mc`` stream in record order:
+    on one forked worker process while the slot loop runs on
+    (:func:`_f_worker`) where the ``fork`` start method exists and at least
+    2 CPUs are usable, and inline otherwise; their bits are the same either
+    way.  A record's failure is raised at its record, before any failure of
+    a later slot, as the inline order gives; a non-finite estimate or a dead
+    worker is a :class:`NumericError` naming the slot.
     """
     model = build_model(cfg)
     a_star = resolve_optimum(cfg, model, a_star)
@@ -683,8 +664,8 @@ def avg_gradient(model, point: np.ndarray, netcfg: NetworkConfig, n_samples: int
                  rng) -> np.ndarray:
     """Monte-Carlo average over ``n_samples`` fresh (activity, environment)
     draws of the exact global gradient at ``point``, per node."""
-    draws = _mc_draws(model, netcfg, n_samples, rng)
-    live, g = _mc_values(model.global_gradient, point[None, :], n_samples, draws)
+    live, chunks = _mc_draws(model, netcfg, n_samples, rng)
+    g = _mc_values(model.global_gradient, point[None, :], n_samples, live, chunks)
     return np.bincount(live.node_idx, weights=g, minlength=netcfg.n_nodes) / n_samples
 
 

@@ -91,18 +91,6 @@ class NodeStates:
     activations: np.ndarray | None = None  # (B, N) int, counted mode only
 
 
-def validate_schedule_fits_bounds(schedule: StepSizeSchedule, pert: PerturbationSpec,
-                                  bounds: ActionBounds) -> None:
-    """The shrunk projection interval must be nonempty at the largest step."""
-    worst = pert.alpha_phi * schedule.gamma(1)
-    half = float(np.min(bounds.upper - bounds.lower)) / 2.0
-    if worst >= half:
-        raise ConfigError(
-            f"alpha_phi * gamma(1) = {worst} must be < half the narrowest "
-            f"action interval ({half}); shrink gamma0 or widen the bounds"
-        )
-
-
 def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator) -> np.ndarray:
     """The ``sampled`` index of each live entry: 1 + a fresh Binomial(k - 1,
     q_a), ``k`` being the slot, one for all of ``live`` or one per entry.  It
@@ -154,11 +142,21 @@ def initialize_states(
     """Slot-1 state: random feasible actions and first-slot activity.
 
     Live entries start inside their shrunk interval, the others anywhere in
-    their bounds.  ``counted`` ``index_mode`` keeps activation counts.
+    their bounds.  ``counted`` ``index_mode`` keeps activation counts.  Every
+    node's shrunk interval (:func:`_shrunk_interval`, one-ulp nudge
+    included) must be nonempty at the largest step, so that no slot meets
+    an empty one.
     """
     if index_mode not in get_args(IndexMode):
         raise ConfigError(f"unknown index mode {index_mode!r}")
-    validate_schedule_fits_bounds(schedule, pert, bounds)
+    try:
+        _shrunk_interval(bounds.lower, bounds.upper, pert.alpha_phi, schedule.gamma(1))
+    except ConfigError:
+        worst = pert.alpha_phi * schedule.gamma(1)
+        half = float(np.min(bounds.upper - bounds.lower)) / 2.0
+        raise ConfigError(
+            f"alpha_phi * gamma(1) = {worst} must be < half the narrowest action interval "
+            f"({half}) by more than an ulp; shrink gamma0 or widen the bounds") from None
     shape = (batch, bounds.n_nodes)
     live = sample_activity(netcfg, rngs["activity"], batch)
     entries = (live.batch_idx, live.node_idx)

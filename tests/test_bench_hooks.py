@@ -55,3 +55,12 @@ def test_step_index_counter_reads_live_third():
     from dosp.optimizer import sample_step_index
 
     assert list(inspect.signature(sample_step_index).parameters)[2] == "live"
+
+
+def test_rows_counter_reads_actions_second_and_samples_fourth():
+    # the tracer's Monte-Carlo row counter reads actions.shape[0] * n_samples
+    # from these positions; a moved parameter would zero the rows figure
+    from dosp.harness import eval_F_batch
+
+    params = list(inspect.signature(eval_F_batch).parameters)
+    assert params[1] == "actions" and params[3] == "n_samples"

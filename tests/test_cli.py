@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dosp import ConfigError, StepSizeSchedule, optimizer
+from dosp import ActionBounds, ConfigError, StepSizeSchedule, optimizer
 from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
 from dosp.harness import ExperimentConfig, OptimumResult, save_optimum
@@ -286,6 +286,13 @@ def test_sweep_list_valued_key(tmp_path, capsys):
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     path = _write_config(tmp_path, _small_cfg())
     assert main(["sweep", "--config", path, "--vary", "network.nope=1,2"]) == 2
+    out = tmp_path / "out"
+    for vary, reason in (("foo", "--vary expects <dotted.param>=<v1,v2,...>"),
+                         ("nosuch.key=1", "unknown config section 'nosuch' in 'nosuch.key'")):
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(out), "--vary", vary]) == 2
+        assert capsys.readouterr().err == f"config error: {reason}\n"
+        assert not out.exists()
 
 
 def test_vary_path_below_a_value_is_config_error(tmp_path, capsys):
@@ -381,6 +388,23 @@ def test_schedule_wider_than_the_bounds_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: alpha_phi * gamma(1) = 4.0 must be < half")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_schedule_one_ulp_short_of_the_bounds_is_config_error(tmp_path, capsys):
+    # gamma(1) = 1 - 2**-53 is below half the width of [0, 2], but [gamma(1),
+    # 2 - gamma(1)] is empty once each end moves one ulp inward.  At this seed
+    # no slot draws the step index 1, so only the start-up check refuses it.
+    cfg = _small_cfg(n_nodes=1, q_activity=0.01, gamma0=1 - 2**-53, horizon=3000,
+                     replications=1, seed=0)
+    cfg = dataclasses.replace(cfg, bounds=ActionBounds.uniform(1, 0.0, 2.0))
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: alpha_phi * gamma(1) = 0.9999999999999999 must be < half")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -588,6 +612,16 @@ def test_bounds_power_model_sampled_constants(tmp_path, capsys):
     assert rc == 0
     assert (out / "bounds.csv").exists()
     assert "note: alpha_F, alpha_G, L estimated by sampling" in capsys.readouterr().out
+
+
+def test_bounds_without_a_known_optimum_is_config_error(tmp_path, capsys):
+    # the power model has no closed-form optimum, and no cache directory is given
+    path = os.path.join(CONFIGS, "power_actions_single_run.yaml")
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", path, "--kmax", "2000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bounds need a known optimum; run solve-optimum first\n")
+    assert not out.exists()
 
 
 def test_bounds_power_model_without_strong_concavity(tmp_path, capsys):

@@ -114,7 +114,11 @@ class TestUnbiasedness:
         assert variances[-1] == pytest.approx(0.0, abs=1e-18)
 
     def test_requires_an_active_node(self):
-        model, a_hat, _, env = self._fixed_world()
+        model, a_hat, live, env = self._fixed_world()
         with pytest.raises(ValueError):
             mc_check_unbiasedness(model, a_hat, ActiveSet.from_mask(np.zeros((1, 10), bool)),
                                   env, 0.5, 0.1, 10, RngStream(6, 1).generator())
+        # node 2 is not live in the fixed world
+        with pytest.raises(ValueError, match="^reference node 2 is inactive$"):
+            mc_check_unbiasedness(model, a_hat, live, env, 0.5, 0.1, 10,
+                                  RngStream(6, 1).generator(), node=2)

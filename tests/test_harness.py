@@ -48,6 +48,12 @@ from oracles import (reference_avg_gradient, reference_constants_sample,
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
+def _engine_states(cfg, **kwargs):
+    """``initialize_states`` on the sections of ``cfg``, past its own checks."""
+    return initialize_states(cfg.bounds, cfg.schedule, cfg.perturbation, cfg.network,
+                             cfg.replications, role_streams(cfg.seed), **kwargs)
+
+
 class TestConfigSerialization:
     def test_yaml_round_trip_is_exact(self, tmp_path):
         cfg = quadratic_config(n_nodes=7, horizon=123, replications=3, seed=99,
@@ -73,10 +79,11 @@ class TestConfigSerialization:
         (lambda: quadratic_config(n_nodes=4, algorithm="dosp-s"), "algorithm"),
         (lambda: quadratic_config(n_nodes=4, baseline_step="gamma"), "baseline_step"),
         (lambda: quadratic_config(n_nodes=4, index_mode="count"), "index_mode"),
+        (lambda: _engine_states(quadratic_config(n_nodes=4), index_mode="countd"), "index mode"),
         (lambda: quadratic_config(n_nodes=4, divergence="requre"), "divergence"),
         (lambda: quadratic_config(n_nodes=4, horizon=2.5), "horizon"),
     ], ids=["activity", "noise", "fading", "perturbation-kind", "model-kind", "algorithm",
-            "baseline-step", "index-mode", "divergence", "horizon"])
+            "baseline-step", "index-mode", "engine-index-mode", "divergence", "horizon"])
     def test_config_built_in_python_rejects_a_misspelt_value(self, build, named):
         # a config that does not come through from_dict gets the same checks
         with pytest.raises(ConfigError, match=named):
@@ -404,7 +411,7 @@ class TestMonteCarloChunks:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_worker_draw_ahead_is_bounded(self):
+    def test_worker_draw_ahead_is_bounded(self, monkeypatch):
         # power-repro's record: 20 action rows x 2000 samples, N = 50, q_a = 0.05,
         # 16 chunks of 2632 rows, all drawn ahead.  tracemalloc: the chunks hold
         # 10.2 MB beside the activity's 1.9 MB, peak 12.6 MB (numpy 2.4).  A
@@ -412,31 +419,51 @@ class TestMonteCarloChunks:
         # of twice the size.  The bound on the chunks allows 1.5 times that.
         model = PowerControlModel(50)
         net = NetworkConfig(50, 0.05, 1.0)
-        drawn = []
+        drawn, mc_draws = [], harness._mc_draws
 
-        def counted(draws):
-            for item in draws:
-                drawn.append(None)
-                yield item
+        def counted(*args):
+            live, chunks = mc_draws(*args)
 
+            def each():
+                for chunk in chunks:
+                    drawn.append(None)
+                    yield chunk
+            return live, each()
+
+        class WorkerEnd:
+            """The worker's end of the pipe, run in this process: it hands
+            over the actions once the worker has drawn ahead."""
+
+            def recv(self):
+                self.peak, self.ahead = tracemalloc.get_traced_memory()[1], len(drawn)
+                tracemalloc.stop()
+                return actions
+
+            def send(self, reply):
+                self.reply = reply
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(harness, "_mc_draws", counted)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)  # keep pytest's handler
         for rows, chunks in ((40_000, 16), (80_000, 31)):
             live = sample_activity(net, np.random.default_rng(6), rows)
             activity = live.batch_idx.nbytes + live.node_idx.nbytes + live.offsets.nbytes
+            actions = np.random.default_rng(5).uniform(-12.0, 12.0, (rows // 2000, 50))
             rng, twin = np.random.default_rng(6), np.random.default_rng(6)
             drawn.clear()
+            end = WorkerEnd()
             tracemalloc.start()
             try:
-                ahead = harness._draw_ahead(counted(harness._mc_draws(model, net, rows, rng)))
-                peak = tracemalloc.get_traced_memory()[1]
+                harness._f_worker(end, end, model, net, 2000, rng, rows, 1)
             finally:
                 tracemalloc.stop()
-            assert len(drawn) == 1 + min(chunks, harness._MC_AHEAD_CHUNKS)
-            assert peak - activity < 16e6
+            assert end.ahead == min(chunks, harness._MC_AHEAD_CHUNKS)
+            assert end.peak - activity < 16e6
             # the rest of a record larger than the cap is drawn at its actions
-            actions = np.random.default_rng(5).uniform(-12.0, 12.0, (rows // 2000, 50))
-            got = eval_F_batch(model, actions, net, 2000, rng, ahead)
-            assert len(drawn) == 1 + chunks
-            for g, w in zip(got, eval_F_batch(model, actions, net, 2000, twin)):
+            assert len(drawn) == chunks
+            for g, w in zip(end.reply, eval_F_batch(model, actions, net, 2000, twin)):
                 np.testing.assert_array_equal(g, w)
             assert rng.random() == twin.random()
 
@@ -518,19 +545,19 @@ class TestFRecordsWorker:
             assert multiprocessing.active_children() == []
 
     def test_worker_draws_each_record_once(self, tmp_path, monkeypatch):
-        # a forked worker's counters never reach the parent: each draw ahead
-        # leaves a file; the third of a run stopped after record 2 would take
-        # a minute, and close() must not wait for it
-        draw_ahead = harness._draw_ahead
+        # a forked worker's counters never reach the parent: each record's
+        # draw leaves a file; the third of a run stopped after record 2 would
+        # take a minute, and close() must not wait for it
+        mc_draws = harness._mc_draws
 
-        def logged(draws):
+        def logged(*args):
             calls = len(os.listdir(tmp_path))
             (tmp_path / f"draw{calls + 1}").touch()
             if stop_after_two and calls == 2:
                 time.sleep(60)
-            return draw_ahead(draws)
+            return mc_draws(*args)
 
-        monkeypatch.setattr(harness, "_draw_ahead", logged)
+        monkeypatch.setattr(harness, "_mc_draws", logged)
         stop_after_two = False
         _run_on(monkeypatch, 2, _mc_run_config("quadratic", "binomial"))
         assert len(os.listdir(tmp_path)) == 4
@@ -585,7 +612,7 @@ class TestFRecordsWorker:
             calls.append(None)
             if len(calls) == at_record:
                 raise draw_failure
-            yield from mc_draws(*args)
+            return mc_draws(*args)
 
         monkeypatch.setattr(harness, "_mc_draws", failing_draws)
         monkeypatch.setattr(harness, "run_slots", _slots_failing_after_record_2(slot_failure))

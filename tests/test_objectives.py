@@ -135,8 +135,8 @@ class TestOneEvaluationPath:
              else PowerControlModel(n, ChannelSpec(fading=kind)))
         point = _gen(14).uniform(-2.0, 2.0, n)
         for method in ("local_utilities", "global_gradient"):
-            live, values = _mc_values(getattr(m, method), point[None, :], rows,
-                                      _mc_draws(m, net, rows, _gen(15)))
+            live, chunks = _mc_draws(m, net, rows, _gen(15))
+            values = _mc_values(getattr(m, method), point[None, :], rows, live, chunks)
             rng = _gen(15)
             assert np.array_equal(sample_activity(net, rng, rows).offsets, live.offsets)
             block = slot_block(live, np.ones(live.size, dtype=np.int64), 1, m, net,

@@ -46,6 +46,8 @@ class TestStepIndex:
     def test_first_slot_active_gets_one(self):
         got = sample_step_index(1, 0.3, _live([True, True]), RngStream(0, 0).generator())
         assert got.size == 2 and np.all(got == 1)
+        with pytest.raises(ValueError, match="^slot index starts at 1$"):
+            sample_step_index(0, 0.3, _live([True, True]), RngStream(0, 0).generator())
 
     def test_inactive_gets_zero(self):
         # inactive entries are not on the live list, so they get no index
