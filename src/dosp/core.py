@@ -59,7 +59,7 @@ class StepSizeSchedule:
         the power law at non-integer points; index 0 is undefined and rejected.
         """
         ell = np.asarray(ell, dtype=float)
-        if np.any(ell < 1):
+        if np.fmin.reduce(ell, axis=None, initial=1.0) < 1:  # fmin skips nan, which passes
             raise ValueError("step-size index must be >= 1")
         out = self.beta0 * ell ** (-self.c1)
         return float(out) if out.ndim == 0 else out
@@ -67,7 +67,7 @@ class StepSizeSchedule:
     def gamma(self, ell):
         """Evaluate gamma at index ``ell`` (scalar or array, >= 1)."""
         ell = np.asarray(ell, dtype=float)
-        if np.any(ell < 1):
+        if np.fmin.reduce(ell, axis=None, initial=1.0) < 1:  # fmin skips nan, which passes
             raise ValueError("step-size index must be >= 1")
         out = self.gamma0 * ell ** (-self.c2)
         return float(out) if out.ndim == 0 else out

@@ -20,15 +20,17 @@ actions of its own live entries: each entry's arithmetic is elementwise, and
 its utility, estimate and gradient sum only over entries of its own row
 (replication and slot).  So consecutive slots in which no (replication,
 node) cell is live twice commute, and the step runs once per such run of
-slots, a *wave*, on the wave's contiguous run of entries: one sort of a
-block's cells finds its waves and ``counted`` indices (:func:`_sort_cells`),
-a :class:`WavePlan` lays the waves out, and one :class:`WaveView` slices
-each wave: the row structure that a model's evaluation reads of an
-:class:`ActiveSet`, per-node terms being in the wave's environment.  Every
-per-row sum (``bincount``) adds its terms in the same order as the one-slot
-step does, so the results are bit-identical to running the slots one by
-one, and the nodes of a slot, which read only the slot-start state, one by
-one.
+slots, a *wave*, on the wave's contiguous run of entries.  One sort of a
+block's cells finds its waves and ``counted`` indices (:func:`_sort_cells`).
+Two consecutive slots share q_a^2 * B * N live cells on average; where a
+``sampled`` block expects every slot to be its own wave, it cuts there
+unsorted (:func:`_skips_sort`).  A :class:`WavePlan` lays the waves out, and
+one :class:`WaveView` slices each wave: the row structure of an
+:class:`ActiveSet` that a model's evaluation reads, per-node terms being in
+the wave's environment.  Every per-row sum (``bincount``) adds its terms in
+the one-slot step's order, so the results are bit-identical to running the
+slots one by one, and the nodes of a slot, which read only the slot-start
+state, one by one.
 
 The learner and the baseline share the block layout and the step,
 :func:`dosp_slot`; :func:`slot_block` picks the algorithm once per block.
@@ -68,8 +70,8 @@ IndexMode = Literal["sampled", "counted"]
 # A slot block's size S keeps it within the working-set budget
 # network._BLOCK_CELLS.  A slot costs the dense (B, N) uniforms of a binomial
 # activity draw plus _ENTRY_CELLS per live entry and _PAIR_CELLS per drawn
-# pair: a block holds about 17 arrays per entry and 4 per pair at its peak
-# (tracemalloc), and the process's resident set grows by about twice that.
+# pair: at its peak a block holds about 22.5 arrays per entry (21.5 if it
+# skips the cell sort) and 6 per pair (tracemalloc, benchmark block shapes).
 # A block's rows fit in one activity chunk unless one slot alone exceeds the
 # budget.  No output depends on S except under Poisson activity.
 _ENTRY_CELLS = 32
@@ -96,9 +98,10 @@ def sample_step_index(k, q_a: float, live: ActiveSet, rng: np.random.Generator) 
     q_a), ``k`` being the slot, one for all of ``live`` or one per entry.  It
     has the law of the ``counted`` index (:func:`_sort_cells`), the node's
     own count of past active slots, which is correlated across slots."""
-    if np.any(np.asarray(k) < 1):
+    if (n := np.asarray(k) - 1).min(initial=0) < 0:  # n: the trials
         raise ValueError("slot index starts at 1")
-    return rng.binomial(np.asarray(k) - 1, q_a, size=live.size) + 1
+    step = rng.binomial(n, q_a, size=live.size)
+    return np.add(step, 1, out=step)
 
 
 def _shrunk_interval(lower: np.ndarray, upper: np.ndarray, alpha_phi: float, gamma_tilde):
@@ -167,11 +170,8 @@ def initialize_states(
     lower, upper = bounds.lower[live.node_idx], bounds.upper[live.node_idx]
     lo, hi = _shrunk_interval(lower, upper, pert.alpha_phi, schedule.gamma(1))
     actions[entries] = lo + u * (hi - lo)
-    return NodeStates(
-        actions=actions,
-        live=live,
-        activations=np.zeros(shape, dtype=np.int64) if index_mode == "counted" else None,
-    )
+    counts = np.zeros(shape, dtype=np.int64) if index_mode == "counted" else None
+    return NodeStates(actions=actions, live=live, activations=counts)
 
 
 def block_slots(netcfg: NetworkConfig, batch: int, pairwise: bool) -> int:
@@ -211,6 +211,13 @@ def _sort_cells(cells: np.ndarray, n_cells: int, counts: np.ndarray | None = Non
     return previous, indices
 
 
+def _skips_sort(netcfg: NetworkConfig, batch: int, slots: int) -> bool:
+    """Whether a ``sampled`` block skips :func:`_sort_cells` and cuts a wave at
+    every slot: when (S - 1) * (1 - q_a^2)^(B * N), the number of its pairs of
+    consecutive slots expected to share no cell, is below 1."""
+    return (slots - 1) * (1.0 - netcfg.q_activity ** 2) ** (batch * netcfg.n_nodes) < 1.0
+
+
 def _advance(states: NodeStates, k0: int, slots: int, model, netcfg: NetworkConfig,
              rngs: dict[str, np.random.Generator], bounds: ActionBounds, **algorithm) -> SlotBlock:
     """Draw the activity of slots k0+1 .. k0+slots, leave slot k0+slots
@@ -221,7 +228,8 @@ def _advance(states: NodeStates, k0: int, slots: int, model, netcfg: NetworkConf
     split = (slots - 1) * batch
     live, states.live = states.live.stack(drawn.rows(0, split)), drawn.rows(split, slots * batch)
     cells = live.batch_idx % batch * n + live.node_idx
-    previous, indices = _sort_cells(cells, batch * n, states.activations)
+    sort = states.activations is not None or not _skips_sort(netcfg, batch, slots)
+    previous, indices = _sort_cells(cells, batch * n, states.activations) if sort else (None, None)
     if indices is None:
         indices = sample_step_index(k0 + live.batch_idx // batch, netcfg.q_activity, live,
                                     rngs["index"])
@@ -457,12 +465,14 @@ def dosp_slot(a: np.ndarray, block: SlotBlock, wave: WaveView) -> np.ndarray:
 def _waves(block: SlotBlock, record_at) -> list[int]:
     """Slot boundaries of the waves of ``block``: the maximal runs of
     consecutive slots in which no cell is live twice, with a new wave at
-    every slot in ``record_at``.
+    every slot in ``record_at``; at every slot if the block :func:`_skips_sort`.
 
     Slot s joins the open wave unless the latest earlier entry of one of its
     cells lies in the wave: the slot's maximum of ``block.previous`` (junk if
     the slot is empty; the -1 past the last entry keeps it in range).
     """
+    if block.previous is None:
+        return list(range(block.slots + 1))
     latest = np.maximum.reduceat(block.previous, block.entry_at[:-1]).tolist()
     entry_at = block.entry_at.tolist()
     bounds = [0]

@@ -6,10 +6,12 @@ run goes on, so set-up time would fold into ``us_per_slot`` unnoticed; this
 test makes such a rename fail instead.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -64,3 +66,34 @@ def test_rows_counter_reads_actions_second_and_samples_fourth():
 
     params = list(inspect.signature(eval_F_batch).parameters)
     assert params[1] == "actions" and params[3] == "n_samples"
+
+
+@pytest.mark.parametrize("algorithm", ["dosp_s", "ideal_gradient"])
+def test_block_draws_call_the_hooked_step_methods(algorithm):
+    # perfbench's core.StepSizeSchedule and sample_step_index rows time these
+    # calls; a block that inlined their formulas would read "not called"
+    from dosp import harness, optimizer
+    from dosp.core import role_streams
+
+    from conftest import quadratic_config
+
+    cfg = quadratic_config(horizon=40, replications=3, algorithm=algorithm, baseline_step="beta")
+    targets = ("StepSizeSchedule.beta", "StepSizeSchedule.gamma", "sample_step_index")
+    hooks = [dataclasses.replace(hook, name=hook.target) for hook in tracer.LAYER_HOOKS
+             if hook.target in targets]
+    rngs = role_streams(cfg.seed)
+    states = optimizer.initialize_states(cfg.bounds, cfg.schedule, cfg.perturbation,
+                                         cfg.network, cfg.replications, rngs)
+    spans = tracer.Tracer()
+    try:
+        assert spans.install(hooks) == []
+        learner = algorithm == "dosp_s"
+        steps = (dict(schedule=cfg.schedule, pert=cfg.perturbation, sigma_eta=cfg.sigma_eta)
+                 if learner else dict(step_fn=harness.baseline_step_fn(cfg)))
+        optimizer._advance(states, 1, 8, harness.build_model(cfg), cfg.network, rngs,
+                           cfg.bounds, **steps)
+    finally:
+        spans.uninstall()
+    calls = Counter(span[tracer.NAME] for span in spans.spans)
+    assert calls == {"StepSizeSchedule.beta": 1, "sample_step_index": 1,
+                     **({"StepSizeSchedule.gamma": 1} if learner else {})}

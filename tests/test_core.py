@@ -22,12 +22,21 @@ class TestStepSizeSchedule:
         assert s.gamma(16) == pytest.approx(5.0, rel=1e-14)
         assert s.gamma(10_000) == pytest.approx(1.0, rel=1e-12)
 
-    def test_index_zero_rejected(self):
+    @pytest.mark.parametrize("ell", [0, np.array([0]), np.array([3, 0]), np.array([np.nan, 0.5])],
+                             ids=["scalar", "array", "later", "after-nan"])
+    def test_index_zero_rejected(self, ell):
         s = StepSizeSchedule(0.025, 10.0, 0.75, 0.25)
         with pytest.raises(ValueError):
-            s.beta(0)
+            s.beta(ell)
         with pytest.raises(ValueError):
-            s.gamma(0)
+            s.gamma(ell)
+
+    def test_empty_and_nan_indices_pass_through(self):
+        s = StepSizeSchedule(0.025, 10.0, 0.75, 0.25)
+        for step in (s.beta, s.gamma):
+            assert step(np.array([], dtype=np.int64)).shape == (0,)
+            assert np.isnan(step(np.nan))
+            assert np.isnan(step(np.array([np.nan, 2.0]))).tolist() == [True, False]
 
     @pytest.mark.parametrize("kwargs", [
         dict(beta0=0.0, gamma0=1.0, c1=0.75, c2=0.25),

@@ -46,13 +46,15 @@ class TestStepIndex:
     def test_first_slot_active_gets_one(self):
         got = sample_step_index(1, 0.3, _live([True, True]), RngStream(0, 0).generator())
         assert got.size == 2 and np.all(got == 1)
-        with pytest.raises(ValueError, match="^slot index starts at 1$"):
-            sample_step_index(0, 0.3, _live([True, True]), RngStream(0, 0).generator())
+        for k in (0, np.array([3, 0])):
+            with pytest.raises(ValueError, match="^slot index starts at 1$"):
+                sample_step_index(k, 0.3, _live([True, True]), RngStream(0, 0).generator())
 
     def test_inactive_gets_zero(self):
         # inactive entries are not on the live list, so they get no index
-        got = sample_step_index(10, 0.3, _live([False]), RngStream(0, 0).generator())
-        assert got.size == 0
+        for k in (10, np.array([], dtype=np.int64)):
+            got = sample_step_index(k, 0.3, _live([False]), RngStream(0, 0).generator())
+            assert got.shape == (0,)
 
     def test_sampled_mean(self):
         rng = RngStream(1, 0).generator()
@@ -449,6 +451,48 @@ class TestSlotBlocks:
         assert blocks[0] == (slots or cfg.horizon)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[1] == second[1]
+
+
+class TestSortSkip:
+    """A ``sampled`` block that expects every slot to be its own wave cuts
+    there without the cell sort."""
+
+    # the benchmark workloads: network, replications, and whether pairs are drawn
+    SHAPES = {
+        "divergence-rate": (NetworkConfig(20, 0.1, 0.1), 50, True),
+        "power-repro": (NetworkConfig(50, 0.05, 1.0), 20, True),
+        "wide-poisson": (NetworkConfig(1000, 0.01, 1.0, activity="poisson"), 10, False),
+        "power-single": (NetworkConfig(50, 0.05, 1.0), 1, True),
+    }
+
+    def test_only_divergence_rate_skips_the_sort(self):
+        skips = {name: optimizer._skips_sort(net, b, optimizer.block_slots(net, b, pairwise))
+                 for name, (net, b, pairwise) in self.SHAPES.items()}
+        assert skips == {"divergence-rate": True, "power-repro": False,
+                         "wide-poisson": False, "power-single": False}
+        # every node live in every slot: no two slots can share a wave
+        assert optimizer._skips_sort(NetworkConfig(3, 1.0, 1.0), 2, 16)
+
+    @pytest.mark.parametrize("index_mode", ["sampled", "counted"])
+    def test_divergence_rate_sorts_only_for_counted_indices(self, index_mode, monkeypatch):
+        # the divergence-rate shape in 20-slot blocks; counted indices are the sort's ranks
+        cfg = quadratic_config(q_reception=0.1, horizon=100, replications=50,
+                               index_mode=index_mode)
+        calls = Counter()
+
+        def counting(name):
+            call = getattr(optimizer, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            return counted
+
+        for name in ("_advance", "_sort_cells"):
+            monkeypatch.setattr(optimizer, name, counting(name))
+        run_experiment(cfg)
+        assert calls["_advance"] == 5
+        assert calls["_sort_cells"] == (5 if index_mode == "counted" else 0)
 
 
 def _planted_run(monkeypatch, net, batch, plant, record_at=()):

@@ -100,6 +100,12 @@ def test_waves_match_slots_run_one_by_one(cfg):
         # the same blocks, each slot its own run
         with mock.patch.object(optimizer, "_waves", _one_slot_waves):
             runs.append(_outputs(cfg, os.path.join(tmp, "one-slot-waves")))
+        # the same, through the engine's own skip of the cell sort (sampled blocks only)
+        sort = mock.Mock(wraps=optimizer._sort_cells)
+        with (mock.patch.object(optimizer, "_skips_sort", lambda *args: True),
+              mock.patch.object(optimizer, "_sort_cells", sort)):
+            runs.append(_outputs(cfg, os.path.join(tmp, "sort-skipped")))
+        assert sort.called == (cfg.index_mode == "counted")
         if cfg.network.activity == "binomial":
             # blocks of one slot draw the same activity as any blocks
             with mock.patch.object(optimizer, "block_slots", lambda *args: 1):
