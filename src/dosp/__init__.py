@@ -1,5 +1,12 @@
 """Distributed derivative-free stochastic optimization over sparse-activity
 networks: simulator, per-node learner, and rate-bound analysis toolkit.
+
+The package root exports the value types a config is built from
+(``ActionBounds``, ``NetworkConfig``, ``PerturbationSpec``, ``RngStream``,
+``StepSizeSchedule``, ``ModelConstants``) and the three error classes
+(``ConfigError``, ``FeasibilityError``, ``NumericError``).  Everything else is
+imported from its own module: ``dosp.harness`` for experiments,
+``dosp.optimizer`` for the slot engine, ``dosp.analysis`` for the rate bounds.
 """
 
 from .core import (
@@ -10,46 +17,9 @@ from .core import (
     PerturbationSpec,
     RngStream,
     StepSizeSchedule,
-    role_streams,
 )
-from .network import ActiveSet, ChannelSpec, NetworkConfig
-from .objectives import PowerControlModel, QuadraticModel
-from .estimator import estimate_global_utility, mc_check_unbiasedness, sample_reception
-from .optimizer import (
-    NodeStates,
-    SlotBlock,
-    dosp_slot,
-    initialize_states,
-    project,
-    run_slots,
-    sample_step_index,
-    slot_block,
-)
-from .analysis import (
-    BiasDiagnostics,
-    ModelConstants,
-    RateBoundParams,
-    bias_diagnostics,
-    binomial_averages,
-    chernoff_step_bound,
-    compute_K0,
-    rate_envelope,
-    rate_params,
-    recurrence_envelope,
-    step_moments,
-    verify_asymptotic_bounds,
-    verify_lemma4,
-)
-from .harness import (
-    ExperimentConfig,
-    TrajectoryDataset,
-    build_model,
-    emit_outputs,
-    fit_loglog_slope,
-    model_constants,
-    run_experiment,
-    solve_optimum,
-)
+from .network import NetworkConfig
+from .analysis import ModelConstants
 
 __version__ = "0.1.0"
 

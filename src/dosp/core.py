@@ -58,18 +58,19 @@ class StepSizeSchedule:
         Real-valued arguments are accepted so the analysis module can evaluate
         the power law at non-integer points; index 0 is undefined and rejected.
         """
-        ell = np.asarray(ell, dtype=float)
-        if np.fmin.reduce(ell, axis=None, initial=1.0) < 1:  # fmin skips nan, which passes
-            raise ValueError("step-size index must be >= 1")
-        out = self.beta0 * ell ** (-self.c1)
-        return float(out) if out.ndim == 0 else out
+        return self._power_law(self.beta0, self.c1, ell)
 
     def gamma(self, ell):
         """Evaluate gamma at index ``ell`` (scalar or array, >= 1)."""
+        return self._power_law(self.gamma0, self.c2, ell)
+
+    @staticmethod
+    def _power_law(scale: float, exponent: float, ell):
+        """``scale * ell**-exponent``, a float for a scalar ``ell``."""
         ell = np.asarray(ell, dtype=float)
         if np.fmin.reduce(ell, axis=None, initial=1.0) < 1:  # fmin skips nan, which passes
             raise ValueError("step-size index must be >= 1")
-        out = self.gamma0 * ell ** (-self.c2)
+        out = scale * ell ** (-exponent)
         return float(out) if out.ndim == 0 else out
 
 
@@ -81,7 +82,8 @@ class PerturbationSpec:
     """Distribution of the exploration perturbations.
 
     Draws are i.i.d., zero-mean, bounded by ``alpha_phi`` almost surely and
-    have second moment ``sigma_phi_sq``.  Two kinds are supported:
+    have second moment ``sigma_phi_sq``; both follow from ``kind`` and
+    ``scale``.  Two kinds are supported:
 
     - ``rademacher``: +-1 with equal probability (alpha_phi = sigma_phi_sq = 1);
     - ``scaled_symmetric``: uniform on [-scale, scale], which exercises the
@@ -90,31 +92,33 @@ class PerturbationSpec:
 
     kind: PerturbationKind
     scale: float
-    alpha_phi: float
-    sigma_phi_sq: float
 
     @classmethod
     def rademacher(cls, scale: float = 1.0) -> "PerturbationSpec":
-        if scale != 1.0:
-            raise ConfigError(f"a rademacher perturbation has scale 1, got {scale!r}")
-        return cls(kind="rademacher", scale=1.0, alpha_phi=1.0, sigma_phi_sq=1.0)
+        return cls("rademacher", scale)
 
     @classmethod
     def scaled_symmetric(cls, scale: float) -> "PerturbationSpec":
-        if not scale > 0:
-            raise ConfigError(f"scale must be positive, got {scale}")
-        return cls(
-            kind="scaled_symmetric",
-            scale=float(scale),
-            alpha_phi=float(scale),
-            sigma_phi_sq=scale * scale / 3.0,
-        )
+        return cls("scaled_symmetric", scale)
 
     def __post_init__(self):
-        if self.kind not in get_args(PerturbationKind):  # the constructors below, by name
+        if self.kind not in get_args(PerturbationKind):  # the constructors above, by name
             raise ConfigError(f"unknown perturbation kind {self.kind!r}")
-        if not (self.alpha_phi > 0 and self.sigma_phi_sq > 0):
-            raise ConfigError("alpha_phi and sigma_phi_sq must be positive")
+        if self.kind == "rademacher" and self.scale != 1.0:
+            raise ConfigError(f"a rademacher perturbation has scale 1, got {self.scale!r}")
+        if not self.scale > 0:
+            raise ConfigError(f"scale must be positive, got {self.scale}")
+        object.__setattr__(self, "scale", float(self.scale))
+
+    @property
+    def alpha_phi(self) -> float:
+        """Almost-sure bound of a draw: the scale (1 for rademacher)."""
+        return self.scale
+
+    @property
+    def sigma_phi_sq(self) -> float:
+        """Second moment of a draw."""
+        return 1.0 if self.kind == "rademacher" else self.scale * self.scale / 3.0
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw perturbations; independent across calls."""

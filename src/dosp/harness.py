@@ -118,8 +118,7 @@ class ExperimentConfig:
             "model": {"kind": self.model_kind, **self.model_params},
             "network": asdict(self.network),
             "schedule": asdict(self.schedule),
-            "perturbation": {"kind": self.perturbation.kind,
-                             "scale": self.perturbation.scale},
+            "perturbation": asdict(self.perturbation),
             "bounds": {
                 "lower": float(lower[0]) if uniform else [float(v) for v in lower],
                 "upper": float(upper[0]) if uniform else [float(v) for v in upper],
@@ -860,8 +859,8 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
 
     if dataset.traces:
         rep = dataset.traces["replication"]
-        columns = [dataset.traces[name] for name in TRACE_COLUMNS[1:]]
-        columns.insert(2, np.ones(rep.size, dtype=np.int64))  # delta
+        traces = {**dataset.traces, "delta": np.ones(rep.size, dtype=np.int64)}
+        columns = [traces[name] for name in TRACE_HEADER]
         # one pass over the rows sorted by replication, each in slot order; each
         # replication's file takes the next lines
         lines = _csv_lines(columns, np.argsort(rep, kind="stable"))

@@ -153,7 +153,7 @@ def initialize_states(
     if index_mode not in get_args(IndexMode):
         raise ConfigError(f"unknown index mode {index_mode!r}")
     try:
-        _shrunk_interval(bounds.lower, bounds.upper, pert.alpha_phi, schedule.gamma(1))
+        lo, hi = _shrunk_interval(bounds.lower, bounds.upper, pert.alpha_phi, schedule.gamma(1))
     except ConfigError:
         worst = pert.alpha_phi * schedule.gamma(1)
         half = float(np.min(bounds.upper - bounds.lower)) / 2.0
@@ -167,9 +167,7 @@ def initialize_states(
     u = actions[entries]
     actions *= bounds.upper - bounds.lower
     actions += bounds.lower
-    lower, upper = bounds.lower[live.node_idx], bounds.upper[live.node_idx]
-    lo, hi = _shrunk_interval(lower, upper, pert.alpha_phi, schedule.gamma(1))
-    actions[entries] = lo + u * (hi - lo)
+    actions[entries] = lo[live.node_idx] + u * (hi - lo)[live.node_idx]
     counts = np.zeros(shape, dtype=np.int64) if index_mode == "counted" else None
     return NodeStates(actions=actions, live=live, activations=counts)
 

@@ -35,7 +35,7 @@ from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import assert_feasible, slot_block
 from dosp.core import role_streams
 
-from conftest import power_config, quadratic_config, reference_schedule
+from reference_configs import power_config, quadratic_config, reference_schedule
 from oracles import mask_of, mc_gradient_bias, scatter
 
 RESULTS = []

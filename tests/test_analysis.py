@@ -28,7 +28,7 @@ from dosp.analysis import (
 )
 from dosp.objectives import QuadraticModel
 
-from conftest import reference_schedule
+from reference_configs import reference_schedule
 from oracles import (
     averaged_steps,
     averaged_steps_grid,
@@ -466,7 +466,7 @@ def _divergence_rate_params(**changes):
     6000, with ``changes`` made to its model constants."""
     from dosp.harness import build_model
 
-    from conftest import quadratic_config
+    from reference_configs import quadratic_config
 
     cfg = quadratic_config(q_reception=0.1, horizon=6000)
     model = build_model(cfg)

@@ -75,7 +75,7 @@ def test_block_draws_call_the_hooked_step_methods(algorithm):
     from dosp import harness, optimizer
     from dosp.core import role_streams
 
-    from conftest import quadratic_config
+    from reference_configs import quadratic_config
 
     cfg = quadratic_config(horizon=40, replications=3, algorithm=algorithm, baseline_step="beta")
     targets = ("StepSizeSchedule.beta", "StepSizeSchedule.gamma", "sample_step_index")

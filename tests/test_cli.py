@@ -16,7 +16,7 @@ from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
 from dosp.harness import ExperimentConfig, OptimumResult, save_optimum
 
-from conftest import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dosp import ActionBounds, ConfigError, PerturbationSpec, RngStream, StepSizeSchedule
 from dosp.core import role_streams
+from dosp.harness import ExperimentConfig
 
 from oracles import reseeded_role_streams
+from reference_configs import quadratic_config
 
 
 class TestStepSizeSchedule:
@@ -98,7 +102,18 @@ class TestPerturbationSpec:
         with pytest.raises(ConfigError):
             PerturbationSpec.scaled_symmetric(0.0)
         with pytest.raises(ConfigError):
-            PerturbationSpec(kind="cauchy", scale=1.0, alpha_phi=1.0, sigma_phi_sq=1.0)
+            PerturbationSpec(kind="cauchy", scale=1.0)
+        # the moments follow from kind and scale, so a +-1 draw cannot claim alpha_phi = 2
+        with pytest.raises(ConfigError, match="a rademacher perturbation has scale 1, got 2.0"):
+            PerturbationSpec("rademacher", 2.0)
+
+    def test_direct_spec_round_trips_through_config(self):
+        spec = PerturbationSpec("scaled_symmetric", 0.5)
+        assert (spec.alpha_phi, spec.sigma_phi_sq) == (0.5, 0.5 * 0.5 / 3.0)
+        cfg = dataclasses.replace(quadratic_config(horizon=10), perturbation=spec)
+        back = ExperimentConfig.from_dict(cfg.to_dict()).perturbation
+        assert back == spec
+        assert (back.alpha_phi, back.sigma_phi_sq) == (spec.alpha_phi, spec.sigma_phi_sq)
 
 
 class TestActionBounds:

@@ -17,7 +17,7 @@ from dosp.cli import main
 from dosp.harness import (
     ExperimentConfig, build_model, model_constants, run_experiment, write_csv)
 
-from conftest import quadratic_config
+from reference_configs import quadratic_config
 from oracles import reference_bounds_csv, reference_csv, reference_outputs
 
 SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 2.0**62)

@@ -39,7 +39,7 @@ from dosp.network import ChannelSpec, NetworkConfig, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import initialize_states
 
-from conftest import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config
 from oracles import (reference_avg_gradient, reference_constants_sample,
                      reference_estimate_alpha_G, reference_estimate_lipschitz,
                      reference_eval_F_batch, reference_model_constants,

@@ -12,7 +12,7 @@ from dosp.network import ActiveSet, ChannelSpec, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import WavePlan, slot_block
 
-from conftest import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config
 from oracles import (dense_channel, dense_gradient, dense_hessian, dense_utilities,
                      mask_of, reference_estimate_lipschitz, scatter)
 

@@ -29,7 +29,7 @@ from dosp.optimizer import (
     slot_block,
 )
 
-from conftest import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config
 from oracles import CountingGenerator, block_slot, mask_of, reseeded_role_streams
 
 
