@@ -19,10 +19,10 @@ from .network import NetworkConfig, sample_activity
 from .optimizer import sample_step_index
 
 # Largest slot index an average is taken at.  The cost grows as k^1.5: on a
-# 2-vCPU VM, `dosp bounds --kmax` (q_a = 0.1) took 13.5 s at 1e5, 53 s at 3e5.
+# 2-vCPU VM, `dosp bounds --kmax` (q_a = 0.1) took 4.5 s at 1e5, 25 s at 3e5.
 MAX_AVERAGE_K = 300_000
 MIN_RATE_K = 4  # smallest k_max that rate_params accepts
-_CHUNK_WEIGHTS = 2**11  # binomial weights evaluated per chunk of slots
+_CHUNK_WEIGHTS = 2**12  # binomial weights evaluated per chunk of slots
 # The bias envelope and the rate tail split the index law at (1 - XI) times
 # its mean; the tail's ratio dominators carry the factor 1 + XI_PRIME.
 XI = XI_PRIME = 0.5
@@ -63,11 +63,11 @@ def binomial_averages(x, ks, q_a: float) -> np.ndarray:
     ell = 1 + Bin(k-1, q_a), so the weight of ell is C(k-1, ell-1) *
     q_a^ell * (1-q_a)^(k-ell) and the weights sum to q_a.  Only a window of
     mean +- (12 sigma + 40) activation counts is summed; the weights left out
-    are below e^-70 of the largest.  ``x`` is a vectorized evaluator on
-    integer index arrays and may return several columns, shape (m, c); the
-    result then has shape (len(ks), c).  The slots are evaluated in chunks of
-    consecutive slots holding about ``_CHUNK_WEIGHTS`` weights, so the weights
-    held at once do not grow with max(ks).
+    are below e^-70 of the largest.  ``x``, vectorized and elementwise on
+    integer index arrays, may return several columns, shape (m, c); the result
+    is then (len(ks), c).  It is called once, on every index the windows cover
+    (about q_a * max(ks) plus one window, at most ``MAX_AVERAGE_K + 1``); the
+    slots are summed in chunks of about ``_CHUNK_WEIGHTS`` weights.
     """
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
     if ks.size and ks.min() < 1:
@@ -77,15 +77,17 @@ def binomial_averages(x, ks, q_a: float) -> np.ndarray:
     if q_a == 1.0 or ks.size == 0:
         return np.asarray(x(ks), dtype=float)
     n = ks - 1
-    mean = n * q_a
-    sd = np.sqrt(n * q_a * (1.0 - q_a))
+    mean, sd = n * q_a, np.sqrt(n * q_a * (1.0 - q_a))
     lo = np.maximum(0, (mean - 12.0 * sd - 40.0).astype(np.int64))
     hi = np.minimum(n, (mean + 12.0 * sd + 40.0).astype(np.int64))
     sizes = hi - lo + 1
     ends = np.cumsum(sizes)
     log_fact = _log_factorials(int(n.max()))
     log_q, log_1mq = math.log(q_a), math.log1p(-q_a)
-    out = None
+    t_min = int(lo.min())  # the table holds x at t + 1 for every activation count t
+    table = np.asarray(x(np.arange(t_min + 1, int(hi.max()) + 2)), dtype=float)
+    table = np.ascontiguousarray(table.T)  # one row per column of x
+    out = np.empty(table.shape[:-1] + (ks.size,))
     first = 0
     while first < ks.size:
         # the slots whose windows fit in one chunk from here, and at least one
@@ -95,17 +97,15 @@ def binomial_averages(x, ks, q_a: float) -> np.ndarray:
         # trial count n and activation count t of every weight in the chunk
         nc = np.repeat(n[first:last], sizes[first:last])
         t = np.arange(nc.size) + np.repeat(lo[first:last] - starts, sizes[first:last])
-        # rate_params' eps1 amplifies a weight's rounding about 1.2e4-fold, so
-        # log_fact must match Cephes' gammaln bit for bit; other arithmetic here
-        # (a pmf recurrence, math.lgamma) moves eps1 ~1e-7
+        # eps1 amplifies a weight's rounding ~1.2e4-fold, so log_fact must be
+        # Cephes' gammaln bit for bit (a pmf recurrence or math.lgamma moves eps1 ~1e-7)
         w = np.exp(log_fact[nc] - log_fact[t] - log_fact[nc - t]
                    + (t + 1) * log_q + (nc - t) * log_1mq)
-        vals = np.asarray(x(t + 1), dtype=float)
-        if out is None:
-            out = np.empty((ks.size,) + vals.shape[1:])
-        out[first:last] = np.add.reduceat((vals.T * w).T, starts, axis=0)
+        vals = np.take(table, t - t_min, axis=-1)
+        vals *= w
+        out[..., first:last] = np.add.reduceat(vals, starts, axis=-1)
         first = last
-    return out
+    return out.T
 
 
 def step_moments(schedule: StepSizeSchedule, ks, q_a: float) -> dict[str, np.ndarray]:
@@ -231,7 +231,7 @@ def bias_diagnostics(
     therefore dominates ``w_bound`` at every slot.  ``b_bound`` scales by
     the curvature and perturbation constants.
     """
-    if alpha_G <= 0:
+    if not alpha_G > 0:  # a nan fails too
         raise ValueError("alpha_G must be positive")
     ks = np.asarray(k_grid, dtype=int)
     q_a = netcfg.q_activity
@@ -266,8 +266,12 @@ def compute_K0(
     |lower_i - a*_i|); exists for any strictly interior optimum.
     """
     a_star = np.asarray(a_star, dtype=float)
-    if np.any(a_star <= bounds.lower) or np.any(a_star >= bounds.upper):
-        raise ValueError("the optimum must be strictly interior to the bounds")
+    outside = np.flatnonzero(~((bounds.lower < a_star) & (a_star < bounds.upper)))  # nan too
+    if outside.size:
+        i = int(outside[0])
+        raise ConfigError(f"the optimum must be strictly interior to the bounds: node {i} "
+                          f"has a* = {a_star[i]:.6g}, outside ({bounds.lower[i]:.6g}, "
+                          f"{bounds.upper[i]:.6g})")
     thr = float(np.max(np.maximum(np.abs(bounds.upper - a_star),
                                   np.abs(bounds.lower - a_star))))
     if pert.alpha_phi * schedule.gamma(1) <= thr:
@@ -380,8 +384,9 @@ def rate_params(
     eps2 and eps4 take the larger of grid maximum and tail value; otherwise
     only the grid maxima hold.  The initial divergence d0 is the mean
     squared width of the bounds.  An
-    alpha_F that is nan or not positive leaves both envelopes invalid, and
-    ``status`` names it.
+    alpha_F that is nan or not positive, or an alpha_G, L, sigma_eta or
+    sigma_a^2 that is not finite and non-negative, leaves both envelopes
+    invalid, and ``status`` names it.
     """
     if k_max < MIN_RATE_K:
         raise ValueError("k_max too small")
@@ -389,8 +394,13 @@ def rate_params(
     lam = netcfg.expected_active
 
     A = 2.0 * pert.sigma_phi_sq * consts.alpha_F
-    # the recurrence contracts only for A > 0, that is alpha_F > 0
+    # the recurrence contracts only for A > 0, that is alpha_F > 0, and B and C
+    # bound its drive and injection only when finite and non-negative
     alpha_F_ok = math.isfinite(consts.alpha_F) and consts.alpha_F > 0
+    bad = [] if alpha_F_ok else [f"alpha_F = {consts.alpha_F:.3g} is not positive and finite"]
+    bad += [f"{name} = {getattr(consts, name):.3g} is not finite and non-negative"
+            for name in ("alpha_G", "lipschitz", "sigma_eta", "sigma_a_sq")
+            if not 0.0 <= getattr(consts, name) < math.inf]
     B = consts.alpha_G * pert.alpha_phi**3
     K0 = compute_K0(schedule, pert, bounds, a_star)
 
@@ -445,8 +455,8 @@ def rate_params(
 
     # The grid maxima are exact for finite-horizon statements; asymptotically
     # eps2 stays finite iff c1 >= 3*c2 and eps4 iff c1 <= 3*c2.
-    env_a_valid = alpha_F_ok and eps1 < A and schedule.c1 >= 3 * schedule.c2
-    env_b_valid = alpha_F_ok and eps3 < A and schedule.c1 <= 3 * schedule.c2
+    env_a_valid = not bad and eps1 < A and schedule.c1 >= 3 * schedule.c2
+    env_b_valid = not bad and eps3 < A and schedule.c1 <= 3 * schedule.c2
 
     vartheta = None
     if env_a_valid:
@@ -466,8 +476,8 @@ def rate_params(
 
     if env_a_valid or env_b_valid:
         status = "applicable"
-    elif not alpha_F_ok:
-        status = f"inapplicable: alpha_F = {consts.alpha_F:.3g} is not positive and finite"
+    elif bad:
+        status = "inapplicable: " + "; ".join(bad)
     else:
         reasons = []
         if schedule.c1 >= 3 * schedule.c2 and eps1 >= A:

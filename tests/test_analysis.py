@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy import stats
 from scipy.special import gammaln
 
 from dosp import NetworkConfig, PerturbationSpec, StepSizeSchedule
-from dosp.core import ActionBounds, RngStream
+from dosp import analysis
+from dosp.core import ActionBounds, ConfigError, RngStream
 from dosp.analysis import (
     MAX_AVERAGE_K,
     ModelConstants,
@@ -156,6 +158,10 @@ class TestAveragedSteps:
         assert bg_blocks[1] > 0.9 * bg_blocks[0]
 
 
+# windows wider than one chunk, out-of-order and repeated slots
+SPARSE_GRID = np.array([100_000, 1, 2049, 7, 50_000, 2050, 7, 30_000])
+
+
 class TestAveragesTable:
     """The one table of averages against the per-slot reference in ``oracles``.
 
@@ -184,9 +190,8 @@ class TestAveragesTable:
             np.testing.assert_allclose(got[:, j], ref, rtol=1e-13, atol=0)
 
     def test_sparse_unsorted_grid_matches_per_slot_reference(self):
-        # windows wider than one chunk, out-of-order and repeated slots
         s = reference_schedule()
-        ks = np.array([100_000, 1, 2049, 7, 50_000, 2050, 7, 30_000])
+        ks = SPARSE_GRID
         got = step_moments(s, ks, 0.5)
         ref = averaged_steps_grid(s, ks, 0.5)
         for name in ref:
@@ -208,6 +213,34 @@ class TestAveragesTable:
         ref = averaged_steps_grid(s, ks, 1.0)
         for name in ref:
             np.testing.assert_array_equal(got[name], ref[name], err_msg=name)
+
+    @pytest.mark.parametrize("ks", [np.arange(1, 3001), SPARSE_GRID], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("x, cols", [
+        (lambda l: 1.0 / l, ()),
+        (lambda l: np.stack([l.astype(float), np.sqrt(l)], axis=-1), (2,)),
+    ], ids=["1-D", "2-D"])
+    def test_chunk_size_leaves_every_bit(self, monkeypatch, ks, x, cols):
+        # each slot's weights and sum do not depend on which chunk holds them
+        got = []
+        for chunk in (1, 2**12, 2**20):
+            monkeypatch.setattr(analysis, "_CHUNK_WEIGHTS", chunk)
+            got.append(binomial_averages(x, ks, 0.3))
+        assert got[0].shape == (ks.size, *cols)
+        for other in got[1:]:
+            np.testing.assert_array_equal(other, got[0])
+
+    @pytest.mark.parametrize("ks", [np.arange(1, 3001), SPARSE_GRID], ids=["dense", "sparse"])
+    def test_x_is_evaluated_once_on_consecutive_indices(self, ks):
+        calls = []
+
+        def x(ell):
+            calls.append(np.array(ell))
+            return 1.0 / ell
+
+        binomial_averages(x, ks, 0.3)
+        assert len(calls) == 1
+        ell = calls[0]
+        assert ell.ndim == 1 and ell[0] >= 1 and np.all(np.diff(ell) == 1)
 
     def test_empty_grid(self):
         assert binomial_averages(lambda l: np.asarray(l, dtype=float), [], 0.3).shape == (0,)
@@ -272,6 +305,12 @@ class TestChernoffBound:
 
 
 class TestBiasDiagnostics:
+    @pytest.mark.parametrize("alpha_G", [0.0, -1.0, np.nan])
+    def test_alpha_G_must_be_positive(self, alpha_G):
+        with pytest.raises(ValueError, match="alpha_G must be positive"):
+            bias_diagnostics(reference_schedule(), NetworkConfig(5, 0.2, 1.0),
+                             PerturbationSpec.rademacher(), alpha_G, [10])
+
     def test_envelope_dominates_moment_bound(self):
         s = reference_schedule()
         net = NetworkConfig(50, 0.05, 1.0)
@@ -349,6 +388,16 @@ class TestK0:
         with pytest.raises(ValueError):
             compute_K0(s, PerturbationSpec.rademacher(),
                        ActionBounds.uniform(2, -1.0, 1.0), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("a_star, node, shown", [
+        ([0.0, 1.0, 5.0], 1, "a* = 1, outside (-1, 1)"),
+        ([0.0, 0.5, -2.0], 2, "a* = -2, outside (-1, 1)"),
+        ([np.nan, 0.0, 0.0], 0, "a* = nan, outside (-1, 1)"),
+    ])
+    def test_outside_optimum_is_config_error_naming_the_node(self, a_star, node, shown):
+        with pytest.raises(ConfigError, match=rf"node {node} has {re.escape(shown)}$"):
+            compute_K0(reference_schedule(), PerturbationSpec.rademacher(),
+                       ActionBounds.uniform(3, -1.0, 1.0), np.array(a_star))
 
 
 def _quadratic_params(k_max=4000, q_a=0.2, n=5, sigma_eta=0.5):
@@ -506,6 +555,23 @@ def test_status_names_a_non_positive_alpha_F(alpha_F, shown):
     params = _divergence_rate_params(alpha_F=alpha_F)
     assert params.status == f"inapplicable: alpha_F = {shown} is not positive and finite"
     assert params.vartheta is None and params.varrho is None and params.K2 is None
+
+
+@pytest.mark.parametrize("name", ["alpha_G", "lipschitz", "sigma_eta", "sigma_a_sq"])
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-1.0, "-1")])
+def test_status_names_a_bad_constant(name, value, shown):
+    # max(theta sqrt(d0) / psi, nan) drops the nan: the envelope would read a
+    # certified but far smaller bound
+    params = _divergence_rate_params(**{name: value})
+    assert params.status == f"inapplicable: {name} = {shown} is not finite and non-negative"
+    assert params.vartheta is None and params.varrho is None
+    assert np.isnan(rate_envelope(params, [600]).envelope[0])
+
+
+def test_status_names_every_bad_constant():
+    params = _divergence_rate_params(alpha_F=np.nan, alpha_G=-1.0)
+    assert params.status == ("inapplicable: alpha_F = nan is not positive and finite; "
+                             "alpha_G = -1 is not finite and non-negative")
 
 
 class TestRecurrenceEnvelope:

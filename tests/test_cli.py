@@ -624,6 +624,20 @@ def test_bounds_without_a_known_optimum_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bounds_with_an_optimum_outside_the_bounds_is_config_error(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "quadratic_divergence_rate.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["model"]["targets"][0] = 5.0
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", str(path), "--kmax", "2000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the optimum must be strictly interior to the bounds: "
+        "node 0 has a* = 5, outside (-4, 4)\n")
+    assert not out.exists()
+
+
 def test_bounds_power_model_without_strong_concavity(tmp_path, capsys):
     path = os.path.join(CONFIGS, "power_utility_reception_sweep.yaml")
     rc, out = _solve_then_bounds(tmp_path, path)
