@@ -22,25 +22,42 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
+    """The ticks of an axis over [lo, hi] that lie in it, with their labels:
+    the powers of ten with ``log``, else the multiples of a 1-2-5 step."""
     if log:
-        return [10.0**e for e in range(math.ceil(math.log10(lo) - 1e-9),
-                                       math.floor(math.log10(hi) + 1e-9) + 1)]
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * abs(span):
-        out.append(t)
-        t += step
-    return out
+        ticks = [10.0**e for e in range(math.ceil(math.log10(lo) - 1e-9),
+                                        math.floor(math.log10(hi) + 1e-9) + 1)]
+    elif (span := hi - lo) <= 0:
+        ticks = [lo]
+    else:
+        step = 10.0 ** math.floor(math.log10(span / 4))
+        for mult in (1, 2, 5, 10):
+            if span / (step * mult) <= 6:
+                step *= mult
+                break
+        ticks = []
+        t = math.ceil(lo / step) * step
+        while t <= hi + 1e-12 * abs(span):
+            ticks.append(t)
+            t += step
+    return [(t, _escape(f"1e{int(round(math.log10(t)))}" if log else f"{t:g}"))
+            for t in ticks if lo <= t <= hi]
+
+
+def _axis(values: np.ndarray, log: bool, start: float, length: float):
+    """An axis over ``values``: its range, padded where it is one point, and
+    the map of a data value to pixel ``start + f * length``, where f is the
+    value's linear, or with ``log`` base-10 logarithmic, fraction of the range."""
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        pad = abs(lo) * 0.1 + 1e-9
+        lo, hi = lo - pad, hi + pad
+    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+
+    def pixel(v):
+        return start + ((math.log10(v) if log else v) - a) / (b - a) * length
+    return lo, hi, pixel
 
 
 def write_line_chart(
@@ -69,29 +86,8 @@ def write_line_chart(
     if xs.size == 0:
         xs, ys = np.array([1.0, 10.0]), np.array([1.0, 10.0])
 
-    def span(v):
-        lo, hi = float(v.min()), float(v.max())
-        if lo == hi:
-            pad = abs(lo) * 0.1 + 1e-9
-            lo, hi = lo - pad, hi + pad
-        return lo, hi
-
-    xlo, xhi = span(xs)
-    ylo, yhi = span(ys)
-
-    def sx(v):
-        if loglog:
-            f = (math.log10(v) - math.log10(xlo)) / (math.log10(xhi) - math.log10(xlo))
-        else:
-            f = (v - xlo) / (xhi - xlo)
-        return _ML + f * (_W - _ML - _MR)
-
-    def sy(v):
-        if loglog:
-            f = (math.log10(v) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo))
-        else:
-            f = (v - ylo) / (yhi - ylo)
-        return _H - _MB - f * (_H - _MT - _MB)
+    xlo, xhi, sx = _axis(xs, loglog, _ML, _W - _ML - _MR)
+    ylo, yhi, sy = _axis(ys, loglog, _H - _MB, -(_H - _MT - _MB))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -105,24 +101,16 @@ def write_line_chart(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#333"/>',
     ]
-    for t in _ticks(xlo, xhi, loglog):
-        if not xlo <= t <= xhi:
-            continue
+    for t, label in _ticks(xlo, xhi, loglog):
         x = sx(t)
-        label = f"1e{int(round(math.log10(t)))}" if loglog else f"{t:g}"
         parts.append(f'<line x1="{x:.1f}" y1="{_MT}" x2="{x:.1f}" y2="{_H - _MB}" '
                      'stroke="#ddd"/>')
-        parts.append(f'<text x="{x:.1f}" y="{_H - _MB + 16}" text-anchor="middle">'
-                     f'{_escape(label)}</text>')
-    for t in _ticks(ylo, yhi, loglog):
-        if not ylo <= t <= yhi:
-            continue
+        parts.append(f'<text x="{x:.1f}" y="{_H - _MB + 16}" text-anchor="middle">{label}</text>')
+    for t, label in _ticks(ylo, yhi, loglog):
         y = sy(t)
-        label = f"1e{int(round(math.log10(t)))}" if loglog else f"{t:g}"
         parts.append(f'<line x1="{_ML}" y1="{y:.1f}" x2="{_W - _MR}" y2="{y:.1f}" '
                      'stroke="#ddd"/>')
-        parts.append(f'<text x="{_ML - 6}" y="{y + 4:.1f}" text-anchor="end">'
-                     f'{_escape(label)}</text>')
+        parts.append(f'<text x="{_ML - 6}" y="{y + 4:.1f}" text-anchor="end">{label}</text>')
     for idx, ((name, _, _), (px, py)) in enumerate(zip(series, pts)):
         color = _COLORS[idx % len(_COLORS)]
         if px.size:

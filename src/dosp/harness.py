@@ -63,9 +63,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """Complete description of one experiment; round-trips through YAML.  Its
-    annotations, and the section classes' and model constructors', are the
-    schema that :meth:`from_dict` checks a config against."""
+    """Complete description of one experiment; round-trips through
+    :meth:`to_dict` and :meth:`from_dict`.  Its annotations, and the section
+    classes' and model constructors', are the schema that every config is
+    checked against, whether built in Python or loaded from a document."""
 
     network: NetworkConfig
     schedule: StepSizeSchedule
@@ -85,9 +86,7 @@ class ExperimentConfig:
     divergence: Literal["auto", "require", "skip"] = "auto"
 
     def __post_init__(self):
-        table = _table(type(self))  # a config built in Python is checked as a file's is
-        for name in ("model_kind", *_run_table(type(self))):
-            _check_value(name, getattr(self, name), table[name].annotation)
+        _check_document(self.to_dict())  # a config built in Python is checked as a file's is
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
         if self.seed < 0:
@@ -128,42 +127,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"a config is a mapping of the sections {', '.join(SECTIONS)}, "
-                              f"got {'an empty document' if d is None else type(d).__name__}")
-        if unknown := [str(key) for key in d if key not in SECTIONS]:
-            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
-                              f"expected {', '.join(SECTIONS)}")
-        d = {"perturbation": {}, **d}  # rademacher by default
-        for name in SECTIONS:
-            if name not in d:
-                raise ConfigError(f"missing config section {name!r}")
-            if not isinstance(d[name], dict):
-                raise ConfigError(f"config section {name!r} must be a mapping, "
-                                  f"got {type(d[name]).__name__}")
-        model, net, sched, pert, bounds, run = (dict(d[name]) for name in SECTIONS)
-        if "kind" not in model:
-            raise ConfigError("missing config key 'model.kind'")
-        kind, pert_kind = model.pop("kind"), pert.pop("kind", "rademacher")
-        # a kind names the constructor whose parameters are the rest of its section
-        _check_value("model.kind", kind, _table(cls)["model_kind"].annotation)
-        _check_value("perturbation.kind", pert_kind, _table(PerturbationSpec)["kind"].annotation)
-        perturbation = getattr(PerturbationSpec, pert_kind)
-        for name, values, table in (
-                ("model", model, _table(MODELS[kind], ("n_nodes",))),  # the network's n_nodes
-                ("network", net, _table(NetworkConfig)),
-                ("schedule", sched, _table(StepSizeSchedule)),
-                ("perturbation", pert, _table(perturbation)),
-                ("bounds", bounds, _table(ActionBounds)),
-                ("run", run, _run_table(cls))):
-            _check_section(name, values, table)
+        # checked before the sections are built: their constructors compare values
+        kind, perturbation, (model, net, sched, pert, bounds, run) = _check_document(d)
         return cls(network=NetworkConfig(**net), schedule=StepSizeSchedule(**sched),
                    perturbation=perturbation(**pert), bounds=ActionBounds(**bounds),
                    model_kind=kind, model_params=model, **run)
-
-    def to_yaml(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -177,16 +145,49 @@ class ExperimentConfig:
             raise ConfigError(f"malformed YAML in {path}: {exc}".replace("\n", " ")) from exc
         return cls.from_dict(d)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
 
 def parse_yaml(source):
     """The data of one YAML document (a string or a text file), as
     ``yaml.safe_load`` reads it."""
     return yaml.load(source, Loader=_YAML_LOADER)
+
+
+def _check_document(d) -> tuple:
+    """The sections of the config document ``d``, checked against the schema
+    of :class:`ExperimentConfig`: the model's kind, the perturbation's
+    constructor, and the six sections in ``SECTIONS`` order, each a new dict
+    without its kind.  Raises a ConfigError naming the first section or key
+    that is unknown, missing or of the wrong type."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config is a mapping of the sections {', '.join(SECTIONS)}, "
+                          f"got {'an empty document' if d is None else type(d).__name__}")
+    if unknown := [str(key) for key in d if key not in SECTIONS]:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                          f"expected {', '.join(SECTIONS)}")
+    d = {"perturbation": {}, **d}  # rademacher by default
+    for name in SECTIONS:
+        if name not in d:
+            raise ConfigError(f"missing config section {name!r}")
+        if not isinstance(d[name], dict):
+            raise ConfigError(f"config section {name!r} must be a mapping, "
+                              f"got {type(d[name]).__name__}")
+    model, net, sched, pert, bounds, run = (dict(d[name]) for name in SECTIONS)
+    if "kind" not in model:
+        raise ConfigError("missing config key 'model.kind'")
+    kind, pert_kind = model.pop("kind"), pert.pop("kind", "rademacher")
+    # a kind names the constructor whose parameters are the rest of its section
+    _check_value("model.kind", kind, _table(ExperimentConfig)["model_kind"].annotation)
+    _check_value("perturbation.kind", pert_kind, _table(PerturbationSpec)["kind"].annotation)
+    perturbation = getattr(PerturbationSpec, pert_kind)
+    for name, values, table in (
+            ("model", model, _table(MODELS[kind], ("n_nodes",))),  # the network's n_nodes
+            ("network", net, _table(NetworkConfig)),
+            ("schedule", sched, _table(StepSizeSchedule)),
+            ("perturbation", pert, _table(perturbation)),
+            ("bounds", bounds, _table(ActionBounds)),
+            ("run", run, _run_table(ExperimentConfig))):
+        _check_section(name, values, table)
+    return kind, perturbation, (model, net, sched, pert, bounds, run)
 
 
 @functools.cache
@@ -224,10 +225,12 @@ _NAMES = {int: "an integer", float: "a number", type(None): "null", list: "a lis
 
 def _check_value(path: str, value, kind) -> None:
     """Raise a ConfigError naming ``path`` unless ``value`` is of a type that
-    ``kind`` annotates: a float is finite, a mapping is checked as the section
-    of a dataclass and a list item by item."""
+    ``kind`` annotates: a float is finite, a mapping or an instance is checked
+    as the section of a dataclass and a list item by item."""
     members = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
     for member in members:
+        if is_dataclass(member) and isinstance(value, member):
+            value = asdict(value)
         if is_dataclass(member) and isinstance(value, dict):
             return _check_section(path, value, _table(member))
         if get_origin(member) is list and isinstance(value, list):

@@ -4,6 +4,7 @@ imports by its own name when another directory's ``conftest.py`` is collected
 in the same session."""
 
 import numpy as np
+import yaml
 
 from dosp import (
     ActionBounds,
@@ -12,6 +13,12 @@ from dosp import (
     StepSizeSchedule,
 )
 from dosp.harness import ExperimentConfig
+
+
+def write_yaml(cfg: ExperimentConfig, path) -> None:
+    """Write ``cfg`` to ``path`` as a config file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False)
 
 
 def reference_schedule() -> StepSizeSchedule:

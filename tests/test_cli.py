@@ -16,14 +16,14 @@ from dosp.analysis import MAX_AVERAGE_K
 from dosp.cli import main
 from dosp.harness import ExperimentConfig, OptimumResult, save_optimum
 
-from reference_configs import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config, write_yaml
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _write_config(tmp_path, cfg: ExperimentConfig) -> str:
     path = tmp_path / "cfg.yaml"
-    cfg.to_yaml(path)
+    write_yaml(cfg, path)
     return str(path)
 
 

@@ -17,7 +17,7 @@ from dosp.cli import main
 from dosp.harness import (
     ExperimentConfig, build_model, model_constants, run_experiment, write_csv)
 
-from reference_configs import quadratic_config
+from reference_configs import quadratic_config, write_yaml
 from oracles import reference_bounds_csv, reference_csv, reference_outputs
 
 SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 2.0**62)
@@ -75,7 +75,7 @@ SPARSE_CFG = quadratic_config(n_nodes=8, q_activity=0.05, q_reception=0.5, horiz
 @pytest.mark.parametrize("chunk", [3, harness._CSV_CHUNK])  # 3: a chunk spans replications
 def test_run_trace_files_match_the_row_writer(tmp_path, capsys, chunk):
     path = tmp_path / "cfg.yaml"
-    SPARSE_CFG.to_yaml(path)
+    write_yaml(SPARSE_CFG, path)
     with mock.patch.object(harness, "_CSV_CHUNK", chunk):
         rc = main(["run", "--config", str(path), "--trace", "--out", str(tmp_path / "run")])
     assert rc == 0
@@ -96,7 +96,7 @@ def test_bounds_csv_matches_the_row_writer(tmp_path, capsys):
     cfg = quadratic_config(n_nodes=5, beta0=0.5, gamma0=8.0, bound=4.0, horizon=200,
                            replications=2, seed=3, metrics_stride=50)
     path = tmp_path / "cfg.yaml"
-    cfg.to_yaml(path)
+    write_yaml(cfg, path)
     rc = main(["bounds", "--config", str(path), "--kmax", "2000", "--out", str(tmp_path)])
     assert rc == 0
 

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import functools
 import glob
+import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dosp import (ConfigError, FeasibilityError, ModelConstants, NumericError,
+from dosp import (ActionBounds, ConfigError, FeasibilityError, ModelConstants, NumericError,
                   PerturbationSpec, StepSizeSchedule)
 from dosp.cli import main
 from dosp.core import RngStream, role_streams
@@ -39,7 +42,7 @@ from dosp.network import ChannelSpec, NetworkConfig, sample_activity
 from dosp.objectives import PowerControlModel, QuadraticModel
 from dosp.optimizer import initialize_states
 
-from reference_configs import power_config, quadratic_config
+from reference_configs import power_config, quadratic_config, write_yaml
 from oracles import (reference_avg_gradient, reference_constants_sample,
                      reference_estimate_alpha_G, reference_estimate_lipschitz,
                      reference_eval_F_batch, reference_model_constants,
@@ -54,12 +57,29 @@ def _engine_states(cfg, **kwargs):
                              cfg.replications, role_streams(cfg.seed), **kwargs)
 
 
+def _built_in_python(doc):
+    """The config of the document ``doc``, built from its section objects."""
+    model = dict(doc["model"])
+    return ExperimentConfig(
+        NetworkConfig(**doc["network"]), StepSizeSchedule(**doc["schedule"]),
+        PerturbationSpec(**doc["perturbation"]), ActionBounds(**doc["bounds"]),
+        model.pop("kind"), model, **doc["run"])
+
+
+def _document_case(section, key, value, kind="quadratic"):
+    """A misspelt-value case: the document of a 4-node config of ``kind`` with
+    ``section.key`` set to ``value``, built in Python by :func:`_built_in_python`."""
+    doc = (power_config if kind == "power" else quadratic_config)(n_nodes=4).to_dict()
+    doc[section][key] = value
+    return functools.partial(_built_in_python, doc)
+
+
 class TestConfigSerialization:
     def test_yaml_round_trip_is_exact(self, tmp_path):
         cfg = quadratic_config(n_nodes=7, horizon=123, replications=3, seed=99,
                                metrics_stride=11, sigma_eta=0.321)
         path = tmp_path / "experiment.yaml"
-        cfg.to_yaml(path)
+        write_yaml(cfg, path)
         again = ExperimentConfig.from_yaml(path)
         assert again == cfg
         assert again.schedule.beta0 == cfg.schedule.beta0
@@ -75,19 +95,41 @@ class TestConfigSerialization:
         (lambda: NetworkConfig(6, 0.5, 1.0, noise="gausian"), "noise"),
         (lambda: ChannelSpec(fading="real"), "fading"),
         (lambda: dataclasses.replace(PerturbationSpec.rademacher(), kind="gauss"), "kind"),
-        (lambda: dataclasses.replace(quadratic_config(n_nodes=4), model_kind="quad"), "model_kind"),
+        (lambda: dataclasses.replace(quadratic_config(n_nodes=4), model_kind="quad"), "model.kind"),
         (lambda: quadratic_config(n_nodes=4, algorithm="dosp-s"), "algorithm"),
         (lambda: quadratic_config(n_nodes=4, baseline_step="gamma"), "baseline_step"),
         (lambda: quadratic_config(n_nodes=4, index_mode="count"), "index_mode"),
         (lambda: _engine_states(quadratic_config(n_nodes=4), index_mode="countd"), "index mode"),
         (lambda: quadratic_config(n_nodes=4, divergence="requre"), "divergence"),
         (lambda: quadratic_config(n_nodes=4, horizon=2.5), "horizon"),
+        (_document_case("network", "q_activity", True), "network.q_activity"),
+        (_document_case("network", "n_nodes", 2.5), "network.n_nodes"),
+        (_document_case("schedule", "beta0", True), "schedule.beta0"),
+        (_document_case("model", "omega1", "20", "power"), "model.omega1"),
+        (_document_case("model", "targets", "abcd"), "model.targets"),
+        (_document_case("model", "targets", [1.0, 2.0, 3.0, True]), "model.targets[3]"),
+        (_document_case("bounds", "lower", -math.inf), "bounds.lower"),
+        (_document_case("model", "omega3", 1.0, "power"), "unknown model key"),
+        (lambda: dataclasses.replace(power_config(n_nodes=4), model_params={
+            "channel": ChannelSpec(var_direct=math.inf)}), "model.channel.var_direct"),
     ], ids=["activity", "noise", "fading", "perturbation-kind", "model-kind", "algorithm",
-            "baseline-step", "index-mode", "engine-index-mode", "divergence", "horizon"])
+            "baseline-step", "index-mode", "engine-index-mode", "divergence", "horizon",
+            "q-activity-bool", "n-nodes-float", "beta0-bool", "omega1-string",
+            "targets-string", "targets-bool-item", "bounds-infinite", "unknown-model-key",
+            "channel-spec-infinite"])
     def test_config_built_in_python_rejects_a_misspelt_value(self, build, named):
         # a config that does not come through from_dict gets the same checks
-        with pytest.raises(ConfigError, match=named):
+        with pytest.raises(ConfigError, match=re.escape(named)) as built:
             build()
+        if isinstance(build, functools.partial):  # and the same message as its document
+            with pytest.raises(ConfigError) as loaded:
+                ExperimentConfig.from_dict(*build.args)
+            assert str(built.value) == str(loaded.value)
+
+    def test_config_built_in_python_takes_a_channel_spec(self):
+        channel = ChannelSpec(var_cross=0.2, fading="complex_gaussian")
+        cfg = dataclasses.replace(power_config(n_nodes=4), model_params={"channel": channel})
+        assert build_model(cfg).channel == channel
 
     def test_shipped_configs_keep_their_key_order(self):
         # to_dict lays the sections and keys out in the order the files list them
@@ -647,7 +689,7 @@ class TestFRecordsWorker:
         assert str(info.value) == ("slot 1: the Monte-Carlo worker exited with code 7 "
                                    "before replying")
         path = tmp_path / "cfg.yaml"
-        _mc_run_config("quadratic", "binomial").to_yaml(path)
+        write_yaml(_mc_run_config("quadratic", "binomial"), path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.strip().splitlines() == [
             "numeric failure: slot 1: the Monte-Carlo worker exited with code 7 "
@@ -658,7 +700,7 @@ class TestFRecordsWorker:
         # a run of about a minute; the worker must notice its parent's SIGKILL
         cfg = power_config(horizon=1_000_000, f_mc_samples=2000)
         path = tmp_path / "cfg.yaml"
-        cfg.to_yaml(path)
+        write_yaml(cfg, path)
         src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
         code = ("from dosp import harness; "
                 f"harness.run_experiment(harness.ExperimentConfig.from_yaml({str(path)!r}))")

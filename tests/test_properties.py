@@ -25,6 +25,8 @@ from dosp.estimator import estimate_global_utility, sample_reception
 from dosp.harness import ExperimentConfig, emit_outputs, run_experiment
 from dosp.network import ActiveSet, sample_activity
 
+from reference_configs import write_yaml
+
 BOUND = 2.0
 
 
@@ -261,7 +263,7 @@ def test_config_round_trips_bit_for_bit(cfg):
     assert json.dumps(again.to_dict(), sort_keys=True) == as_dict
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.yaml")
-        cfg.to_yaml(path)
+        write_yaml(cfg, path)
         assert json.dumps(ExperimentConfig.from_yaml(path).to_dict(), sort_keys=True) == as_dict
 
 
