@@ -7,19 +7,21 @@ The package root exports the value types a config is built from
 (``ConfigError``, ``FeasibilityError``, ``NumericError``).  Everything else is
 imported from its own module: ``dosp.harness`` for experiments,
 ``dosp.optimizer`` for the slot engine, ``dosp.analysis`` for the rate bounds.
+``dosp.analysis``, ``dosp.verify`` and ``dosp.chart`` are imported only where
+they are used, so a run without charts never loads them.
 """
 
 from .core import (
     ActionBounds,
     ConfigError,
     FeasibilityError,
+    ModelConstants,
     NumericError,
     PerturbationSpec,
     RngStream,
     StepSizeSchedule,
 )
 from .network import NetworkConfig
-from .analysis import ModelConstants
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionBounds, ConfigError, PerturbationSpec, StepSizeSchedule
+# ModelConstants is defined in core, which a run imports; analysis re-exports it
+from .core import ActionBounds, ConfigError, ModelConstants, PerturbationSpec, StepSizeSchedule
 from .network import NetworkConfig, sample_activity
 from .optimizer import sample_step_index
 
@@ -282,18 +283,6 @@ def compute_K0(
     while pert.alpha_phi * schedule.gamma(k0) > thr:
         k0 += 1
     return int(k0)
-
-
-@dataclass(frozen=True)
-class ModelConstants:
-    """Model-level constants feeding the rate-bound recurrence."""
-
-    alpha_F: float
-    alpha_G: float
-    lipschitz: float
-    sigma_eta: float
-    sigma_a_sq: float
-    sampled: bool = False  # the three are sample estimates, not closed forms
 
 
 @dataclass

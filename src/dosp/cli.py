@@ -18,7 +18,6 @@ import sys
 
 import yaml
 
-from . import analysis
 from .core import ConfigError, FeasibilityError, NumericError
 from .harness import (
     _SOLVE_BLOCK,
@@ -35,7 +34,8 @@ from .harness import (
     solve_optimum,
     write_csv,
 )
-from .verify import verification_suite
+# analysis and verify are imported inside the commands that use them, so that
+# run loads neither
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -113,12 +113,16 @@ def _cmd_run(args) -> int:
 
 
 def _check_kmax(kmax: int, smallest: int) -> None:
+    from . import analysis
+
     if not smallest <= kmax <= analysis.MAX_AVERAGE_K:
         raise ConfigError(
             f"--kmax must lie in [{smallest}, {analysis.MAX_AVERAGE_K}], got {kmax}")
 
 
 def _cmd_bounds(args) -> int:
+    from . import analysis
+
     _check_kmax(args.kmax, analysis.MIN_RATE_K)
     # a grid of distinct slots in [1, kmax] has at most kmax points
     if not 1 <= args.points <= args.kmax:
@@ -160,6 +164,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verification_suite
+
     _check_kmax(args.kmax, 1)
     cfg = ExperimentConfig.from_yaml(args.config)
     results = verification_suite(cfg, k_max=args.kmax)

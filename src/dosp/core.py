@@ -173,6 +173,18 @@ class ActionBounds:
         )
 
 
+@dataclass(frozen=True)
+class ModelConstants:
+    """Model-level constants feeding the rate-bound recurrence."""
+
+    alpha_F: float
+    alpha_G: float
+    lipschitz: float
+    sigma_eta: float
+    sigma_a_sq: float
+    sampled: bool = False  # the three are sample estimates, not closed forms
+
+
 # Named per-replication randomness roles.  Every source of randomness in a run
 # flows through exactly one of these streams; the draw layout within a stream
 # is a fixed function of (slot, replication, node), which makes runs bit

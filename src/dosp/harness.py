@@ -24,10 +24,10 @@ from typing import Literal, Union, get_args, get_origin
 import numpy as np
 import yaml
 
-from .analysis import ModelConstants
 from .core import (
     ActionBounds,
     ConfigError,
+    ModelConstants,
     NumericError,
     PerturbationSpec,
     RngStream,
@@ -37,7 +37,6 @@ from .core import (
 from .network import ActiveSet, NetworkConfig, sample_activity
 from .objectives import MODELS, PowerControlModel, QuadraticModel
 from .optimizer import IndexMode, TRACE_COLUMNS, block_slots, initialize_states, run_slots
-from . import chart
 
 TRAJECTORY_COLUMNS = ("replication", "k", "d_k", "F_hat", "F_stderr", "n_active")
 # a replication's trace file: the trace columns after replication, and delta = 1
@@ -86,6 +85,9 @@ class ExperimentConfig:
     divergence: Literal["auto", "require", "skip"] = "auto"
 
     def __post_init__(self):
+        if "kind" in self.model_params:  # to_dict would write it over model_kind
+            raise ConfigError("model.kind is the config's model_kind; model_params may not "
+                              f"hold a 'kind' key, got {self.model_params['kind']!r}")
         _check_document(self.to_dict())  # a config built in Python is checked as a file's is
         if self.horizon < 1 or self.replications < 1 or self.metrics_stride < 1:
             raise ConfigError("horizon, replications and metrics_stride must be >= 1")
@@ -113,8 +115,12 @@ class ExperimentConfig:
         lower = self.bounds.lower
         upper = self.bounds.upper
         uniform = np.all(lower == lower[0]) and np.all(upper == upper[0])
+        # a dataclass parameter (a ChannelSpec) is written as its mapping, so
+        # that the document is plain data
+        model = {key: asdict(value) if is_dataclass(value) and not isinstance(value, type)
+                 else value for key, value in self.model_params.items()}
         return {
-            "model": {"kind": self.model_kind, **self.model_params},
+            "model": {"kind": self.model_kind, **model},
             "network": asdict(self.network),
             "schedule": asdict(self.schedule),
             "perturbation": asdict(self.perturbation),
@@ -225,17 +231,19 @@ _NAMES = {int: "an integer", float: "a number", type(None): "null", list: "a lis
 
 def _check_value(path: str, value, kind) -> None:
     """Raise a ConfigError naming ``path`` unless ``value`` is of a type that
-    ``kind`` annotates: a float is finite, a mapping or an instance is checked
-    as the section of a dataclass and a list item by item."""
+    ``kind`` annotates: a float is finite, a mapping is checked as the section
+    of a dataclass and a list item by item."""
     members = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
     for member in members:
-        if is_dataclass(member) and isinstance(value, member):
-            value = asdict(value)
         if is_dataclass(member) and isinstance(value, dict):
             return _check_section(path, value, _table(member))
         if get_origin(member) is list and isinstance(value, list):
-            for i, item in enumerate(value):
-                _check_value(f"{path}[{i}]", item, get_args(member)[0])
+            item_kind = get_args(member)[0]
+            # only a list whose items fail the one-pass check is walked, to
+            # name its first bad item
+            if not _all_scalars(value, item_kind):
+                for i, item in enumerate(value):
+                    _check_value(f"{path}[{i}]", item, item_kind)
             return
         if get_origin(member) is Literal and isinstance(value, str) and value in get_args(member):
             return
@@ -252,6 +260,14 @@ def _check_value(path: str, value, kind) -> None:
         if name not in names:  # a dataclass and a dict are both a mapping
             names.append(name)
     raise ConfigError(f"{path} must be {' or '.join(names)}, got {value!r}")
+
+
+def _all_scalars(values: list, kind) -> bool:
+    """Whether every item of ``values`` is a value of the scalar annotation
+    ``kind`` by :func:`_check_value`'s rule, checked in one pass."""
+    scalar = _SCALARS.get(kind, ())
+    return all(isinstance(v, scalar) and not isinstance(v, bool)
+               and (not isinstance(v, float) or math.isfinite(v)) for v in values)
 
 
 def build_model(cfg: ExperimentConfig) -> PowerControlModel | QuadraticModel:
@@ -874,6 +890,8 @@ def emit_outputs(dataset: TrajectoryDataset, out_dir, svg: bool = False,
                 written.append(path)
 
     if svg:
+        from . import chart  # only charts need it, so a run without --svg never loads it
+
         if dataset.d is not None:
             path = os.path.join(out_dir, "divergence.svg")
             series = [("mean", dataset.ks, dataset.D)]

@@ -491,9 +491,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
                            if any(m == h or m.startswith(h + ".") for h in modules))
 
     assert loaded(commands, path, HEAVY_MODULES) == ("[0, 0, 0]", [])
-    # a run without F_hat records starts no worker, so it needs no process machinery
+    # a run without F_hat records starts no worker, so it needs no process
+    # machinery, and without --svg it needs no chart, analysis or verify module
     assert loaded([["run", "--out", out + "/plain"]], plain,
-                  HEAVY_MODULES + ("multiprocessing", "concurrent")) == ("[0]", [])
+                  HEAVY_MODULES + ("multiprocessing", "concurrent", "dosp.analysis",
+                                   "dosp.verify", "dosp.chart")) == ("[0]", [])
 
 
 def _cache_optimum(directory, cfg, a_star):

@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import yaml
 
 from dosp import (ActionBounds, ConfigError, FeasibilityError, ModelConstants, NumericError,
                   PerturbationSpec, StepSizeSchedule)
@@ -112,11 +113,13 @@ class TestConfigSerialization:
         (_document_case("model", "omega3", 1.0, "power"), "unknown model key"),
         (lambda: dataclasses.replace(power_config(n_nodes=4), model_params={
             "channel": ChannelSpec(var_direct=math.inf)}), "model.channel.var_direct"),
+        (lambda: dataclasses.replace(quadratic_config(n_nodes=4), model_params={
+            "kind": "power"}), "model.kind"),
     ], ids=["activity", "noise", "fading", "perturbation-kind", "model-kind", "algorithm",
             "baseline-step", "index-mode", "engine-index-mode", "divergence", "horizon",
             "q-activity-bool", "n-nodes-float", "beta0-bool", "omega1-string",
             "targets-string", "targets-bool-item", "bounds-infinite", "unknown-model-key",
-            "channel-spec-infinite"])
+            "channel-spec-infinite", "model-params-kind"])
     def test_config_built_in_python_rejects_a_misspelt_value(self, build, named):
         # a config that does not come through from_dict gets the same checks
         with pytest.raises(ConfigError, match=re.escape(named)) as built:
@@ -130,6 +133,15 @@ class TestConfigSerialization:
         channel = ChannelSpec(var_cross=0.2, fading="complex_gaussian")
         cfg = dataclasses.replace(power_config(n_nodes=4), model_params={"channel": channel})
         assert build_model(cfg).channel == channel
+
+    def test_channel_spec_is_written_as_its_mapping(self):
+        # the document of a config holding a ChannelSpec is plain data: it
+        # dumps to YAML and keys the optimum cache as the mapping form does
+        channel = ChannelSpec(var_cross=0.2, fading="complex_gaussian")
+        cfg = dataclasses.replace(power_config(n_nodes=4), model_params={"channel": channel})
+        mapping = dataclasses.replace(cfg, model_params={"channel": dataclasses.asdict(channel)})
+        assert optimum_cache_key(cfg) == optimum_cache_key(mapping)
+        assert yaml.safe_load(yaml.safe_dump(cfg.to_dict())) == mapping.to_dict()
 
     def test_shipped_configs_keep_their_key_order(self):
         # to_dict lays the sections and keys out in the order the files list them
